@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import RandomStream, exponentials_for_streams, stream_exponentials
+from .rng import RandomStream, exponentials_for_streams
 
 
 def _check_gains(name: str, values: tuple[float, ...]) -> None:
@@ -51,6 +51,10 @@ class ChannelRealization:
     @property
     def n_relays(self) -> int:
         return len(self.g_sr)
+
+    def as_batch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(g_sd, g_sr, g_rd) as a batch of one row, shapes (1,), (1, N), (1, N)."""
+        return np.array([self.g_sd]), np.array([self.g_sr]), np.array([self.g_rd])
 
 
 @dataclass(frozen=True)
@@ -89,18 +93,11 @@ class ExponentVector:
 def sample_realization(n_relays: int, stream: RandomStream) -> ChannelRealization:
     """Draw one realization with i.i.d. Exponential(1) gains.
 
-    Uniforms of the stream are consumed in the fixed order g_sd,
-    g_sr[0..N-1], g_rd[0..N-1], so the result is a pure function of
-    (seed, stream_index).
+    `sample_gain_arrays` at the single stream index of `stream`, so the
+    result is a pure function of (seed, stream_index).
     """
-    if n_relays < 0:
-        raise ValueError(f"n_relays must be >= 0, got {n_relays}")
-    g = stream_exponentials(stream, 2 * n_relays + 1)
-    return ChannelRealization(
-        g_sd=float(g[0]),
-        g_sr=tuple(g[1 : 1 + n_relays]),
-        g_rd=tuple(g[1 + n_relays :]),
-    )
+    g_sd, g_sr, g_rd = sample_gain_arrays(n_relays, stream.seed, stream.index_batch())
+    return ChannelRealization(g_sd=float(g_sd[0]), g_sr=tuple(g_sr[0]), g_rd=tuple(g_rd[0]))
 
 
 def sample_gain_arrays(
@@ -108,9 +105,9 @@ def sample_gain_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized realizations for a batch of stream indices.
 
-    Returns (g_sd, g_sr, g_rd) with shapes (T,), (T, N), (T, N); row i
-    matches ``sample_realization(n_relays, RandomStream(seed, idx[i]))``
-    exactly.
+    Returns (g_sd, g_sr, g_rd) with shapes (T,), (T, N), (T, N).  Uniforms
+    of each stream are consumed in the fixed order g_sd, g_sr[0..N-1],
+    g_rd[0..N-1].
     """
     if n_relays < 0:
         raise ValueError(f"n_relays must be >= 0, got {n_relays}")

@@ -262,7 +262,10 @@ def _cmd_outage(args: argparse.Namespace) -> int:
     else:
         n_relays = args.relays
         if args.weights is not None:
-            weights = tuple(float(w) for w in args.weights.split(","))
+            try:
+                weights = tuple(float(w) for w in args.weights.split(","))
+            except ValueError as exc:
+                raise UsageError(f"bad --weights {args.weights!r}: {exc}") from exc
             schedule = _usage_wrap(TwoHopSchedule, n_relays, weights)
         else:
             schedule = _usage_wrap(TwoHopSchedule.uniform, n_relays)
@@ -293,7 +296,10 @@ def _read_table(path: str) -> OutageTable:
     raw_rows: list[dict[str, Any]] = []
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        doc = json.loads(stripped)
+        try:
+            doc = json.loads(stripped)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{path!r} is not valid JSON: {exc}") from exc
         metadata = doc.get("metadata", {})
         raw_rows = doc.get("rows", [])
     else:

@@ -14,6 +14,10 @@ All capacities are in bits per symbol (base-2 logs).  The single-relay
 expression is an upper bound while the multi-relay expression is a lower
 bound; the two coincide in diversity-multiplexing behaviour, which is what
 the rest of the package extracts from them.
+
+Each formula is written once, as a kernel over arrays of gains,
+capacities or orders; the functions taking one realization or order
+vector evaluate that kernel on a batch of one row.
 """
 
 from __future__ import annotations
@@ -30,6 +34,21 @@ MAX_RELAYS = 12  # min-cut evaluation walks 2^N cuts x 2^N states
 WEIGHT_SUM_TOL = 1e-9
 
 
+def check_listen_fraction(t: float) -> None:
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"listen fraction t must lie in [0, 1], got {t!r}")
+
+
+def _check_relay_count(n_relays: int) -> None:
+    if not 1 <= n_relays <= MAX_RELAYS:
+        raise ValueError(f"n_relays must lie in [1, {MAX_RELAYS}], got {n_relays}")
+
+
+def check_relay_dims(what: str, n_relays: int, other: str, n_other: int) -> None:
+    if n_relays != n_other:
+        raise ValueError(f"dimension mismatch: {what} has {n_relays} relays, {other} has {n_other}")
+
+
 @dataclass(frozen=True)
 class SingleRelaySchedule:
     """Listen fraction t: the relay listens t of the time, transmits 1-t."""
@@ -37,8 +56,7 @@ class SingleRelaySchedule:
     t: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.t <= 1.0:
-            raise ValueError(f"listen fraction t must lie in [0, 1], got {self.t!r}")
+        check_listen_fraction(self.t)
 
 
 @dataclass(frozen=True)
@@ -53,15 +71,14 @@ class TwoHopSchedule:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_relays <= MAX_RELAYS:
-            raise ValueError(f"n_relays must lie in [1, {MAX_RELAYS}], got {self.n_relays}")
+        _check_relay_count(self.n_relays)
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         if len(self.weights) != 1 << self.n_relays:
             raise ValueError(
                 f"need 2^{self.n_relays} weights, got {len(self.weights)}"
             )
-        if any(w < 0 for w in self.weights):
-            raise ValueError("schedule weights must be >= 0")
+        if not all(math.isfinite(w) and w >= 0 for w in self.weights):
+            raise ValueError(f"schedule weights must be finite and >= 0, got {self.weights!r}")
         total = math.fsum(self.weights)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"schedule weights must sum to 1, got {total!r}")
@@ -132,8 +149,7 @@ def single_relay_bound_array(g_sd, g_sr, g_rd, snr: float, t: float) -> np.ndarr
     add coherently toward the destination; while it listens only the direct
     link crosses.  The bound is the minimum of the two cuts.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"listen fraction t must lie in [0, 1], got {t!r}")
+    check_listen_fraction(t)
     if snr <= 0:
         raise ValueError(f"snr must be > 0, got {snr!r}")
     g_sd = np.asarray(g_sd, dtype=np.float64)
@@ -150,29 +166,31 @@ def single_relay_cutset_bits(realization: ChannelRealization, snr: float, t: flo
     """Cut-set upper bound in bits/symbol for a single-relay realization."""
     if realization.n_relays != 1:
         raise ValueError(f"expected exactly 1 relay, got {realization.n_relays}")
-    return float(
-        single_relay_bound_array(
-            realization.g_sd, realization.g_sr[0], realization.g_rd[0], snr, t
-        )
-    )
+    g_sd, (g_sr,), (g_rd,) = realization.g_sd, realization.g_sr, realization.g_rd
+    return float(single_relay_bound_array(g_sd, g_sr, g_rd, snr, t))
 
 
-def highsnr_cutset_order(orders: ExponentVector, t: float) -> float:
+def single_relay_order_array(a_sd, a_sr, a_rd, t: float):
     """High-SNR exponential order of the single-relay cut-set bound.
 
     Normalizing the bound by log2(snr) and letting snr grow, power sums and
     coherent amplitude sums both collapse to the per-link maximum, leaving
 
-        min{ a_sd + t*(a_sr - a_sd)^+ , a_sd + (1-t)*(a_rd - a_sd)^+ }.
+        a_sd + min{ t*(a_sr - a_sd)^+ , (1-t)*(a_rd - a_sd)^+ }
+
+    elementwise over order arrays (or scalars).
     """
+    check_listen_fraction(t)
+    relay_in = t * np.maximum(np.subtract(a_sr, a_sd), 0.0)
+    relay_out = (1.0 - t) * np.maximum(np.subtract(a_rd, a_sd), 0.0)
+    return a_sd + np.minimum(relay_in, relay_out)
+
+
+def highsnr_cutset_order(orders: ExponentVector, t: float) -> float:
+    """`single_relay_order_array` at one single-relay order vector."""
     if orders.n_relays != 1:
         raise ValueError(f"expected exactly 1 relay, got {orders.n_relays}")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"listen fraction t must lie in [0, 1], got {t!r}")
-    a_sd = orders.a_sd
-    gain_sr = max(orders.a_sr[0] - a_sd, 0.0)
-    gain_rd = max(orders.a_rd[0] - a_sd, 0.0)
-    return a_sd + min(t * gain_sr, (1.0 - t) * gain_rd)
+    return float(single_relay_order_array(orders.a_sd, orders.a_sr[0], orders.a_rd[0], t))
 
 
 def z_channel_flow_bits(g_sd, g_sr_best, g_rd_best, snr: float):
@@ -202,119 +220,42 @@ def z_channel_flow_bits(g_sd, g_sr_best, g_rd_best, snr: float):
 
 def enumerate_states(n_relays: int) -> list[NetworkState]:
     """All 2^N listen/transmit states, masks ascending."""
-    if not 1 <= n_relays <= MAX_RELAYS:
-        raise ValueError(f"n_relays must lie in [1, {MAX_RELAYS}], got {n_relays}")
+    _check_relay_count(n_relays)
     return [NetworkState(m, n_relays) for m in range(1 << n_relays)]
 
 
 def enumerate_cuts(n_relays: int) -> list[Cut]:
     """All 2^N source-side relay subsets, masks ascending."""
-    if not 1 <= n_relays <= MAX_RELAYS:
-        raise ValueError(f"n_relays must lie in [1, {MAX_RELAYS}], got {n_relays}")
+    _check_relay_count(n_relays)
     return [Cut(m, n_relays) for m in range(1 << n_relays)]
 
 
-def _check_dims(realization: ChannelRealization, n_relays: int, what: str) -> None:
-    if realization.n_relays != n_relays:
-        raise ValueError(
-            f"dimension mismatch: realization has {realization.n_relays} relays, {what} has {n_relays}"
-        )
+def link_capacities(g_sd, g_sr, g_rd, snr) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Capacities (n_sd, n_sr, n_rd) of a batch of realizations.
+
+    g_sd has shape (T,), g_sr and g_rd shape (T, N); snr is one value for
+    the batch or one per row.
+    """
+    snr_arr = np.asarray(snr, dtype=np.float64)
+    if np.any(snr_arr <= 0):
+        raise ValueError(f"snr must be > 0, got {snr!r}")
+    per_row = snr_arr[..., None]
+    n_sd = link_capacity_bits(g_sd, snr_arr)
+    return n_sd, link_capacity_bits(g_sr, per_row), link_capacity_bits(g_rd, per_row)
 
 
-def cut_flow_lower_bound(
-    realization: ChannelRealization,
-    snr: float,
-    schedule: TwoHopSchedule,
-    cut: Cut,
-) -> float:
+def cut_flow_array(n_sd, n_sr, n_rd, weights, omega_mask: int) -> np.ndarray:
     """Schedule-weighted Z-channel flow across one cut, in bits/symbol.
 
-    Per state, the flow is max{n_sd, best relay->destination link among
-    omega relays currently transmitting + best source->relay link among
-    complement relays currently listening}; a side with no active relay
+    Capacities have shapes (T,), (T, N), (T, N); `weights` holds the 2^N
+    state fractions.  Per state, the flow is max{n_sd, best relay->destination
+    link among omega relays currently transmitting + best source->relay link
+    among complement relays currently listening}; a side with no active relay
     contributes 0, so the state degrades to the surviving terms.
     """
-    _check_dims(realization, schedule.n_relays, "schedule")
-    if cut.n_relays != schedule.n_relays:
-        raise ValueError(
-            f"dimension mismatch: cut has {cut.n_relays} relays, schedule has {schedule.n_relays}"
-        )
-    n = schedule.n_relays
-    snr = float(snr)
-    n_sd = float(link_capacity_bits(realization.g_sd, snr))
-    n_sr = [float(link_capacity_bits(g, snr)) for g in realization.g_sr]
-    n_rd = [float(link_capacity_bits(g, snr)) for g in realization.g_rd]
-    total = 0.0
-    for state_mask, weight in enumerate(schedule.weights):
-        if weight == 0.0:
-            continue
-        # omega relays transmitting in this state
-        v_mask = cut.omega_mask & ~state_mask
-        # complement relays listening in this state
-        w_mask = ~cut.omega_mask & state_mask & ((1 << n) - 1)
-        best_rd = max((n_rd[j] for j in range(n) if v_mask >> j & 1), default=0.0)
-        best_sr = max((n_sr[j] for j in range(n) if w_mask >> j & 1), default=0.0)
-        total += weight * max(n_sd, best_rd + best_sr)
-    return total
-
-
-def network_min_cut_lower_bound(
-    realization: ChannelRealization, snr: float, schedule: TwoHopSchedule
-) -> float:
-    """Capacity lower bound: minimum cut flow over all 2^N cuts."""
-    return min(
-        cut_flow_lower_bound(realization, snr, schedule, cut)
-        for cut in enumerate_cuts(schedule.n_relays)
-    )
-
-
-def cut_average_lower_bound(realization: ChannelRealization, snr: float, cut: Cut) -> float:
-    """Average capacity of the N+1 links crossing the cut.
-
-    Crossing links are source->destination, relay->destination for omega
-    relays, and source->relay for complement relays.  Under the uniform
-    schedule the cut flow is never below this average.
-    """
-    _check_dims(realization, cut.n_relays, "cut")
-    n = cut.n_relays
-    snr = float(snr)
-    total = float(link_capacity_bits(realization.g_sd, snr))
-    for j in range(n):
-        if cut.contains(j):
-            total += float(link_capacity_bits(realization.g_rd[j], snr))
-        else:
-            total += float(link_capacity_bits(realization.g_sr[j], snr))
-    return total / (n + 1)
-
-
-def two_hop_bound_array(
-    g_sd: np.ndarray,
-    g_sr: np.ndarray,
-    g_rd: np.ndarray,
-    snr: float,
-    schedule: TwoHopSchedule,
-) -> np.ndarray:
-    """Vectorized min-cut lower bound over a batch of realizations.
-
-    g_sd has shape (T,), g_sr and g_rd shape (T, N).  Row i equals
-    ``network_min_cut_lower_bound`` on realization i; the implementation is
-    independent of the scalar one (masked column maxima instead of per-state
-    python loops over relays), which the tests exploit as a cross-check.
-    """
-    n = schedule.n_relays
-    g_sr = np.asarray(g_sr, dtype=np.float64)
-    g_rd = np.asarray(g_rd, dtype=np.float64)
-    if g_sr.shape[1] != n or g_rd.shape[1] != n:
-        raise ValueError(
-            f"dimension mismatch: gain arrays have {g_sr.shape[1]} relays, schedule has {n}"
-        )
-    if snr <= 0:
-        raise ValueError(f"snr must be > 0, got {snr!r}")
-    trials = g_sr.shape[0]
-    n_sd = link_capacity_bits(np.asarray(g_sd, dtype=np.float64), snr)
-    n_sr = link_capacity_bits(g_sr, snr)
-    n_rd = link_capacity_bits(g_rd, snr)
-    zeros = np.zeros(trials, dtype=np.float64)
+    n = n_sr.shape[1]
+    full = (1 << n) - 1
+    zeros = np.zeros(n_sd.shape[0], dtype=np.float64)
 
     def masked_max(table: np.ndarray, mask: int) -> np.ndarray:
         cols = [j for j in range(n) if mask >> j & 1]
@@ -322,15 +263,65 @@ def two_hop_bound_array(
             return zeros
         return table[:, cols].max(axis=1)
 
-    full = (1 << n) - 1
-    best: np.ndarray | None = None
-    for omega in range(1 << n):
-        value = np.zeros(trials, dtype=np.float64)
-        for state, weight in enumerate(schedule.weights):
-            if weight == 0.0:
-                continue
-            flow = masked_max(n_rd, omega & ~state) + masked_max(n_sr, ~omega & state & full)
-            value += weight * np.maximum(n_sd, flow)
-        best = value if best is None else np.minimum(best, value)
-    assert best is not None
+    total = np.zeros(n_sd.shape[0], dtype=np.float64)
+    for state, weight in enumerate(weights):
+        if weight == 0.0:
+            continue
+        # omega relays transmitting, complement relays listening
+        flow = masked_max(n_rd, omega_mask & ~state) + masked_max(n_sr, ~omega_mask & state & full)
+        total += weight * np.maximum(n_sd, flow)
+    return total
+
+
+def cut_average_array(n_sd, n_sr, n_rd, omega_mask: int) -> np.ndarray:
+    """Average capacity of the N+1 links crossing one cut, per row.
+
+    Crossing links are source->destination, relay->destination for omega
+    relays, and source->relay for complement relays.  Under the uniform
+    schedule the cut flow is never below this average.
+    """
+    n = n_sr.shape[1]
+    total = n_sd
+    for j in range(n):
+        total = total + (n_rd[:, j] if omega_mask >> j & 1 else n_sr[:, j])
+    return total / (n + 1)
+
+
+def cut_flow_lower_bound(
+    realization: ChannelRealization, snr: float, schedule: TwoHopSchedule, cut: Cut
+) -> float:
+    """`cut_flow_array` at one realization."""
+    check_relay_dims("realization", realization.n_relays, "schedule", schedule.n_relays)
+    check_relay_dims("cut", cut.n_relays, "schedule", schedule.n_relays)
+    caps = link_capacities(*realization.as_batch(), snr)
+    return float(cut_flow_array(*caps, schedule.weights, cut.omega_mask)[0])
+
+
+def network_min_cut_lower_bound(
+    realization: ChannelRealization, snr: float, schedule: TwoHopSchedule
+) -> float:
+    """`two_hop_bound_array` at one realization."""
+    return float(two_hop_bound_array(*realization.as_batch(), snr, schedule)[0])
+
+
+def cut_average_lower_bound(realization: ChannelRealization, snr: float, cut: Cut) -> float:
+    """`cut_average_array` at one realization."""
+    check_relay_dims("realization", realization.n_relays, "cut", cut.n_relays)
+    caps = link_capacities(*realization.as_batch(), snr)
+    return float(cut_average_array(*caps, cut.omega_mask)[0])
+
+
+def two_hop_bound_array(g_sd, g_sr, g_rd, snr: float, schedule: TwoHopSchedule) -> np.ndarray:
+    """Min-cut lower bound over a batch of realizations.
+
+    g_sd has shape (T,), g_sr and g_rd shape (T, N); the result is the
+    running minimum of `cut_flow_array` over all 2^N cuts.
+    """
+    n = schedule.n_relays
+    caps = link_capacities(g_sd, g_sr, g_rd, snr)
+    for n_link in caps[1:]:
+        check_relay_dims("gain arrays", n_link.shape[1], "schedule", n)
+    best = cut_flow_array(*caps, schedule.weights, 0)
+    for omega in range(1, 1 << n):
+        best = np.minimum(best, cut_flow_array(*caps, schedule.weights, omega))
     return best

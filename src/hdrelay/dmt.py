@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .channel import ExponentVector
-from .cutset import Cut
+from .cutset import Cut, check_listen_fraction, highsnr_cutset_order, single_relay_order_array
 
 DEFAULT_ORACLE_BUDGET = 1_000_000_000
 
@@ -76,41 +76,29 @@ def miso_dmt(m_antennas: int, r: float) -> float:
 
 
 def parallel_channel_dmt(r: float) -> float:
-    """Two independently faded parallel links, each carrying rate r: 2*(1-r)."""
-    _check_r(r)
-    return 2.0 * (1.0 - r)
+    """Two independently faded parallel links, each carrying rate r: miso_dmt(2, r)."""
+    return miso_dmt(2, r)
 
 
 def single_relay_exponent_analytic(r: float) -> float:
-    """Exact single-relay exponent 2*(1-r) at listen fraction 0.5."""
-    _check_r(r)
-    return 2.0 * (1.0 - r)
+    """Exact single-relay exponent at listen fraction 0.5: miso_dmt(2, r)."""
+    return miso_dmt(2, r)
 
 
 def two_hop_exponent_analytic(n_relays: int, r: float) -> float:
-    """Exact two-hop exponent (N+1)*(1-r) under the uniform schedule."""
+    """Exact two-hop exponent under the uniform schedule: miso_dmt(N+1, r)."""
     if n_relays < 1:
         raise ValueError(f"n_relays must be >= 1, got {n_relays}")
-    _check_r(r)
-    return (n_relays + 1) * (1.0 - r)
+    return miso_dmt(n_relays + 1, r)
 
 
 def single_relay_outage_predicate(orders: ExponentVector, r: float, t: float) -> bool:
-    """Whether the single-relay cut-set order falls at or below r.
+    """Whether the single-relay cut-set order (`highsnr_cutset_order`) falls
+    at or below r.
 
-    The order is a_sd + min{t*(a_sr - a_sd)^+, (1-t)*(a_rd - a_sd)^+}; the
-    outage set is taken closed so boundary points count as outage.
+    The outage set is taken closed so boundary points count as outage.
     """
-    if orders.n_relays != 1:
-        raise ValueError(f"expected exactly 1 relay, got {orders.n_relays}")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"listen fraction t must lie in [0, 1], got {t!r}")
-    a_sd = orders.a_sd
-    lhs = a_sd + min(
-        t * max(orders.a_sr[0] - a_sd, 0.0),
-        (1.0 - t) * max(orders.a_rd[0] - a_sd, 0.0),
-    )
-    return lhs <= r
+    return highsnr_cutset_order(orders, t) <= r
 
 
 def two_hop_cut_outage_predicate(orders: ExponentVector, r: float, cut: Cut) -> bool:
@@ -118,17 +106,10 @@ def two_hop_cut_outage_predicate(orders: ExponentVector, r: float, cut: Cut) -> 
 
     The cut's N+1 crossing links (direct link, relay->destination for omega
     relays, source->relay for the rest) must together have order at most
-    (N+1)*r.
+    (N+1)*r: `two_hop_cut_outage_region` evaluated at one order vector.
     """
-    if orders.n_relays != cut.n_relays:
-        raise ValueError(
-            f"dimension mismatch: orders have {orders.n_relays} relays, cut has {cut.n_relays}"
-        )
-    n = cut.n_relays
-    total = orders.a_sd
-    for j in range(n):
-        total += orders.a_rd[j] if cut.contains(j) else orders.a_sr[j]
-    return total <= (n + 1) * r
+    alpha = np.array([[orders.a_sd, *orders.a_sr, *orders.a_rd]], dtype=np.float64)
+    return bool(two_hop_cut_outage_region(orders.n_relays, r, cut)(alpha)[0])
 
 
 def single_relay_outage_region(r: float, t: float) -> RegionPredicate:
@@ -136,14 +117,10 @@ def single_relay_outage_region(r: float, t: float) -> RegionPredicate:
 
     Columns are (a_sd, a_sr, a_rd); returns a boolean row mask.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"listen fraction t must lie in [0, 1], got {t!r}")
+    check_listen_fraction(t)
 
     def predicate(alpha: np.ndarray) -> np.ndarray:
-        a_sd = alpha[:, 0]
-        relay_in = t * np.maximum(alpha[:, 1] - a_sd, 0.0)
-        relay_out = (1.0 - t) * np.maximum(alpha[:, 2] - a_sd, 0.0)
-        return a_sd + np.minimum(relay_in, relay_out) <= r
+        return single_relay_order_array(alpha[:, 0], alpha[:, 1], alpha[:, 2], t) <= r
 
     return predicate
 
@@ -161,10 +138,10 @@ def two_hop_cut_outage_region(n_relays: int, r: float, cut: Cut) -> RegionPredic
     cols = [0]
     cols += [1 + j for j in range(n_relays) if not cut.contains(j)]
     cols += [1 + n_relays + j for j in range(n_relays) if cut.contains(j)]
-    threshold = (n_relays + 1) * r
+    crossing = crossing_links_outage_region(n_relays, r)
 
     def predicate(alpha: np.ndarray) -> np.ndarray:
-        return alpha[:, cols].sum(axis=1) <= threshold
+        return crossing(alpha[:, cols])
 
     return predicate
 

@@ -22,14 +22,8 @@ import numpy as np
 
 from ._version import __version__
 from .channel import ChannelRealization, sample_gain_arrays
-from .cutset import (
-    SingleRelaySchedule,
-    TwoHopSchedule,
-    network_min_cut_lower_bound,
-    single_relay_bound_array,
-    single_relay_cutset_bits,
-    two_hop_bound_array,
-)
+from .cutset import Schedule, SingleRelaySchedule, TwoHopSchedule
+from .cutset import single_relay_bound_array, two_hop_bound_array
 from .rng import GENERATOR_NAME
 
 # stream index of trial k at SNR point i is i * SNR_STREAM_STRIDE + k
@@ -45,13 +39,29 @@ class BoundModel(str, Enum):
     TWO_HOP_ZLB = "two-hop-zlb"
 
 
+def _check_event(model: BoundModel, n_relays: int, schedule: Schedule, gap_bits: float) -> None:
+    """The model, relay count, schedule and gap describe one outage event."""
+    if not (math.isfinite(gap_bits) and gap_bits >= 0):
+        raise ValueError(f"gap_bits must be finite and >= 0, got {gap_bits!r}")
+    if model is BoundModel.SINGLE_RELAY_UB:
+        if n_relays != 1:
+            raise ValueError("single-relay-ub model requires n_relays == 1")
+        if not isinstance(schedule, SingleRelaySchedule):
+            raise ValueError("single-relay-ub model requires a SingleRelaySchedule")
+    else:
+        if not isinstance(schedule, TwoHopSchedule):
+            raise ValueError("two-hop-zlb model requires a TwoHopSchedule")
+        if schedule.n_relays != n_relays:
+            raise ValueError(f"schedule has {schedule.n_relays} relays, channel has {n_relays}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One outage campaign: bound model, schedule, rate, SNR grid, seeding."""
 
     model: BoundModel
     n_relays: int
-    schedule: SingleRelaySchedule | TwoHopSchedule
+    schedule: Schedule
     r: float
     snr_db_grid: tuple[float, ...]
     trials_per_point: int
@@ -62,28 +72,17 @@ class RunConfig:
         object.__setattr__(self, "snr_db_grid", tuple(float(v) for v in self.snr_db_grid))
         if not 0.0 <= self.r <= 1.0:
             raise ValueError(f"multiplexing gain r must lie in [0, 1], got {self.r!r}")
-        if self.gap_bits < 0:
-            raise ValueError(f"gap_bits must be >= 0, got {self.gap_bits!r}")
         if self.trials_per_point < 1:
             raise ValueError(f"trials_per_point must be >= 1, got {self.trials_per_point}")
         if self.trials_per_point >= SNR_STREAM_STRIDE:
             raise ValueError(f"trials_per_point must be < {SNR_STREAM_STRIDE}")
         if not self.snr_db_grid:
             raise ValueError("snr_db_grid must be non-empty")
+        if not all(math.isfinite(v) for v in self.snr_db_grid):
+            raise ValueError(f"snr_db_grid values must be finite, got {self.snr_db_grid!r}")
         if any(b <= a for a, b in zip(self.snr_db_grid, self.snr_db_grid[1:])):
             raise ValueError("snr_db_grid must be strictly ascending")
-        if self.model is BoundModel.SINGLE_RELAY_UB:
-            if self.n_relays != 1:
-                raise ValueError("single-relay-ub model requires n_relays == 1")
-            if not isinstance(self.schedule, SingleRelaySchedule):
-                raise ValueError("single-relay-ub model requires a SingleRelaySchedule")
-        else:
-            if not isinstance(self.schedule, TwoHopSchedule):
-                raise ValueError("two-hop-zlb model requires a TwoHopSchedule")
-            if self.schedule.n_relays != self.n_relays:
-                raise ValueError(
-                    f"schedule has {self.schedule.n_relays} relays, config has {self.n_relays}"
-                )
+        _check_event(self.model, self.n_relays, self.schedule, self.gap_bits)
 
 
 @dataclass(frozen=True)
@@ -120,26 +119,29 @@ def db_to_linear(snr_db):
     return 10.0 ** (np.asarray(snr_db, dtype=np.float64) / 10.0)
 
 
+def _outage_mask(
+    model: BoundModel, schedule: Schedule, g_sd, g_sr, g_rd, snr: float, rate_bits: float, gap: float
+) -> np.ndarray:
+    """Per-row outage: the bound, reduced by the gap, falls below the rate."""
+    if model is BoundModel.SINGLE_RELAY_UB:
+        bound = single_relay_bound_array(g_sd, g_sr[:, 0], g_rd[:, 0], snr, schedule.t)
+    else:
+        bound = two_hop_bound_array(g_sd, g_sr, g_rd, snr, schedule)
+    return bound - gap < rate_bits
+
+
 def outage_event(
     realization: ChannelRealization,
     snr: float,
     rate_bits: float,
     model: BoundModel,
-    schedule: SingleRelaySchedule | TwoHopSchedule,
+    schedule: Schedule,
     gap_bits: float = 0.0,
 ) -> bool:
     """Whether the bound, reduced by the gap, falls below the target rate."""
-    if gap_bits < 0:
-        raise ValueError(f"gap_bits must be >= 0, got {gap_bits!r}")
-    if model is BoundModel.SINGLE_RELAY_UB:
-        if not isinstance(schedule, SingleRelaySchedule):
-            raise ValueError("single-relay-ub model requires a SingleRelaySchedule")
-        bound = single_relay_cutset_bits(realization, snr, schedule.t)
-    else:
-        if not isinstance(schedule, TwoHopSchedule):
-            raise ValueError("two-hop-zlb model requires a TwoHopSchedule")
-        bound = network_min_cut_lower_bound(realization, snr, schedule)
-    return bound - gap_bits < rate_bits
+    _check_event(model, realization.n_relays, schedule, gap_bits)
+    mask = _outage_mask(model, schedule, *realization.as_batch(), snr, rate_bits, gap_bits)
+    return bool(mask[0])
 
 
 def _count_outages(
@@ -149,16 +151,11 @@ def _count_outages(
     base = snr_index * SNR_STREAM_STRIDE
     idx = np.arange(base + start, base + stop, dtype=np.uint64)
     g_sd, g_sr, g_rd = sample_gain_arrays(cfg.n_relays, cfg.seed, idx)
-    if cfg.model is BoundModel.SINGLE_RELAY_UB:
-        assert isinstance(cfg.schedule, SingleRelaySchedule)
-        bound = single_relay_bound_array(g_sd, g_sr[:, 0], g_rd[:, 0], snr, cfg.schedule.t)
-    else:
-        assert isinstance(cfg.schedule, TwoHopSchedule)
-        bound = two_hop_bound_array(g_sd, g_sr, g_rd, snr, cfg.schedule)
-    return int(np.count_nonzero(bound - cfg.gap_bits < rate_bits))
+    mask = _outage_mask(cfg.model, cfg.schedule, g_sd, g_sr, g_rd, snr, rate_bits, cfg.gap_bits)
+    return int(np.count_nonzero(mask))
 
 
-def _schedule_metadata(schedule: SingleRelaySchedule | TwoHopSchedule) -> dict[str, Any]:
+def _schedule_metadata(schedule: Schedule) -> dict[str, Any]:
     if isinstance(schedule, SingleRelaySchedule):
         return {"kind": "single-relay", "t": schedule.t}
     return {"kind": "two-hop", "weights": list(schedule.weights)}
@@ -183,18 +180,11 @@ def estimate_outage(cfg: RunConfig, workers: int = 1, level: float = 0.95) -> Ou
             stop = min(start + _CHUNK, cfg.trials_per_point)
             tasks.append((i, snr, rate_bits, start, stop))
 
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_count_outages, cfg, *task) for task in tasks]
     counts = [0] * len(cfg.snr_db_grid)
-    if workers == 1:
-        for i, snr, rate_bits, start, stop in tasks:
-            counts[i] += _count_outages(cfg, i, snr, rate_bits, start, stop)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(
-                lambda task: (task[0], _count_outages(cfg, task[0], task[1], task[2], task[3], task[4])),
-                tasks,
-            )
-            for i, c in results:
-                counts[i] += c
+    for task, future in zip(tasks, futures):
+        counts[task[0]] += future.result()
 
     rows = []
     for (snr_db, snr, rate_bits), count in zip(points, counts):

@@ -46,6 +46,10 @@ class RandomStream:
     seed: int
     stream_index: int
 
+    def index_batch(self) -> np.ndarray:
+        """The stream index as a batch of one, for the ``*_for_streams`` kernels."""
+        return np.array([self.stream_index % _U64], dtype=np.uint64)
+
 
 def _mulhilo(a: np.ndarray, m: np.uint64) -> tuple[np.ndarray, np.ndarray]:
     """Full 64x64 -> 128 bit product of `a` with constant `m`, as (hi, lo)."""
@@ -112,19 +116,18 @@ def uniforms_for_streams(seed: int, stream_indices: np.ndarray, n: int) -> np.nd
 
 def stream_uniforms(stream: RandomStream, n: int) -> np.ndarray:
     """First `n` uniforms in [0, 1) of a single stream."""
-    idx = np.array([stream.stream_index % _U64], dtype=np.uint64)
-    return uniforms_for_streams(stream.seed, idx, n)[0]
+    return uniforms_for_streams(stream.seed, stream.index_batch(), n)[0]
 
 
-def stream_exponentials(stream: RandomStream, n: int) -> np.ndarray:
-    """First `n` unit-mean exponential variates of a stream.
+def unit_exponentials(u):
+    """Unit-mean exponential variates from uniforms u in [0, 1).
 
     Inverse-CDF transform -ln(U) with U = 1 - u in (0, 1], so a zero
     uniform maps to gain 0 rather than infinity.
     """
-    return -np.log1p(-stream_uniforms(stream, n))
+    return -np.log1p(-u)
 
 
 def exponentials_for_streams(seed: int, stream_indices: np.ndarray, n: int) -> np.ndarray:
-    """Vectorized counterpart of `stream_exponentials` over many streams."""
-    return -np.log1p(-uniforms_for_streams(seed, stream_indices, n))
+    """`unit_exponentials` of the first `n` uniforms of each stream."""
+    return unit_exponentials(uniforms_for_streams(seed, stream_indices, n))

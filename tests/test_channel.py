@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import reference_loops as ref
 from hdrelay.channel import (
     ChannelRealization,
     ExponentVector,
@@ -34,7 +35,8 @@ def test_batch_sampler_matches_scalar_sampler():
     idx = np.array([0, 5, 1000], dtype=np.uint64)
     g_sd, g_sr, g_rd = sample_gain_arrays(2, 99, idx)
     for row, i in enumerate(idx):
-        real = sample_realization(2, RandomStream(99, int(i)))
+        real = ref.realization_from_stream(2, RandomStream(99, int(i)))
+        assert sample_realization(2, RandomStream(99, int(i))) == real
         assert real.g_sd == g_sd[row]
         assert real.g_sr == tuple(g_sr[row])
         assert real.g_rd == tuple(g_rd[row])

@@ -282,6 +282,33 @@ class TestExitCodesAndSafety:
         assert run(["exponent", "--oracle-step", "0.5"]) == 2
         assert run(["verify", "--kind", "avg-lemma", "--seed", "1", "--max-len", "40"]) == 2
 
+    def test_malformed_inputs_are_usage_errors(self, tmp_path, capsys):
+        bad_json = tmp_path / "bad.json"
+        bad_json.write_text("{bad", encoding="utf-8")
+        assert run(["slope", "--input", str(bad_json)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+        assert run(["outage", "--model", "two-hop-zlb", "--relays", "2", "--weights", "a,b,c,d",
+                    "--r", "0.5", "--snr-db", "10", "--trials", "10", "--seed", "1"]) == 2
+        assert "bad --weights" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--gap-bits", "nan"],
+            ["--snr-db", "nan"],
+            ["--snr-db", "inf"],
+            ["--snr-db", "10,nan"],
+            ["--model", "two-hop-zlb", "--relays", "1", "--weights", "nan,nan"],
+        ],
+    )
+    def test_non_finite_values_are_usage_errors(self, flags, capsys):
+        base = {"--r": "0.5", "--snr-db": "10", "--trials": "10", "--seed": "1"}
+        for flag, value in zip(flags[::2], flags[1::2]):
+            base[flag] = value
+        argv = ["outage"] + [item for pair in base.items() for item in pair]
+        assert run(argv) == 2
+        assert "hdrelay: error:" in capsys.readouterr().err
+
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "nope" / "out.csv"  # parent dir does not exist
         code = run(["curves", "--miso", "2", "--r-grid", "0:1:0.5", "--output", str(missing)])

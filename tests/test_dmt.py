@@ -18,6 +18,7 @@ import math
 import numpy as np
 import pytest
 
+import reference_loops as ref
 from hdrelay.channel import ExponentVector
 from hdrelay.cutset import Cut, enumerate_cuts
 from hdrelay.dmt import (
@@ -86,6 +87,7 @@ class TestPredicates:
             mask = single_relay_outage_region(r, t)(alpha)
             for row, flag in zip(alpha, mask):
                 ev = ExponentVector(row[0], (row[1],), (row[2],))
+                assert (ref.highsnr_order(ev, t) <= r) == bool(flag)
                 assert single_relay_outage_predicate(ev, r, t) == bool(flag)
 
     def test_two_hop_cases(self):
@@ -107,6 +109,7 @@ class TestPredicates:
             mask = two_hop_cut_outage_region(n, 0.4, cut)(alpha)
             for row, flag in zip(alpha, mask):
                 ev = ExponentVector(row[0], tuple(row[1 : 1 + n]), tuple(row[1 + n :]))
+                assert ref.two_hop_cut_outage(ev, 0.4, cut) == bool(flag)
                 assert two_hop_cut_outage_predicate(ev, 0.4, cut) == bool(flag)
 
     def test_dimension_mismatch(self):

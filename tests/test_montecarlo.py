@@ -1,12 +1,14 @@
 """Outage Monte Carlo: events, determinism, intervals, and slope fits."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
-from hdrelay.channel import ChannelRealization, sample_realization
-from hdrelay.cutset import SingleRelaySchedule, TwoHopSchedule, network_min_cut_lower_bound
+import reference_loops as ref
+from hdrelay.channel import ChannelRealization
+from hdrelay.cutset import SingleRelaySchedule, TwoHopSchedule
 from hdrelay.montecarlo import (
     SNR_STREAM_STRIDE,
     BoundModel,
@@ -81,6 +83,18 @@ class TestRunConfigValidation:
             _single_cfg(trials_per_point=SNR_STREAM_STRIDE)
         with pytest.raises(ValueError):
             _single_cfg(gap_bits=-0.1)
+
+    def test_non_finite_values_rejected(self):
+        for overrides in (
+            dict(gap_bits=math.nan),
+            dict(gap_bits=math.inf),
+            dict(snr_db_grid=(math.nan,)),
+            dict(snr_db_grid=(math.inf,)),
+            dict(snr_db_grid=(10.0, math.nan)),
+            dict(r=math.nan),
+        ):
+            with pytest.raises(ValueError):
+                _single_cfg(**overrides)
 
     def test_model_shape_checks(self):
         with pytest.raises(ValueError):
@@ -173,8 +187,8 @@ class TestEstimateOutage:
         rate = 0.5 * math.log2(snr)
         expected = 0
         for trial in range(300):
-            real = sample_realization(2, RandomStream(31, 0 * SNR_STREAM_STRIDE + trial))
-            bound = network_min_cut_lower_bound(real, snr, cfg.schedule)
+            real = ref.realization_from_stream(2, RandomStream(31, 0 * SNR_STREAM_STRIDE + trial))
+            bound = ref.min_cut(real, snr, cfg.schedule)
             expected += bound < rate
         assert table.rows[0].outage_count == expected
 
@@ -201,14 +215,18 @@ class TestConfidenceInterval:
         assert high == 1.0 and 0.9 < low < 1.0
 
     def test_against_reference_implementation(self):
-        statsmodels = pytest.importorskip("statsmodels.stats.proportion")
+        # the Wilson bounds are the two roots p of (p_hat - p)^2 = z^2 p (1 - p) / n,
+        # i.e. (1 + z^2/n) p^2 - (2 p_hat + z^2/n) p + p_hat^2 = 0
+        z = NormalDist().inv_cdf(0.975)
         for successes, trials in [(50, 100), (3, 1000), (999, 1000), (120, 345)]:
             low, high = confidence_interval(successes, trials, 0.95)
-            ref_low, ref_high = statsmodels.proportion_confint(
-                successes, trials, alpha=0.05, method="wilson"
-            )
-            assert low == pytest.approx(float(ref_low), abs=1e-10)
-            assert high == pytest.approx(float(ref_high), abs=1e-10)
+            p_hat = successes / trials
+            a = 1.0 + z * z / trials
+            b = -(2.0 * p_hat + z * z / trials)
+            c = p_hat * p_hat
+            root = math.sqrt(b * b - 4.0 * a * c)
+            assert low == pytest.approx((-b - root) / (2.0 * a), abs=1e-10)
+            assert high == pytest.approx((-b + root) / (2.0 * a), abs=1e-10)
 
     def test_half_case_value(self):
         low, high = confidence_interval(50, 100, 0.95)

@@ -1,0 +1,114 @@
+"""Every scalar wrapper equals its loop reference exactly.
+
+The scalar functions of the package evaluate the array kernels on a batch
+of one row; `reference_loops` recomputes each quantity by explicit Python
+loops with the same arithmetic in the same order.  Equality is required
+bit for bit (``==``), not within a tolerance.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_loops as ref
+from hdrelay.channel import ChannelRealization, ExponentVector
+from hdrelay.cutset import (
+    Cut,
+    TwoHopSchedule,
+    cut_average_lower_bound,
+    cut_flow_lower_bound,
+    highsnr_cutset_order,
+    network_min_cut_lower_bound,
+    two_hop_bound_array,
+)
+from hdrelay.dmt import single_relay_outage_predicate, two_hop_cut_outage_predicate
+from hdrelay.lemmas import (
+    CheckKind,
+    check_cut_avg_consistency,
+    cut_avg_suite_margins,
+    run_randomized_suite,
+)
+from hdrelay.montecarlo import BoundModel, outage_event
+from hdrelay.rng import uniforms_for_streams
+
+gains = st.floats(min_value=0.0, max_value=20.0, allow_nan=False)
+weight_draws = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=1.0))
+
+
+@st.composite
+def two_hop_instances(draw):
+    """(realization, snr, non-uniform schedule with zeros allowed, cut)."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    raw = draw(st.lists(weight_draws, min_size=1 << n, max_size=1 << n))
+    if not any(raw):
+        raw[draw(st.integers(min_value=0, max_value=(1 << n) - 1))] = 1.0
+    total = math.fsum(raw)
+    schedule = TwoHopSchedule(n, tuple(w / total for w in raw))
+    realization = ChannelRealization(
+        g_sd=draw(gains),
+        g_sr=tuple(draw(st.lists(gains, min_size=n, max_size=n))),
+        g_rd=tuple(draw(st.lists(gains, min_size=n, max_size=n))),
+    )
+    snr = draw(st.floats(min_value=0.01, max_value=1e4))
+    cut = Cut(draw(st.integers(min_value=0, max_value=(1 << n) - 1)), n)
+    return realization, snr, schedule, cut
+
+
+@given(two_hop_instances(), st.floats(min_value=0.0, max_value=10.0), st.floats(0.0, 2.0))
+@settings(max_examples=300, deadline=None)
+def test_two_hop_wrappers_equal_loop_references(instance, rate_bits, gap_bits):
+    realization, snr, schedule, cut = instance
+    flow = ref.cut_flow(realization, snr, schedule, cut)
+    assert cut_flow_lower_bound(realization, snr, schedule, cut) == flow
+    min_cut = ref.min_cut(realization, snr, schedule)
+    assert network_min_cut_lower_bound(realization, snr, schedule) == min_cut
+    batch = two_hop_bound_array(*realization.as_batch(), snr, schedule)
+    assert batch[0] == min_cut
+    assert cut_average_lower_bound(realization, snr, cut) == ref.cut_average(realization, snr, cut)
+    uniform = TwoHopSchedule.uniform(schedule.n_relays)
+    margin = ref.cut_flow(realization, snr, uniform, cut) - ref.cut_average(realization, snr, cut)
+    assert check_cut_avg_consistency(realization, snr, cut) == margin
+    event = outage_event(realization, snr, rate_bits, BoundModel.TWO_HOP_ZLB, schedule, gap_bits)
+    assert event == (min_cut - gap_bits < rate_bits)
+
+
+orders = st.floats(min_value=0.0, max_value=1.0)
+
+
+@given(orders, orders, orders, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@settings(max_examples=300, deadline=None)
+def test_single_relay_order_equals_loop_reference(a_sd, a_sr, a_rd, t, r):
+    ev = ExponentVector(a_sd, (a_sr,), (a_rd,))
+    order = ref.highsnr_order(ev, t)
+    assert highsnr_cutset_order(ev, t) == order
+    assert single_relay_outage_predicate(ev, r, t) == (order <= r)
+
+
+@given(st.integers(min_value=1, max_value=4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_two_hop_cut_predicate_equals_loop_reference(n, data):
+    # values on a 1/8 grid make every partial sum exact, so the two
+    # summation orders agree even on the boundary of the outage set
+    grid = st.integers(min_value=0, max_value=8).map(lambda k: k / 8)
+    ev = ExponentVector(
+        data.draw(grid),
+        tuple(data.draw(st.lists(grid, min_size=n, max_size=n))),
+        tuple(data.draw(st.lists(grid, min_size=n, max_size=n))),
+    )
+    cut = Cut(data.draw(st.integers(min_value=0, max_value=(1 << n) - 1)), n)
+    r = data.draw(grid)
+    assert two_hop_cut_outage_predicate(ev, r, cut) == ref.two_hop_cut_outage(ev, r, cut)
+
+
+def test_batched_cut_avg_suite_equals_per_instance_reference():
+    for max_relays, instances in ((6, 1500), (10, 200)):
+        draws = 3 + 2 * max_relays + 1
+        for seed in (1, 2, 3):
+            u = uniforms_for_streams(seed, np.arange(instances, dtype=np.uint64), draws)
+            expected = np.array([ref.cut_avg_instance(row, max_relays) for row in u])
+            np.testing.assert_array_equal(cut_avg_suite_margins(u, max_relays), expected)
+            report = run_randomized_suite(CheckKind.CUT_AVG, instances, seed, max_relays=max_relays)
+            assert report.worst_margin == expected.min()
+            assert report.violations == 0

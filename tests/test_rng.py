@@ -7,8 +7,8 @@ import pytest
 from hdrelay.rng import (
     GENERATOR_NAME,
     RandomStream,
+    exponentials_for_streams,
     philox4x64_block,
-    stream_exponentials,
     stream_uniforms,
     uniforms_for_streams,
 )
@@ -83,7 +83,8 @@ def test_distinct_streams_and_seeds_differ():
 def test_exponentials_match_inverse_cdf_of_uniforms():
     s = RandomStream(3, 4)
     u = stream_uniforms(s, 6)
-    np.testing.assert_array_equal(stream_exponentials(s, 6), -np.log1p(-u))
+    g = exponentials_for_streams(s.seed, s.index_batch(), 6)[0]
+    np.testing.assert_array_equal(g, -np.log1p(-u))
 
 
 def test_generator_name_is_published():
