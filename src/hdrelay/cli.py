@@ -38,7 +38,6 @@ from .dmt import (
 )
 from .lemmas import CheckKind, run_randomized_suite
 from .montecarlo import (
-    BoundModel,
     OutageRow,
     OutageTable,
     RunConfig,
@@ -173,8 +172,11 @@ def emit(
     text = render(columns, rows, metadata, fmt)
     if target is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(target).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {target!r}: {exc}") from exc
 
 
 def _base_metadata(argv: Sequence[str]) -> dict[str, Any]:
@@ -201,6 +203,17 @@ def _resolve_workers(flag: int | None) -> int:
     return workers
 
 
+def _mode_flag(args: argparse.Namespace, name: str, default: Any, applies: bool, mode: str) -> Any:
+    """An optional flag's value, `default` when unset; setting it where the
+    value of the flag `mode` makes the command ignore it is a usage error."""
+    value = getattr(args, name)
+    if value is None:
+        return default
+    if not applies:
+        raise UsageError(f"--{name.replace('_', '-')} does not apply to --{mode} {getattr(args, mode)}")
+    return value
+
+
 def _usage_wrap(fn, *args, **kwargs):
     """Constructor calls whose ValueErrors are flag problems, not crashes."""
     try:
@@ -213,16 +226,17 @@ def _cmd_exponent(args: argparse.Namespace) -> int:
     r_values = parse_grid(args.r_grid)
     if args.relays < 1:
         raise UsageError(f"--relays must be >= 1, got {args.relays}")
+    t = _mode_flag(args, "t", 0.5, args.relays == 1, "relays")
     step = args.oracle_step if args.oracle_step is not None else (0.005 if args.relays == 1 else 0.05)
     rows = []
     for r in r_values:
         if args.relays == 1:
-            region = _usage_wrap(single_relay_outage_region, r, args.t)
+            region = _usage_wrap(single_relay_outage_region, r, t)
             d_oracle = _usage_wrap(
                 exponent_grid_oracle, region, 3, step, args.budget
             )
             d_analytic = (
-                _usage_wrap(single_relay_exponent_analytic, r) if args.t == 0.5 else None
+                _usage_wrap(single_relay_exponent_analytic, r) if t == 0.5 else None
             )
         else:
             # every cut constrains its own N+1 crossing links the same way,
@@ -244,35 +258,32 @@ def _cmd_exponent(args: argparse.Namespace) -> int:
         )
     metadata = _base_metadata(args.argv)
     metadata.update(
-        {"relays": args.relays, "t": args.t if args.relays == 1 else None, "oracle_step": step}
+        {"relays": args.relays, "t": t if args.relays == 1 else None, "oracle_step": step}
     )
     emit((["r", "d_analytic", "d_oracle"], rows), args.format, args.output, metadata)
     return 0
 
 
 def _cmd_outage(args: argparse.Namespace) -> int:
-    model = BoundModel(args.model)
     trials = parse_count(args.trials)
     workers = _resolve_workers(args.workers)
-    if model is BoundModel.SINGLE_RELAY_UB:
-        schedule: SingleRelaySchedule | TwoHopSchedule = _usage_wrap(SingleRelaySchedule, args.t)
-        n_relays = 1
+    single = args.model == SingleRelaySchedule.model
+    t = _mode_flag(args, "t", 0.5, single, "model")
+    weights = _mode_flag(args, "weights", None, not single, "model")
+    if single:
         if args.relays != 1:
             raise UsageError("--model single-relay-ub requires --relays 1")
+        schedule: SingleRelaySchedule | TwoHopSchedule = _usage_wrap(SingleRelaySchedule, t)
+    elif weights is not None:
+        try:
+            parsed = tuple(float(w) for w in weights.split(","))
+        except ValueError as exc:
+            raise UsageError(f"bad --weights {weights!r}: {exc}") from exc
+        schedule = _usage_wrap(TwoHopSchedule, args.relays, parsed)
     else:
-        n_relays = args.relays
-        if args.weights is not None:
-            try:
-                weights = tuple(float(w) for w in args.weights.split(","))
-            except ValueError as exc:
-                raise UsageError(f"bad --weights {args.weights!r}: {exc}") from exc
-            schedule = _usage_wrap(TwoHopSchedule, n_relays, weights)
-        else:
-            schedule = _usage_wrap(TwoHopSchedule.uniform, n_relays)
+        schedule = _usage_wrap(TwoHopSchedule.uniform, args.relays)
     cfg = _usage_wrap(
         RunConfig,
-        model=model,
-        n_relays=n_relays,
         schedule=schedule,
         r=args.r,
         snr_db_grid=tuple(parse_grid(args.snr_db)),
@@ -390,13 +401,14 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    cut_avg = args.kind == CheckKind.CUT_AVG.value
     report = _usage_wrap(
         run_randomized_suite,
         CheckKind(args.kind),
         args.instances,
         args.seed,
-        max_len=args.max_len,
-        max_relays=args.max_relays,
+        max_len=_mode_flag(args, "max_len", 8, not cut_avg, "kind"),
+        max_relays=_mode_flag(args, "max_relays", 6, cut_avg, "kind"),
     )
     metadata = _base_metadata(args.argv)
     metadata.update({"seed": args.seed, "generator": GENERATOR_NAME})
@@ -437,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("exponent", help="analytic vs grid-oracle outage exponents")
     p.add_argument("--relays", type=int, default=1, help="number of relays (1 = single relay)")
-    p.add_argument("--t", type=float, default=0.5, help="listen fraction (single relay only)")
+    p.add_argument("--t", type=float, default=None, help="listen fraction, --relays 1 (default 0.5)")
     p.add_argument("--r-grid", default="0:1:0.1", help="multiplexing gains, start:stop:step")
     p.add_argument(
         "--oracle-step",
@@ -450,10 +462,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_exponent)
 
     p = subs.add_parser("outage", help="Monte Carlo outage probability over an SNR grid")
-    p.add_argument("--model", choices=[m.value for m in BoundModel], default="single-relay-ub")
+    p.add_argument("--model", choices=[SingleRelaySchedule.model, TwoHopSchedule.model],
+                   default=SingleRelaySchedule.model)
     p.add_argument("--relays", type=int, default=1)
-    p.add_argument("--t", type=float, default=0.5, help="listen fraction (single-relay model)")
-    p.add_argument("--weights", default=None, help="two-hop state weights, comma separated (default uniform)")
+    p.add_argument("--t", type=float, default=None, help="listen fraction, single-relay-ub (default 0.5)")
+    p.add_argument("--weights", default=None, help="two-hop-zlb state weights, comma separated (default uniform)")
     p.add_argument("--r", type=float, required=True, help="multiplexing gain; rate = r*log2(snr)")
     p.add_argument("--snr-db", required=True, help="SNR grid in dB, start:stop:step")
     p.add_argument("--trials", default="100000", help="trials per SNR point (accepts 1e6)")
@@ -496,8 +509,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=[k.value for k in CheckKind], required=True)
     p.add_argument("--instances", type=int, default=10000)
     p.add_argument("--seed", type=int, required=True, help="master seed (echoed in metadata)")
-    p.add_argument("--max-len", type=int, default=8, help="max sequence/subset length")
-    p.add_argument("--max-relays", type=int, default=6, help="max relays for cut-average instances")
+    p.add_argument("--max-len", type=int, default=None, help="max sequence/subset length (default 8)")
+    p.add_argument("--max-relays", type=int, default=None, help="max relays of cut-avg instances (default 6)")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_verify)
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -51,8 +52,11 @@ def check_relay_dims(what: str, n_relays: int, other: str, n_other: int) -> None
 
 @dataclass(frozen=True)
 class SingleRelaySchedule:
-    """Listen fraction t: the relay listens t of the time, transmits 1-t."""
+    """Listen fraction t: the relay listens t of the time, transmits 1-t.
+    Measured by the single-relay cut-set upper bound, named by `model`."""
 
+    model: ClassVar[str] = "single-relay-ub"
+    n_relays: ClassVar[int] = 1
     t: float
 
     def __post_init__(self) -> None:
@@ -65,8 +69,10 @@ class TwoHopSchedule:
 
     ``weights[m]`` is the fraction of time spent in state m, where bit j of
     m set means relay j listens.  Weights are nonnegative and sum to 1.
+    Measured by the two-hop Z-channel min-cut lower bound, named by `model`.
     """
 
+    model: ClassVar[str] = "two-hop-zlb"
     n_relays: int
     weights: tuple[float, ...]
 
@@ -164,8 +170,7 @@ def single_relay_bound_array(g_sd, g_sr, g_rd, snr: float, t: float) -> np.ndarr
 
 def single_relay_cutset_bits(realization: ChannelRealization, snr: float, t: float) -> float:
     """Cut-set upper bound in bits/symbol for a single-relay realization."""
-    if realization.n_relays != 1:
-        raise ValueError(f"expected exactly 1 relay, got {realization.n_relays}")
+    check_relay_dims("realization", realization.n_relays, "schedule", SingleRelaySchedule.n_relays)
     g_sd, (g_sr,), (g_rd,) = realization.g_sd, realization.g_sr, realization.g_rd
     return float(single_relay_bound_array(g_sd, g_sr, g_rd, snr, t))
 
@@ -188,8 +193,7 @@ def single_relay_order_array(a_sd, a_sr, a_rd, t: float):
 
 def highsnr_cutset_order(orders: ExponentVector, t: float) -> float:
     """`single_relay_order_array` at one single-relay order vector."""
-    if orders.n_relays != 1:
-        raise ValueError(f"expected exactly 1 relay, got {orders.n_relays}")
+    check_relay_dims("orders", orders.n_relays, "schedule", SingleRelaySchedule.n_relays)
     return float(single_relay_order_array(orders.a_sd, orders.a_sr[0], orders.a_rd[0], t))
 
 

@@ -21,7 +21,8 @@ from typing import Callable
 import numpy as np
 
 from .channel import ExponentVector
-from .cutset import Cut, check_listen_fraction, highsnr_cutset_order, single_relay_order_array
+from .cutset import Cut, check_listen_fraction, check_relay_dims, highsnr_cutset_order
+from .cutset import single_relay_order_array
 
 DEFAULT_ORACLE_BUDGET = 1_000_000_000
 
@@ -108,8 +109,9 @@ def two_hop_cut_outage_predicate(orders: ExponentVector, r: float, cut: Cut) -> 
     relays, source->relay for the rest) must together have order at most
     (N+1)*r: `two_hop_cut_outage_region` evaluated at one order vector.
     """
+    check_relay_dims("orders", orders.n_relays, "cut", cut.n_relays)
     alpha = np.array([[orders.a_sd, *orders.a_sr, *orders.a_rd]], dtype=np.float64)
-    return bool(two_hop_cut_outage_region(orders.n_relays, r, cut)(alpha)[0])
+    return bool(two_hop_cut_outage_region(r, cut)(alpha)[0])
 
 
 def single_relay_outage_region(r: float, t: float) -> RegionPredicate:
@@ -125,16 +127,13 @@ def single_relay_outage_region(r: float, t: float) -> RegionPredicate:
     return predicate
 
 
-def two_hop_cut_outage_region(n_relays: int, r: float, cut: Cut) -> RegionPredicate:
-    """Vectorized per-cut outage predicate over (k, 2N+1) arrays.
+def two_hop_cut_outage_region(r: float, cut: Cut) -> RegionPredicate:
+    """Vectorized per-cut outage predicate over (k, 2N+1) arrays, N = cut.n_relays.
 
     Columns follow the ExponentVector layout (a_sd, a_sr[0..N-1],
     a_rd[0..N-1]); only the cut's crossing links enter the inequality.
     """
-    if cut.n_relays != n_relays:
-        raise ValueError(
-            f"dimension mismatch: cut has {cut.n_relays} relays, expected {n_relays}"
-        )
+    n_relays = cut.n_relays
     cols = [0]
     cols += [1 + j for j in range(n_relays) if not cut.contains(j)]
     cols += [1 + n_relays + j for j in range(n_relays) if cut.contains(j)]

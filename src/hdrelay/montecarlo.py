@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from enum import Enum
 from statistics import NormalDist
 from typing import Any
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from ._version import __version__
 from .channel import ChannelRealization, sample_gain_arrays
-from .cutset import Schedule, SingleRelaySchedule, TwoHopSchedule
+from .cutset import Schedule, SingleRelaySchedule, check_relay_dims
 from .cutset import single_relay_bound_array, two_hop_bound_array
 from .rng import GENERATOR_NAME
 
@@ -31,36 +30,19 @@ SNR_STREAM_STRIDE = 1 << 40
 
 _CHUNK = 1 << 16  # trials per task; fixed so chunking never shows in results
 
-
-class BoundModel(str, Enum):
-    """Which capacity bound defines the outage event."""
-
-    SINGLE_RELAY_UB = "single-relay-ub"
-    TWO_HOP_ZLB = "two-hop-zlb"
+CONFIDENCE_LEVEL = 0.95  # of the Wilson interval in every row
 
 
-def _check_event(model: BoundModel, n_relays: int, schedule: Schedule, gap_bits: float) -> None:
-    """The model, relay count, schedule and gap describe one outage event."""
+def _check_gap(gap_bits: float) -> None:
     if not (math.isfinite(gap_bits) and gap_bits >= 0):
         raise ValueError(f"gap_bits must be finite and >= 0, got {gap_bits!r}")
-    if model is BoundModel.SINGLE_RELAY_UB:
-        if n_relays != 1:
-            raise ValueError("single-relay-ub model requires n_relays == 1")
-        if not isinstance(schedule, SingleRelaySchedule):
-            raise ValueError("single-relay-ub model requires a SingleRelaySchedule")
-    else:
-        if not isinstance(schedule, TwoHopSchedule):
-            raise ValueError("two-hop-zlb model requires a TwoHopSchedule")
-        if schedule.n_relays != n_relays:
-            raise ValueError(f"schedule has {schedule.n_relays} relays, channel has {n_relays}")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One outage campaign: bound model, schedule, rate, SNR grid, seeding."""
+    """One outage campaign: schedule (which fixes the bound and the relay
+    count), rate, SNR grid, seeding."""
 
-    model: BoundModel
-    n_relays: int
     schedule: Schedule
     r: float
     snr_db_grid: tuple[float, ...]
@@ -82,7 +64,7 @@ class RunConfig:
             raise ValueError(f"snr_db_grid values must be finite, got {self.snr_db_grid!r}")
         if any(b <= a for a, b in zip(self.snr_db_grid, self.snr_db_grid[1:])):
             raise ValueError("snr_db_grid must be strictly ascending")
-        _check_event(self.model, self.n_relays, self.schedule, self.gap_bits)
+        _check_gap(self.gap_bits)
 
 
 @dataclass(frozen=True)
@@ -120,10 +102,10 @@ def db_to_linear(snr_db):
 
 
 def _outage_mask(
-    model: BoundModel, schedule: Schedule, g_sd, g_sr, g_rd, snr: float, rate_bits: float, gap: float
+    schedule: Schedule, g_sd, g_sr, g_rd, snr: float, rate_bits: float, gap: float
 ) -> np.ndarray:
-    """Per-row outage: the bound, reduced by the gap, falls below the rate."""
-    if model is BoundModel.SINGLE_RELAY_UB:
+    """Per-row outage: the schedule's bound, reduced by the gap, falls below the rate."""
+    if isinstance(schedule, SingleRelaySchedule):
         bound = single_relay_bound_array(g_sd, g_sr[:, 0], g_rd[:, 0], snr, schedule.t)
     else:
         bound = two_hop_bound_array(g_sd, g_sr, g_rd, snr, schedule)
@@ -134,13 +116,13 @@ def outage_event(
     realization: ChannelRealization,
     snr: float,
     rate_bits: float,
-    model: BoundModel,
     schedule: Schedule,
     gap_bits: float = 0.0,
 ) -> bool:
-    """Whether the bound, reduced by the gap, falls below the target rate."""
-    _check_event(model, realization.n_relays, schedule, gap_bits)
-    mask = _outage_mask(model, schedule, *realization.as_batch(), snr, rate_bits, gap_bits)
+    """Whether the schedule's bound, reduced by the gap, falls below the target rate."""
+    _check_gap(gap_bits)
+    check_relay_dims("realization", realization.n_relays, "schedule", schedule.n_relays)
+    mask = _outage_mask(schedule, *realization.as_batch(), snr, rate_bits, gap_bits)
     return bool(mask[0])
 
 
@@ -150,8 +132,8 @@ def _count_outages(
     """Outage count over trials [start, stop) at one SNR point."""
     base = snr_index * SNR_STREAM_STRIDE
     idx = np.arange(base + start, base + stop, dtype=np.uint64)
-    g_sd, g_sr, g_rd = sample_gain_arrays(cfg.n_relays, cfg.seed, idx)
-    mask = _outage_mask(cfg.model, cfg.schedule, g_sd, g_sr, g_rd, snr, rate_bits, cfg.gap_bits)
+    g_sd, g_sr, g_rd = sample_gain_arrays(cfg.schedule.n_relays, cfg.seed, idx)
+    mask = _outage_mask(cfg.schedule, g_sd, g_sr, g_rd, snr, rate_bits, cfg.gap_bits)
     return int(np.count_nonzero(mask))
 
 
@@ -161,7 +143,7 @@ def _schedule_metadata(schedule: Schedule) -> dict[str, Any]:
     return {"kind": "two-hop", "weights": list(schedule.weights)}
 
 
-def estimate_outage(cfg: RunConfig, workers: int = 1, level: float = 0.95) -> OutageTable:
+def estimate_outage(cfg: RunConfig, workers: int = 1) -> OutageTable:
     """Run the campaign and return one row per SNR point.
 
     `workers` only parallelizes the fixed-size trial chunks over threads;
@@ -189,7 +171,7 @@ def estimate_outage(cfg: RunConfig, workers: int = 1, level: float = 0.95) -> Ou
     rows = []
     for (snr_db, snr, rate_bits), count in zip(points, counts):
         p_hat = count / cfg.trials_per_point
-        ci_low, ci_high = confidence_interval(count, cfg.trials_per_point, level)
+        ci_low, ci_high = confidence_interval(count, cfg.trials_per_point, CONFIDENCE_LEVEL)
         rows.append(
             OutageRow(
                 snr_db=snr_db,
@@ -206,13 +188,13 @@ def estimate_outage(cfg: RunConfig, workers: int = 1, level: float = 0.95) -> Ou
         "version": __version__,
         "generator": GENERATOR_NAME,
         "seed": cfg.seed,
-        "model": cfg.model.value,
-        "n_relays": cfg.n_relays,
+        "model": cfg.schedule.model,
+        "n_relays": cfg.schedule.n_relays,
         "schedule": _schedule_metadata(cfg.schedule),
         "r": cfg.r,
         "trials_per_point": cfg.trials_per_point,
         "gap_bits": cfg.gap_bits,
-        "confidence_level": level,
+        "confidence_level": CONFIDENCE_LEVEL,
     }
     return OutageTable(rows=tuple(rows), metadata=metadata)
 

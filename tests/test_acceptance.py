@@ -40,8 +40,6 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
 
 def _campaign(r: float, gap_bits: float = 0.0, workers: int = 2):
     cfg = hd.RunConfig(
-        model=hd.BoundModel.SINGLE_RELAY_UB,
-        n_relays=1,
         schedule=hd.SingleRelaySchedule(0.5),
         r=r,
         snr_db_grid=SNR_DB_GRID,
@@ -92,7 +90,7 @@ def test_criterion_2_two_hop_exponents():
             per_cut = []
             for cut in hd.enumerate_cuts(n):
                 if n <= 2:
-                    d = exponent_grid_oracle(two_hop_cut_outage_region(n, r, cut), 2 * n + 1, 0.05)
+                    d = exponent_grid_oracle(two_hop_cut_outage_region(r, cut), 2 * n + 1, 0.05)
                 else:
                     # only the N+1 crossing links constrain the cut; the rest
                     # sit at order 1, so the reduced search is equivalent

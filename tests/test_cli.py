@@ -237,6 +237,29 @@ class TestVerifyCommand:
         assert _read_csv(captured.out)[0]["violations"] == "2"
 
 
+class TestPinnedResults:
+    """Exact outputs, fixed so that a refactor claiming bit-identical results
+    is checked rather than diffed by hand.  A deliberate contract change
+    (a new RNG layout, say) updates these values and says so."""
+
+    @pytest.mark.parametrize(
+        "argv, column, expected",
+        [
+            ("outage --r 0.5 --snr-db 10:30:10 --trials 20000 --seed 1 --workers 1",
+             "outage_count", [1390, 403, 73]),
+            ("outage --model two-hop-zlb --relays 2 --weights 0.1,0.2,0.3,0.4 --gap-bits 0.5 "
+             "--r 0.5 --snr-db 10:20:10 --trials 5000 --seed 3 --workers 2",
+             "outage_count", [707, 101]),
+            ("exponent --relays 1 --t 0.3 --r-grid 0.2,0.6 --oracle-step 0.05",
+             "d_oracle", [1.35, 0.5999999999999996]),
+        ],
+    )
+    def test_pinned_values(self, argv, column, expected, capsys):
+        assert run(argv.split() + ["--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [row[column] for row in rows] == expected
+
+
 class TestExitCodesAndSafety:
     def test_help_exits_zero_and_lists_flags(self, capsys):
         assert run(["--help"]) == 0
@@ -309,10 +332,41 @@ class TestExitCodesAndSafety:
         assert run(argv) == 2
         assert "hdrelay: error:" in capsys.readouterr().err
 
-    def test_runtime_error_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "outage --model two-hop-zlb --relays 2 --t 0.3",
+            "outage --model single-relay-ub --weights 0.5,0.5",
+            "exponent --relays 3 --t 0.2",
+            "verify --kind cut-avg --max-len 3",
+            "verify --kind tchebychef --max-relays 3",
+            "verify --kind avg-lemma --max-relays 3",
+        ],
+    )
+    def test_flags_the_mode_ignores_are_usage_errors(self, argv, capsys):
+        rest = {"outage": "--r 0.5 --snr-db 10 --trials 10 --seed 1",
+                "exponent": "--r-grid 0.5", "verify": "--instances 10 --seed 1"}
+        words = argv.split()
+        assert run(words + rest[words[0]].split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hdrelay: error: --") and "does not apply to" in err
+        assert err.count("\n") == 1
+
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "nope" / "out.csv"  # parent dir does not exist
-        code = run(["curves", "--miso", "2", "--r-grid", "0:1:0.5", "--output", str(missing)])
-        assert code == 1
+        for argv in (["curves", "--miso", "2", "--r-grid", "0:1:0.5"],
+                     ["outage", "--r", "0.5", "--snr-db", "10", "--trials", "10", "--seed", "1"]):
+            assert run(argv + ["--output", str(missing)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("hdrelay: error: cannot write") and err.count("\n") == 1
+
+    def test_runtime_error_exit_code(self, capsys, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("hdrelay.cli.estimate_outage", crash)
+        assert run(["outage", "--r", "0.5", "--snr-db", "10", "--trials", "10", "--seed", "1"]) == 1
+        assert capsys.readouterr().err == "hdrelay: RuntimeError: boom\n"
 
     def test_outage_byte_stable_except_timestamp(self, tmp_path):
         args = ["outage", "--r", "0.6", "--snr-db", "10:20:10", "--trials", "500", "--seed", "4"]

@@ -106,7 +106,7 @@ class TestPredicates:
         n = 2
         alpha = rng.uniform(0, 1, size=(300, 2 * n + 1))
         for cut in enumerate_cuts(n):
-            mask = two_hop_cut_outage_region(n, 0.4, cut)(alpha)
+            mask = two_hop_cut_outage_region(0.4, cut)(alpha)
             for row, flag in zip(alpha, mask):
                 ev = ExponentVector(row[0], tuple(row[1 : 1 + n]), tuple(row[1 + n :]))
                 assert ref.two_hop_cut_outage(ev, 0.4, cut) == bool(flag)
@@ -166,7 +166,7 @@ class TestGridOracle:
                 assert reduced == pytest.approx(target, abs=(n + 1) * 0.05 + 1e-12)
                 for cut in enumerate_cuts(n):
                     full = exponent_grid_oracle(
-                        two_hop_cut_outage_region(n, r, cut), 2 * n + 1, 0.05
+                        two_hop_cut_outage_region(r, cut), 2 * n + 1, 0.05
                     )
                     assert full == pytest.approx(reduced, abs=1e-9)
 

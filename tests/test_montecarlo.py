@@ -11,7 +11,6 @@ from hdrelay.channel import ChannelRealization
 from hdrelay.cutset import SingleRelaySchedule, TwoHopSchedule
 from hdrelay.montecarlo import (
     SNR_STREAM_STRIDE,
-    BoundModel,
     OutageRow,
     OutageTable,
     RunConfig,
@@ -26,8 +25,6 @@ from hdrelay.rng import GENERATOR_NAME, RandomStream
 
 def _single_cfg(**overrides):
     base = dict(
-        model=BoundModel.SINGLE_RELAY_UB,
-        n_relays=1,
         schedule=SingleRelaySchedule(0.5),
         r=0.75,
         snr_db_grid=(10.0, 20.0, 30.0),
@@ -42,31 +39,34 @@ def _single_cfg(**overrides):
 class TestOutageEvent:
     def test_zero_rate_never_in_outage(self):
         real = ChannelRealization(g_sd=0.5, g_sr=(0.0,), g_rd=(0.0,))
-        assert not outage_event(real, 10.0, 0.0, BoundModel.SINGLE_RELAY_UB, SingleRelaySchedule(0.5))
+        assert not outage_event(real, 10.0, 0.0, SingleRelaySchedule(0.5))
 
     def test_dead_channel_always_in_outage(self):
         real = ChannelRealization(g_sd=0.0, g_sr=(0.0,), g_rd=(0.0,))
-        assert outage_event(real, 10.0, 0.1, BoundModel.SINGLE_RELAY_UB, SingleRelaySchedule(0.5))
+        assert outage_event(real, 10.0, 0.1, SingleRelaySchedule(0.5))
 
     def test_threshold_case(self):
         # bound for unit gains at snr 1, t=0.5 is 0.5*log2(3)+0.5 ~ 1.2925
         real = ChannelRealization(g_sd=1.0, g_sr=(1.0,), g_rd=(1.0,))
         sched = SingleRelaySchedule(0.5)
-        assert outage_event(real, 1.0, 1.3, BoundModel.SINGLE_RELAY_UB, sched)
-        assert not outage_event(real, 1.0, 1.29, BoundModel.SINGLE_RELAY_UB, sched)
+        assert outage_event(real, 1.0, 1.3, sched)
+        assert not outage_event(real, 1.0, 1.29, sched)
 
     def test_gap_shifts_event(self):
         real = ChannelRealization(g_sd=1.0, g_sr=(1.0,), g_rd=(1.0,))
         sched = SingleRelaySchedule(0.5)
-        assert not outage_event(real, 1.0, 1.0, BoundModel.SINGLE_RELAY_UB, sched, gap_bits=0.0)
-        assert outage_event(real, 1.0, 1.0, BoundModel.SINGLE_RELAY_UB, sched, gap_bits=0.5)
+        assert not outage_event(real, 1.0, 1.0, sched, gap_bits=0.0)
+        assert outage_event(real, 1.0, 1.0, sched, gap_bits=0.5)
 
-    def test_model_schedule_consistency(self):
-        real = ChannelRealization(g_sd=1.0, g_sr=(1.0,), g_rd=(1.0,))
-        with pytest.raises(ValueError):
-            outage_event(real, 1.0, 1.0, BoundModel.SINGLE_RELAY_UB, TwoHopSchedule.uniform(1))
-        with pytest.raises(ValueError):
-            outage_event(real, 1.0, 1.0, BoundModel.TWO_HOP_ZLB, SingleRelaySchedule(0.5))
+    def test_realization_relays_must_match_schedule(self):
+        one = ChannelRealization(g_sd=1.0, g_sr=(1.0,), g_rd=(1.0,))
+        two = ChannelRealization(g_sd=1.0, g_sr=(1.0, 1.0), g_rd=(1.0, 1.0))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            outage_event(two, 1.0, 1.0, SingleRelaySchedule(0.5))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            outage_event(one, 1.0, 1.0, TwoHopSchedule.uniform(2))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            outage_event(two, 1.0, 1.0, TwoHopSchedule.uniform(3))
 
 
 class TestRunConfigValidation:
@@ -96,21 +96,14 @@ class TestRunConfigValidation:
             with pytest.raises(ValueError):
                 _single_cfg(**overrides)
 
-    def test_model_shape_checks(self):
-        with pytest.raises(ValueError):
-            _single_cfg(n_relays=2)
-        with pytest.raises(ValueError):
-            _single_cfg(schedule=TwoHopSchedule.uniform(1))
-        with pytest.raises(ValueError):
-            RunConfig(
-                model=BoundModel.TWO_HOP_ZLB,
-                n_relays=2,
-                schedule=TwoHopSchedule.uniform(3),
-                r=0.5,
-                snr_db_grid=(10.0,),
-                trials_per_point=10,
-                seed=1,
-            )
+    def test_schedule_names_model_and_relay_count(self):
+        for schedule, model, n_relays in [
+            (SingleRelaySchedule(0.5), "single-relay-ub", 1),
+            (TwoHopSchedule.uniform(1), "two-hop-zlb", 1),
+            (TwoHopSchedule.uniform(3), "two-hop-zlb", 3),
+        ]:
+            meta = estimate_outage(_single_cfg(schedule=schedule, trials_per_point=10)).metadata
+            assert (meta["model"], meta["n_relays"]) == (model, n_relays)
 
 
 class TestEstimateOutage:
@@ -174,8 +167,6 @@ class TestEstimateOutage:
 
     def test_two_hop_model_matches_scalar_path(self):
         cfg = RunConfig(
-            model=BoundModel.TWO_HOP_ZLB,
-            n_relays=2,
             schedule=TwoHopSchedule.uniform(2),
             r=0.5,
             snr_db_grid=(12.0,),

@@ -30,7 +30,7 @@ from hdrelay.lemmas import (
     cut_avg_suite_margins,
     run_randomized_suite,
 )
-from hdrelay.montecarlo import BoundModel, outage_event
+from hdrelay.montecarlo import outage_event
 from hdrelay.rng import uniforms_for_streams
 
 gains = st.floats(min_value=0.0, max_value=20.0, allow_nan=False)
@@ -70,7 +70,7 @@ def test_two_hop_wrappers_equal_loop_references(instance, rate_bits, gap_bits):
     uniform = TwoHopSchedule.uniform(schedule.n_relays)
     margin = ref.cut_flow(realization, snr, uniform, cut) - ref.cut_average(realization, snr, cut)
     assert check_cut_avg_consistency(realization, snr, cut) == margin
-    event = outage_event(realization, snr, rate_bits, BoundModel.TWO_HOP_ZLB, schedule, gap_bits)
+    event = outage_event(realization, snr, rate_bits, schedule, gap_bits)
     assert event == (min_cut - gap_bits < rate_bits)
 
 
