@@ -470,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, required=True, help="multiplexing gain; rate = r*log2(snr)")
     p.add_argument("--snr-db", required=True, help="SNR grid in dB, start:stop:step")
     p.add_argument("--trials", default="100000", help="trials per SNR point (accepts 1e6)")
-    p.add_argument("--seed", type=int, required=True, help="master seed (echoed in metadata)")
+    p.add_argument("--seed", type=int, required=True, help="master seed in [0, 2**64) (echoed in metadata)")
     p.add_argument("--gap-bits", type=float, default=0.0, help="constant gap subtracted from the bound")
     p.add_argument(
         "--workers",
@@ -508,7 +508,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", help="randomized inequality suites (exit 3 on violation)")
     p.add_argument("--kind", choices=[k.value for k in CheckKind], required=True)
     p.add_argument("--instances", type=int, default=10000)
-    p.add_argument("--seed", type=int, required=True, help="master seed (echoed in metadata)")
+    p.add_argument("--seed", type=int, required=True, help="master seed in [0, 2**64) (echoed in metadata)")
     p.add_argument("--max-len", type=int, default=None, help="max sequence/subset length (default 8)")
     p.add_argument("--max-relays", type=int, default=None, help="max relays of cut-avg instances (default 6)")
     _add_output_flags(p)

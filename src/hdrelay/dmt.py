@@ -4,12 +4,16 @@ The outage exponent d(r) is the infimum of sum(1 - a_i) over per-link
 exponential orders a in [0, 1]^dim that put the channel in outage at
 multiplexing gain r.  Closed forms are implemented for the cases with known
 answers (m x 1 MISO, the parallel channel, the single relay at any listen
-fraction, and the two-hop N-relay network under uniform scheduling), and an
-exhaustive grid minimizer provides an independent check of each closed form:
-it evaluates the outage predicate on a uniform grid and is guaranteed to
-land within dim*step of the true infimum for the piecewise-linear outage
-regions used here, because rounding every coordinate of a feasible point
-down to the grid keeps it feasible.
+fraction, and the two-hop N-relay network under uniform scheduling), and a
+grid minimizer provides an independent check of each closed form.
+
+Every outage region here is a down-set: lowering any order keeps a point in
+outage.  The minimizer relies on that twice.  Rounding every coordinate of a
+feasible point down to the grid keeps it feasible, so the grid minimum lands
+within dim*step of the true infimum.  And along the last coordinate the grid
+points in outage form a prefix, so a staircase search binary-searches that
+prefix's end for each grid prefix of the other coordinates instead of
+evaluating every grid point.
 """
 
 from __future__ import annotations
@@ -175,16 +179,27 @@ def exponent_grid_oracle(
     dim: int,
     step: float,
     budget: int = DEFAULT_ORACLE_BUDGET,
-    chunk_size: int = 1 << 20,
+    chunk_size: int = 1 << 16,
 ) -> float:
-    """Brute-force min of sum(1 - a_i) over grid points in the outage set.
+    """Staircase min of sum(1 - a_i) over grid points in the outage set.
 
     `predicate` receives a (k, dim) block of candidate order vectors and
-    returns a boolean mask.  Returns +inf when no grid point satisfies the
-    predicate ("no outage at this rate").  Work is bounded by `budget`
-    predicate-coordinate evaluations (dim * number of grid points); an
-    oversized request raises instead of crawling.  Chunking is a memory
-    measure only: the minimum is order-independent.
+    returns a boolean mask.  It must describe a down-set: a point stays in
+    outage when any of its coordinates is lowered (every region of this
+    module does).  For each of the L^(dim-1) grid prefixes of the first dim-1
+    coordinates, the largest grid value of the last coordinate still in
+    outage is binary-searched, bit_length(L) probes per prefix, all prefixes
+    of a chunk probed in one predicate call per halving.  Since the sum grows
+    with the last coordinate, the best of these staircase rows is the best
+    grid point in outage.
+
+    Returns +inf when no grid point satisfies the predicate ("no outage at
+    this rate").  Work is bounded by `budget` predicate-coordinate
+    evaluations, dim * L^(dim-1) * bit_length(L) with L grid levels per
+    coordinate, checked before any work starts; an oversized request raises
+    instead of crawling.  `chunk_size` counts grid prefixes searched
+    together; chunking is a memory measure only and does not change the
+    result.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -192,21 +207,37 @@ def exponent_grid_oracle(
         raise ValueError(f"step must lie in (0, 0.25], got {step!r}")
     coords = _unit_grid(step)
     levels = len(coords)
-    total = levels**dim
-    if dim * total > budget:
+    probes = levels.bit_length()
+    prefixes = levels ** (dim - 1)
+    cost = dim * prefixes * probes
+    if cost > budget:
         raise ValueError(
-            f"budget exceeded: {dim} * {levels}^{dim} = {dim * total} evaluations > {budget}"
+            f"budget exceeded: {dim} * {levels}^{dim - 1} * bit_length({levels}) "
+            f"= {cost} evaluations > {budget}"
         )
-    strides = [levels ** (dim - 1 - k) for k in range(dim)]
+    strides = [levels ** (dim - 2 - k) for k in range(dim - 1)]
     best_sum = -math.inf
-    for start in range(0, total, chunk_size):
-        idx = np.arange(start, min(start + chunk_size, total), dtype=np.int64)
-        alpha = np.empty((idx.shape[0], dim), dtype=np.float64)
+    for start in range(0, prefixes, chunk_size):
+        idx = np.arange(start, min(start + chunk_size, prefixes), dtype=np.int64)
+        rows = np.empty((idx.shape[0], dim), dtype=np.float64)
         for k, stride in enumerate(strides):
-            alpha[:, k] = coords[(idx // stride) % levels]
-        mask = predicate(alpha)
-        if np.any(mask):
-            best_sum = max(best_sum, float(alpha[mask].sum(axis=1).max()))
+            rows[:, k] = coords[(idx // stride) % levels]
+        # last-coordinate levels <= lo are in outage, levels >= hi are not
+        lo = np.full(idx.shape[0], -1, dtype=np.int64)
+        hi = np.full(idx.shape[0], levels, dtype=np.int64)
+        for _ in range(probes):
+            live = np.flatnonzero(hi - lo > 1)
+            mid = (lo[live] + hi[live]) // 2
+            probe = rows[live]
+            probe[:, -1] = coords[mid]
+            inside = predicate(probe)
+            lo[live] = np.where(inside, mid, lo[live])
+            hi[live] = np.where(inside, hi[live], mid)
+        found = lo >= 0
+        if np.any(found):
+            top = rows[found]
+            top[:, -1] = coords[lo[found]]
+            best_sum = max(best_sum, float(top.sum(axis=1).max()))
     if best_sum == -math.inf:
         return math.inf
     return dim - best_sum

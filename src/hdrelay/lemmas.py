@@ -30,7 +30,7 @@ import numpy as np
 from .channel import ChannelRealization
 from .cutset import Cut, TwoHopSchedule, check_relay_dims, cut_average_array, cut_flow_array
 from .cutset import link_capacities
-from .rng import uniforms_for_streams, unit_exponentials
+from .rng import check_seed, uniforms_for_streams, unit_exponentials
 
 SIGN_TOL = 1e-12  # floating tolerance for margin >= 0 assertions
 
@@ -188,6 +188,7 @@ def run_randomized_suite(
     kind = CheckKind(kind)
     if n_instances < 1:
         raise ValueError(f"n_instances must be >= 1, got {n_instances}")
+    check_seed(seed)
     if not 1 <= max_len <= MAX_SUBSET_LEN:
         raise ValueError(f"max_len must lie in [1, {MAX_SUBSET_LEN}], got {max_len}")
     if not 1 <= max_relays <= MAX_CUT_RELAYS:

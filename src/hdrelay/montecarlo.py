@@ -23,7 +23,7 @@ from ._version import __version__
 from .channel import ChannelRealization, sample_gain_arrays
 from .cutset import Schedule, SingleRelaySchedule, check_relay_dims
 from .cutset import single_relay_bound_array, two_hop_bound_array
-from .rng import GENERATOR_NAME
+from .rng import GENERATOR_NAME, check_seed
 
 # stream index of trial k at SNR point i is i * SNR_STREAM_STRIDE + k
 SNR_STREAM_STRIDE = 1 << 40
@@ -64,6 +64,7 @@ class RunConfig:
             raise ValueError(f"snr_db_grid values must be finite, got {self.snr_db_grid!r}")
         if any(b <= a for a, b in zip(self.snr_db_grid, self.snr_db_grid[1:])):
             raise ValueError("snr_db_grid must be strictly ascending")
+        check_seed(self.seed)
         _check_gap(self.gap_bits)
 
 

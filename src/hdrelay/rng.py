@@ -88,6 +88,12 @@ def philox4x64_block(
     return x0, x1, x2, x3
 
 
+def check_seed(seed: int) -> None:
+    """A master seed must fit the 64-bit key word as is, so no two seeds alias."""
+    if not 0 <= seed < _U64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
+
+
 def uniforms_for_streams(seed: int, stream_indices: np.ndarray, n: int) -> np.ndarray:
     """First `n` uniforms in [0, 1) of each stream, vectorized over streams.
 

@@ -5,15 +5,19 @@ functions evaluate that kernel on a batch of one row.  Comparing a scalar
 function with its kernel would therefore check the kernel against itself.
 These references compute the same quantities by explicit per-link, per-state
 and per-relay Python loops, with the same arithmetic in the same order, so the
-tests can require exact equality (``==``) with the kernels.
+tests can require exact equality (``==``) with the kernels.  The grid oracle's
+reference evaluates every grid point instead of searching a staircase.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from hdrelay.channel import ChannelRealization, ExponentVector
 from hdrelay.cutset import Cut, TwoHopSchedule, link_capacity_bits
+from hdrelay.dmt import _unit_grid
 from hdrelay.rng import RandomStream, stream_uniforms
 
 
@@ -99,3 +103,27 @@ def cut_avg_instance(u: np.ndarray, max_relays: int) -> float:
     )
     schedule = TwoHopSchedule.uniform(n)
     return cut_flow(realization, snr, schedule, cut) - cut_average(realization, snr, cut)
+
+
+def exhaustive_grid_oracle(predicate, dim: int, step: float, chunk_size: int = 1 << 20) -> float:
+    """Min of sum(1 - a_i) over every grid point in the outage set, point by point.
+
+    Evaluates the predicate on all L^dim grid points (no budget), so it needs
+    no down-set assumption; the staircase oracle must return the same float.
+    """
+    coords = _unit_grid(step)
+    levels = len(coords)
+    total = levels**dim
+    strides = [levels ** (dim - 1 - k) for k in range(dim)]
+    best_sum = -math.inf
+    for start in range(0, total, chunk_size):
+        idx = np.arange(start, min(start + chunk_size, total), dtype=np.int64)
+        alpha = np.empty((idx.shape[0], dim), dtype=np.float64)
+        for k, stride in enumerate(strides):
+            alpha[:, k] = coords[(idx // stride) % levels]
+        mask = predicate(alpha)
+        if np.any(mask):
+            best_sum = max(best_sum, float(alpha[mask].sum(axis=1).max()))
+    if best_sum == -math.inf:
+        return math.inf
+    return dim - best_sum

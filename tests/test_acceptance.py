@@ -167,6 +167,7 @@ def test_criterion_4_schedule_optimality():
     tol = 3 * 0.005  # oracle guarantee at step 0.005, dim 3
     ok = True
     details = []
+    start = time.perf_counter()
     for r in (0.25, 0.5, 0.75):
         t_star, d_star = hd.optimize_schedule_single(r, 0.05)
         margins = []
@@ -179,6 +180,9 @@ def test_criterion_4_schedule_optimality():
         margin = min(margins)
         ok = ok and t_star == 0.5 and margin > tol
         details.append(f"r={r}: t*={t_star}, min margin {margin:.4f} > {tol}")
+    elapsed = time.perf_counter() - start
+    ok = ok and elapsed < 30.0
+    details.append(f"runtime {elapsed:.1f}s < 30s")
     _report(4, "half-listen schedule optimality", ok, "; ".join(details))
 
 

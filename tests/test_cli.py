@@ -111,6 +111,19 @@ class TestExponentCommand:
         for row in rows:
             assert abs(float(row["d_analytic"]) - float(row["d_oracle"])) <= 0.2
 
+    def test_four_relays_fit_the_default_budget(self, capsys):
+        # the staircase costs 5 * 51^4 * bit_length(51) = 202,956,030 evaluations;
+        # the 5 * 51^5 grid points of an exhaustive search would exceed 1e9
+        code = run(["exponent", "--relays", "4", "--r-grid", "0.5", "--oracle-step", "0.02"])
+        assert code == 0
+        row = _read_csv(capsys.readouterr().out)[0]
+        assert abs(float(row["d_oracle"]) - 5 * (1 - 0.5)) <= 5 * 0.02
+
+    def test_budget_is_checked_before_any_work(self, capsys):
+        argv = ["exponent", "--relays", "4", "--r-grid", "0.5", "--oracle-step", "0.02"]
+        assert run(argv + ["--budget", "202956029"]) == 2
+        assert "5 * 51^4 * bit_length(51) = 202956030" in capsys.readouterr().err
+
     def test_analytic_blank_off_half_listen(self, capsys):
         code = run(["exponent", "--t", "0.3", "--r-grid", "0.5", "--oracle-step", "0.05", "--format", "json"])
         assert code == 0
@@ -351,6 +364,16 @@ class TestExitCodesAndSafety:
         err = capsys.readouterr().err
         assert err.startswith("hdrelay: error: --") and "does not apply to" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits_is_usage_error(self, seed, capsys):
+        # reduced mod 2**64, -1 would replay the campaign of seed 2**64 - 1
+        for argv in (["outage", "--r", "0.5", "--snr-db", "10", "--trials", "10"],
+                     ["verify", "--kind", "cut-avg", "--instances", "10"]):
+            assert run(argv + ["--seed", seed]) == 2
+            assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+            assert run(argv + ["--seed", "18446744073709551615"]) == 0
+            capsys.readouterr()
 
     def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "nope" / "out.csv"  # parent dir does not exist

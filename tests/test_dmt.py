@@ -145,6 +145,24 @@ class TestGridOracle:
         with pytest.raises(ValueError, match="budget"):
             exponent_grid_oracle(lambda a: np.ones(len(a), dtype=bool), 7, 0.05)
 
+    def test_budget_counts_the_staircase_work(self):
+        rows = []
+
+        def counting(alpha):
+            rows.append(alpha.shape[0])
+            return single_relay_outage_region(0.5, 0.5)(alpha)
+
+        cost = 3 * 21**2 * (21).bit_length()  # dim * L^(dim-1) * bit_length(L) at step 0.05
+        for chunk_size in (1, 17, 1 << 16):
+            rows.clear()
+            d = exponent_grid_oracle(counting, 3, 0.05, budget=cost, chunk_size=chunk_size)
+            assert d == ref.exhaustive_grid_oracle(single_relay_outage_region(0.5, 0.5), 3, 0.05)
+            assert 0 < 3 * sum(rows) <= cost
+        rows.clear()
+        with pytest.raises(ValueError, match=r"3 \* 21\^2 \* bit_length\(21\) = 6615 evaluations > 6614"):
+            exponent_grid_oracle(counting, 3, 0.05, budget=cost - 1)
+        assert rows == []
+
     def test_step_validation(self):
         pred = lambda a: np.ones(len(a), dtype=bool)
         with pytest.raises(ValueError):

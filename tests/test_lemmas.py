@@ -155,3 +155,10 @@ class TestRandomizedSuites:
             run_randomized_suite(CheckKind.CUT_AVG, 10, seed=1, max_relays=11)
         with pytest.raises(ValueError):
             run_randomized_suite(CheckKind.AVG_LEMMA, 10, seed=1, max_len=17)
+
+    def test_seed_must_fit_64_bits(self):
+        # the key word holds the seed as is; reducing it mod 2**64 would alias seeds
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed"):
+                run_randomized_suite(CheckKind.CUT_AVG, 10, seed=seed)
+        assert run_randomized_suite(CheckKind.CUT_AVG, 10, seed=2**64 - 1).seed == 2**64 - 1

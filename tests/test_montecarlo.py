@@ -96,6 +96,12 @@ class TestRunConfigValidation:
             with pytest.raises(ValueError):
                 _single_cfg(**overrides)
 
+    def test_seed_must_fit_64_bits(self):
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed"):
+                _single_cfg(seed=seed)
+        assert _single_cfg(seed=0).seed == 0 and _single_cfg(seed=2**64 - 1).seed == 2**64 - 1
+
     def test_schedule_names_model_and_relay_count(self):
         for schedule, model, n_relays in [
             (SingleRelaySchedule(0.5), "single-relay-ub", 1),

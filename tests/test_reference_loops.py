@@ -3,13 +3,14 @@
 The scalar functions of the package evaluate the array kernels on a batch
 of one row; `reference_loops` recomputes each quantity by explicit Python
 loops with the same arithmetic in the same order.  Equality is required
-bit for bit (``==``), not within a tolerance.
+bit for bit (``==``), not within a tolerance.  The staircase grid oracle
+must likewise return the exhaustive grid search's float on every down-set.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_loops as ref
@@ -19,11 +20,19 @@ from hdrelay.cutset import (
     TwoHopSchedule,
     cut_average_lower_bound,
     cut_flow_lower_bound,
+    enumerate_cuts,
     highsnr_cutset_order,
     network_min_cut_lower_bound,
     two_hop_bound_array,
 )
-from hdrelay.dmt import single_relay_outage_predicate, two_hop_cut_outage_predicate
+from hdrelay.dmt import (
+    crossing_links_outage_region,
+    exponent_grid_oracle,
+    single_relay_outage_predicate,
+    single_relay_outage_region,
+    two_hop_cut_outage_predicate,
+    two_hop_cut_outage_region,
+)
 from hdrelay.lemmas import (
     CheckKind,
     check_cut_avg_consistency,
@@ -112,3 +121,55 @@ def test_batched_cut_avg_suite_equals_per_instance_reference():
             report = run_randomized_suite(CheckKind.CUT_AVG, instances, seed, max_relays=max_relays)
             assert report.worst_margin == expected.min()
             assert report.violations == 0
+
+
+# prefixes per chunk: one, a count that splits the grid unevenly, the default
+chunkings = st.sampled_from([{"chunk_size": 1}, {"chunk_size": 17}, {}])
+unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@given(unit, unit, st.sampled_from([0.25, 0.1, 0.05, 0.025]), chunkings)
+@settings(max_examples=60, deadline=None)
+def test_staircase_oracle_equals_exhaustive_single_relay(r, t, step, chunking):
+    region = single_relay_outage_region(r, t)
+    assert exponent_grid_oracle(region, 3, step, **chunking) == ref.exhaustive_grid_oracle(region, 3, step)
+
+
+@given(st.integers(min_value=1, max_value=3), unit, st.sampled_from([0.25, 0.1]), chunkings)
+@settings(max_examples=40, deadline=None)
+def test_staircase_oracle_equals_exhaustive_two_hop(n, r, step, chunking):
+    crossing = crossing_links_outage_region(n, r)
+    expected = ref.exhaustive_grid_oracle(crossing, n + 1, step)
+    assert exponent_grid_oracle(crossing, n + 1, step, **chunking) == expected
+    if n <= 2:
+        # the full 2N+1 coordinates cost L^(2N) prefixes, so N=2 keeps the coarse grid
+        full_step = step if n == 1 else 0.25
+        for cut in enumerate_cuts(n):
+            region = two_hop_cut_outage_region(r, cut)
+            expected = ref.exhaustive_grid_oracle(region, 2 * n + 1, full_step)
+            assert exponent_grid_oracle(region, 2 * n + 1, full_step, **chunking) == expected
+
+
+@st.composite
+def box_unions(draw):
+    """(dim, corners): the down-set of points below any of 0..4 random corners."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    # corners on and off the grid, and above 1 so a box can cover a whole axis
+    value = st.one_of(st.integers(min_value=0, max_value=20).map(lambda k: k / 20), st.floats(0.0, 1.2))
+    corners = draw(st.lists(st.lists(value, min_size=dim, max_size=dim), max_size=4))
+    return dim, np.array(corners, dtype=np.float64).reshape(len(corners), dim)
+
+
+@given(box_unions(), st.sampled_from([0.25, 0.1, 0.05]), chunkings)
+@example((3, np.empty((0, 3))), 0.1, {})  # empty: no outage at all
+@example((4, np.full((1, 4), 1.0)), 0.25, {"chunk_size": 17})  # full: the whole cube
+@settings(max_examples=80, deadline=None)
+def test_staircase_oracle_equals_exhaustive_on_box_unions(dim_corners, step, chunking):
+    dim, corners = dim_corners
+    if dim == 4:
+        step = max(step, 0.1)  # keeps the chunk_size=1 runs short
+
+    def region(alpha):
+        return np.any(np.all(alpha[:, None, :] <= corners[None, :, :], axis=2), axis=1)
+
+    assert exponent_grid_oracle(region, dim, step, **chunking) == ref.exhaustive_grid_oracle(region, dim, step)
