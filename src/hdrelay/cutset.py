@@ -6,9 +6,12 @@ Two bound families are implemented:
   under a fixed listen fraction t (minimum of the broadcast cut {S} and
   the cooperation cut {S,R}), and
 * an achievability-side lower bound for two-hop networks of N
-  non-interfering relays, obtained by reducing each cut in each
-  listen/transmit state to a two-user Z-channel and averaging the
-  resulting log-det flows over the schedule.
+  non-interfering relays: each cut in each listen/transmit state is
+  reduced to a two-user Z-channel whose flow is taken as
+  max{C_sd, C_rd* + C_sr*}, the direct link or the best crossing
+  relay->destination link plus the best crossing source->relay link, and
+  these flows are averaged over the schedule.  That flow is at most the
+  Z-channel's log-det flow log2 det(I + snr H H^T).
 
 All capacities are in bits per symbol (base-2 logs).  The single-relay
 expression is an upper bound while the multi-relay expression is a lower
@@ -16,8 +19,7 @@ bound; the two coincide in diversity-multiplexing behaviour, which is what
 the rest of the package extracts from them.
 
 Each formula is written once, as a kernel over arrays of gains,
-capacities or orders; the functions taking one realization or order
-vector evaluate that kernel on a batch of one row.
+capacities or orders.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-
-from .channel import ChannelRealization, ExponentVector
 
 MAX_RELAYS = 12  # min-cut evaluation walks 2^N cuts x 2^N states
 
@@ -43,11 +43,6 @@ def check_listen_fraction(t: float) -> None:
 def _check_relay_count(n_relays: int) -> None:
     if not 1 <= n_relays <= MAX_RELAYS:
         raise ValueError(f"n_relays must lie in [1, {MAX_RELAYS}], got {n_relays}")
-
-
-def check_relay_dims(what: str, n_relays: int, other: str, n_other: int) -> None:
-    if n_relays != n_other:
-        raise ValueError(f"dimension mismatch: {what} has {n_relays} relays, {other} has {n_other}")
 
 
 @dataclass(frozen=True)
@@ -97,23 +92,6 @@ class TwoHopSchedule:
 
 
 Schedule = SingleRelaySchedule | TwoHopSchedule
-
-
-@dataclass(frozen=True)
-class NetworkState:
-    """One listen/transmit assignment: bit j set means relay j listens."""
-
-    listening_mask: int
-    n_relays: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.listening_mask < (1 << self.n_relays):
-            raise ValueError(
-                f"listening_mask {self.listening_mask} out of range for {self.n_relays} relays"
-            )
-
-    def listens(self, relay: int) -> bool:
-        return bool(self.listening_mask >> relay & 1)
 
 
 @dataclass(frozen=True)
@@ -168,13 +146,6 @@ def single_relay_bound_array(g_sd, g_sr, g_rd, snr: float, t: float) -> np.ndarr
     return np.minimum(broadcast_cut, cooperation_cut)
 
 
-def single_relay_cutset_bits(realization: ChannelRealization, snr: float, t: float) -> float:
-    """Cut-set upper bound in bits/symbol for a single-relay realization."""
-    check_relay_dims("realization", realization.n_relays, "schedule", SingleRelaySchedule.n_relays)
-    g_sd, (g_sr,), (g_rd,) = realization.g_sd, realization.g_sr, realization.g_rd
-    return float(single_relay_bound_array(g_sd, g_sr, g_rd, snr, t))
-
-
 def single_relay_order_array(a_sd, a_sr, a_rd, t: float):
     """High-SNR exponential order of the single-relay cut-set bound.
 
@@ -189,43 +160,6 @@ def single_relay_order_array(a_sd, a_sr, a_rd, t: float):
     relay_in = t * np.maximum(np.subtract(a_sr, a_sd), 0.0)
     relay_out = (1.0 - t) * np.maximum(np.subtract(a_rd, a_sd), 0.0)
     return a_sd + np.minimum(relay_in, relay_out)
-
-
-def highsnr_cutset_order(orders: ExponentVector, t: float) -> float:
-    """`single_relay_order_array` at one single-relay order vector."""
-    check_relay_dims("orders", orders.n_relays, "schedule", SingleRelaySchedule.n_relays)
-    return float(single_relay_order_array(orders.a_sd, orders.a_sr[0], orders.a_rd[0], t))
-
-
-def z_channel_flow_bits(g_sd, g_sr_best, g_rd_best, snr: float):
-    """Log-det flow of the upper-triangular two-user sub-channel.
-
-    For the 2x2 matrix with rows (h_rd*, h_sd) and (0, h_sr*) the
-    determinant of I + snr*H*H^T expands to
-
-        1 + snr*(g_rd* + g_sd + g_sr*) + snr^2 * g_rd* * g_sr*,
-
-    whose log2 dominates both the direct link alone and the product of the
-    two relay hops.
-    """
-    if snr <= 0:
-        raise ValueError(f"snr must be > 0, got {snr!r}")
-    g_sd = np.asarray(g_sd, dtype=np.float64)
-    g_sr = np.asarray(g_sr_best, dtype=np.float64)
-    g_rd = np.asarray(g_rd_best, dtype=np.float64)
-    if np.any(g_sd < 0) or np.any(g_sr < 0) or np.any(g_rd < 0):
-        raise ValueError("gains must be >= 0")
-    det = 1.0 + snr * (g_rd + g_sd + g_sr) + snr * snr * g_rd * g_sr
-    out = np.log2(det)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def enumerate_states(n_relays: int) -> list[NetworkState]:
-    """All 2^N listen/transmit states, masks ascending."""
-    _check_relay_count(n_relays)
-    return [NetworkState(m, n_relays) for m in range(1 << n_relays)]
 
 
 def enumerate_cuts(n_relays: int) -> list[Cut]:
@@ -291,30 +225,6 @@ def cut_average_array(n_sd, n_sr, n_rd, omega_mask: int) -> np.ndarray:
     return total / (n + 1)
 
 
-def cut_flow_lower_bound(
-    realization: ChannelRealization, snr: float, schedule: TwoHopSchedule, cut: Cut
-) -> float:
-    """`cut_flow_array` at one realization."""
-    check_relay_dims("realization", realization.n_relays, "schedule", schedule.n_relays)
-    check_relay_dims("cut", cut.n_relays, "schedule", schedule.n_relays)
-    caps = link_capacities(*realization.as_batch(), snr)
-    return float(cut_flow_array(*caps, schedule.weights, cut.omega_mask)[0])
-
-
-def network_min_cut_lower_bound(
-    realization: ChannelRealization, snr: float, schedule: TwoHopSchedule
-) -> float:
-    """`two_hop_bound_array` at one realization."""
-    return float(two_hop_bound_array(*realization.as_batch(), snr, schedule)[0])
-
-
-def cut_average_lower_bound(realization: ChannelRealization, snr: float, cut: Cut) -> float:
-    """`cut_average_array` at one realization."""
-    check_relay_dims("realization", realization.n_relays, "cut", cut.n_relays)
-    caps = link_capacities(*realization.as_batch(), snr)
-    return float(cut_average_array(*caps, cut.omega_mask)[0])
-
-
 def two_hop_bound_array(g_sd, g_sr, g_rd, snr: float, schedule: TwoHopSchedule) -> np.ndarray:
     """Min-cut lower bound over a batch of realizations.
 
@@ -324,7 +234,8 @@ def two_hop_bound_array(g_sd, g_sr, g_rd, snr: float, schedule: TwoHopSchedule) 
     n = schedule.n_relays
     caps = link_capacities(g_sd, g_sr, g_rd, snr)
     for n_link in caps[1:]:
-        check_relay_dims("gain arrays", n_link.shape[1], "schedule", n)
+        if n_link.shape[1] != n:
+            raise ValueError(f"gain arrays have {n_link.shape[1]} relays, schedule has {n}")
     best = cut_flow_array(*caps, schedule.weights, 0)
     for omega in range(1, 1 << n):
         best = np.minimum(best, cut_flow_array(*caps, schedule.weights, omega))

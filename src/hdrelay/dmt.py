@@ -24,9 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import ExponentVector
-from .cutset import Cut, check_listen_fraction, check_relay_dims, highsnr_cutset_order
-from .cutset import single_relay_order_array
+from .cutset import Cut, check_listen_fraction, single_relay_order_array
 
 DEFAULT_ORACLE_BUDGET = 1_000_000_000
 
@@ -97,31 +95,12 @@ def two_hop_exponent_analytic(n_relays: int, r: float) -> float:
     return miso_dmt(n_relays + 1, r)
 
 
-def single_relay_outage_predicate(orders: ExponentVector, r: float, t: float) -> bool:
-    """Whether the single-relay cut-set order (`highsnr_cutset_order`) falls
-    at or below r.
-
-    The outage set is taken closed so boundary points count as outage.
-    """
-    return highsnr_cutset_order(orders, t) <= r
-
-
-def two_hop_cut_outage_predicate(orders: ExponentVector, r: float, cut: Cut) -> bool:
-    """Whether one cut of the two-hop network is in outage.
-
-    The cut's N+1 crossing links (direct link, relay->destination for omega
-    relays, source->relay for the rest) must together have order at most
-    (N+1)*r: `two_hop_cut_outage_region` evaluated at one order vector.
-    """
-    check_relay_dims("orders", orders.n_relays, "cut", cut.n_relays)
-    alpha = np.array([[orders.a_sd, *orders.a_sr, *orders.a_rd]], dtype=np.float64)
-    return bool(two_hop_cut_outage_region(r, cut)(alpha)[0])
-
-
 def single_relay_outage_region(r: float, t: float) -> RegionPredicate:
     """Vectorized single-relay outage predicate over (k, 3) arrays.
 
-    Columns are (a_sd, a_sr, a_rd); returns a boolean row mask.
+    Columns are (a_sd, a_sr, a_rd); returns a boolean row mask, true where
+    `single_relay_order_array` is at most r (the outage set is taken closed,
+    so boundary points count as outage).
     """
     check_listen_fraction(t)
 
@@ -134,8 +113,10 @@ def single_relay_outage_region(r: float, t: float) -> RegionPredicate:
 def two_hop_cut_outage_region(r: float, cut: Cut) -> RegionPredicate:
     """Vectorized per-cut outage predicate over (k, 2N+1) arrays, N = cut.n_relays.
 
-    Columns follow the ExponentVector layout (a_sd, a_sr[0..N-1],
-    a_rd[0..N-1]); only the cut's crossing links enter the inequality.
+    Columns are a_sd, then a_sr[0..N-1], then a_rd[0..N-1].  Only the cut's
+    crossing links enter the inequality: the direct link, relay->destination
+    for omega relays and source->relay for the rest must together have order
+    at most (N+1)*r.
     """
     n_relays = cut.n_relays
     cols = [0]

@@ -27,9 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channel import ChannelRealization
-from .cutset import Cut, TwoHopSchedule, check_relay_dims, cut_average_array, cut_flow_array
-from .cutset import link_capacities
+from .cutset import TwoHopSchedule, cut_average_array, cut_flow_array, link_capacities
 from .rng import check_seed, uniforms_for_streams, unit_exponentials
 
 SIGN_TOL = 1e-12  # floating tolerance for margin >= 0 assertions
@@ -130,13 +128,6 @@ def _cut_avg_margins(n_sd, n_sr, n_rd, omega_mask: int) -> np.ndarray:
     return flow - cut_average_array(n_sd, n_sr, n_rd, omega_mask)
 
 
-def check_cut_avg_consistency(realization: ChannelRealization, snr: float, cut: Cut) -> float:
-    """Margin of uniform-schedule cut flow over the crossing-link average."""
-    check_relay_dims("realization", realization.n_relays, "cut", cut.n_relays)
-    caps = link_capacities(*realization.as_batch(), snr)
-    return float(_cut_avg_margins(*caps, cut.omega_mask)[0])
-
-
 def _tchebychef_instance(u: np.ndarray, max_len: int) -> float:
     n = 1 + int(u[0] * max_len)
     a = np.sort(10.0 * u[1 : 1 + n])
@@ -200,8 +191,8 @@ def run_randomized_suite(
     else:
         draws = 3 + 2 * max_relays + 1
 
-    # one batched draw over per-instance substreams; row i is exactly
-    # stream_uniforms(RandomStream(seed, i), draws)
+    # one batched draw over per-instance substreams; row i is exactly the
+    # first `draws` uniforms of stream (seed, i)
     uniforms = uniforms_for_streams(seed, np.arange(n_instances, dtype=np.uint64), draws)
     if kind is CheckKind.CUT_AVG:
         margins = cut_avg_suite_margins(uniforms, max_relays)

@@ -12,6 +12,7 @@ monotonicity checks in the test suite exact rather than statistical).
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -20,9 +21,8 @@ from typing import Any
 import numpy as np
 
 from ._version import __version__
-from .channel import ChannelRealization, sample_gain_arrays
-from .cutset import Schedule, SingleRelaySchedule, check_relay_dims
-from .cutset import single_relay_bound_array, two_hop_bound_array
+from .channel import sample_gain_arrays
+from .cutset import Schedule, SingleRelaySchedule, single_relay_bound_array, two_hop_bound_array
 from .rng import GENERATOR_NAME, check_seed
 
 # stream index of trial k at SNR point i is i * SNR_STREAM_STRIDE + k
@@ -30,12 +30,9 @@ SNR_STREAM_STRIDE = 1 << 40
 
 _CHUNK = 1 << 16  # trials per task; fixed so chunking never shows in results
 
+_IN_FLIGHT_PER_WORKER = 2  # chunks submitted but not yet summed, per worker
+
 CONFIDENCE_LEVEL = 0.95  # of the Wilson interval in every row
-
-
-def _check_gap(gap_bits: float) -> None:
-    if not (math.isfinite(gap_bits) and gap_bits >= 0):
-        raise ValueError(f"gap_bits must be finite and >= 0, got {gap_bits!r}")
 
 
 @dataclass(frozen=True)
@@ -65,7 +62,8 @@ class RunConfig:
         if any(b <= a for a, b in zip(self.snr_db_grid, self.snr_db_grid[1:])):
             raise ValueError("snr_db_grid must be strictly ascending")
         check_seed(self.seed)
-        _check_gap(self.gap_bits)
+        if not (math.isfinite(self.gap_bits) and self.gap_bits >= 0):
+            raise ValueError(f"gap_bits must be finite and >= 0, got {self.gap_bits!r}")
 
 
 @dataclass(frozen=True)
@@ -113,20 +111,6 @@ def _outage_mask(
     return bound - gap < rate_bits
 
 
-def outage_event(
-    realization: ChannelRealization,
-    snr: float,
-    rate_bits: float,
-    schedule: Schedule,
-    gap_bits: float = 0.0,
-) -> bool:
-    """Whether the schedule's bound, reduced by the gap, falls below the target rate."""
-    _check_gap(gap_bits)
-    check_relay_dims("realization", realization.n_relays, "schedule", schedule.n_relays)
-    mask = _outage_mask(schedule, *realization.as_batch(), snr, rate_bits, gap_bits)
-    return bool(mask[0])
-
-
 def _count_outages(
     cfg: RunConfig, snr_index: int, snr: float, rate_bits: float, start: int, stop: int
 ) -> int:
@@ -150,24 +134,33 @@ def estimate_outage(cfg: RunConfig, workers: int = 1) -> OutageTable:
     `workers` only parallelizes the fixed-size trial chunks over threads;
     counts are integer sums of per-chunk counts, each a pure function of
     (seed, snr index, trial range), so the table is identical for any value.
+    Chunks run in (point, trial range) order with at most
+    `_IN_FLIGHT_PER_WORKER * workers` submitted but not yet summed, so
+    memory does not grow with the trial count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    tasks = []
     points = []
-    for i, snr_db in enumerate(cfg.snr_db_grid):
+    for snr_db in cfg.snr_db_grid:
         snr = float(db_to_linear(snr_db))
-        rate_bits = cfg.r * math.log2(snr)
-        points.append((snr_db, snr, rate_bits))
-        for start in range(0, cfg.trials_per_point, _CHUNK):
-            stop = min(start + _CHUNK, cfg.trials_per_point)
-            tasks.append((i, snr, rate_bits, start, stop))
+        points.append((snr_db, snr, cfg.r * math.log2(snr)))
+    # generated lazily: a campaign may hold millions of chunks per point
+    tasks = (
+        (i, snr, rate_bits, start, min(start + _CHUNK, cfg.trials_per_point))
+        for i, (_, snr, rate_bits) in enumerate(points)
+        for start in range(0, cfg.trials_per_point, _CHUNK)
+    )
 
+    counts = [0] * len(points)
+    in_flight: deque = deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_count_outages, cfg, *task) for task in tasks]
-    counts = [0] * len(cfg.snr_db_grid)
-    for task, future in zip(tasks, futures):
-        counts[task[0]] += future.result()
+        for task in tasks:
+            if len(in_flight) == _IN_FLIGHT_PER_WORKER * workers:
+                i, future = in_flight.popleft()
+                counts[i] += future.result()
+            in_flight.append((task[0], pool.submit(_count_outages, cfg, *task)))
+        for i, future in in_flight:
+            counts[i] += future.result()
 
     rows = []
     for (snr_db, snr, rate_bits), count in zip(points, counts):

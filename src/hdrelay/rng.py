@@ -16,8 +16,6 @@ function evaluated for millions of stream indices at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 GENERATOR_NAME = "philox4x64-10"
@@ -33,22 +31,6 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 _S11 = np.uint64(11)
 _U64 = 1 << 64
-
-
-@dataclass(frozen=True)
-class RandomStream:
-    """Immutable token naming one substream: (seed, stream_index).
-
-    Both fields are reduced mod 2**64; together they select a Philox key,
-    so the pair fully determines the stream's output sequence.
-    """
-
-    seed: int
-    stream_index: int
-
-    def index_batch(self) -> np.ndarray:
-        """The stream index as a batch of one, for the ``*_for_streams`` kernels."""
-        return np.array([self.stream_index % _U64], dtype=np.uint64)
 
 
 def _mulhilo(a: np.ndarray, m: np.uint64) -> tuple[np.ndarray, np.ndarray]:
@@ -97,8 +79,9 @@ def check_seed(seed: int) -> None:
 def uniforms_for_streams(seed: int, stream_indices: np.ndarray, n: int) -> np.ndarray:
     """First `n` uniforms in [0, 1) of each stream, vectorized over streams.
 
-    Returns an array of shape ``(len(stream_indices), n)``; row i equals
-    ``stream_uniforms(RandomStream(seed, stream_indices[i]), n)``.
+    Returns an array of shape ``(len(stream_indices), n)``; row i is the
+    first `n` uniforms of stream ``(seed, stream_indices[i])`` whatever the
+    other indices of the batch, so a batch of one index yields one stream.
     """
     idx = np.asarray(stream_indices, dtype=np.uint64)
     if idx.ndim != 1:
@@ -118,11 +101,6 @@ def uniforms_for_streams(seed: int, stream_indices: np.ndarray, n: int) -> np.nd
             # top 53 bits of the word -> double in [0, 1)
             out[:, col] = (w >> _S11) * 2.0**-53
     return out
-
-
-def stream_uniforms(stream: RandomStream, n: int) -> np.ndarray:
-    """First `n` uniforms in [0, 1) of a single stream."""
-    return uniforms_for_streams(stream.seed, stream.index_batch(), n)[0]
 
 
 def unit_exponentials(u):

@@ -1,11 +1,12 @@
-"""Loop-based reference implementations of the package's scalar formulas.
+"""Loop-based reference implementations of the package's array kernels.
 
-The package writes each formula once, as an array kernel, and its scalar
-functions evaluate that kernel on a batch of one row.  Comparing a scalar
-function with its kernel would therefore check the kernel against itself.
-These references compute the same quantities by explicit per-link, per-state
-and per-relay Python loops, with the same arithmetic in the same order, so the
-tests can require exact equality (``==``) with the kernels.  The grid oracle's
+The package writes each formula once, as an array kernel over a batch of
+rows.  These references compute the same quantities for one row of plain
+floats by explicit per-link, per-state and per-relay Python loops, with the
+same arithmetic in the same order, so the tests can require exact equality
+(``==``) with the kernels evaluated on a batch of one.  Gains come as
+``g_sd`` and the per-relay sequences ``g_sr`` and ``g_rd``; a cut is its
+``omega_mask`` (bit j set: relay j sits with the source).  The grid oracle's
 reference evaluates every grid point instead of searching a staircase.
 """
 
@@ -15,94 +16,92 @@ import math
 
 import numpy as np
 
-from hdrelay.channel import ChannelRealization, ExponentVector
-from hdrelay.cutset import Cut, TwoHopSchedule, link_capacity_bits
+from hdrelay.cutset import link_capacity_bits
 from hdrelay.dmt import _unit_grid
-from hdrelay.rng import RandomStream, stream_uniforms
+from hdrelay.rng import uniforms_for_streams
 
 
 def capacity(g: float, snr: float) -> float:
     return float(link_capacity_bits(g, snr))
 
 
-def cut_flow(realization: ChannelRealization, snr: float, schedule: TwoHopSchedule, cut: Cut) -> float:
+def cut_flow(g_sd, g_sr, g_rd, snr: float, weights, omega_mask: int) -> float:
     """Schedule-weighted Z-channel flow across one cut, state by state."""
-    n = schedule.n_relays
+    n = len(g_sr)
     snr = float(snr)
-    n_sd = capacity(realization.g_sd, snr)
-    n_sr = [capacity(g, snr) for g in realization.g_sr]
-    n_rd = [capacity(g, snr) for g in realization.g_rd]
+    n_sd = capacity(g_sd, snr)
+    n_sr = [capacity(g, snr) for g in g_sr]
+    n_rd = [capacity(g, snr) for g in g_rd]
     total = 0.0
-    for state_mask, weight in enumerate(schedule.weights):
+    for state_mask, weight in enumerate(weights):
         if weight == 0.0:
             continue
         # omega relays transmitting in this state
-        v_mask = cut.omega_mask & ~state_mask
+        v_mask = omega_mask & ~state_mask
         # complement relays listening in this state
-        w_mask = ~cut.omega_mask & state_mask & ((1 << n) - 1)
+        w_mask = ~omega_mask & state_mask & ((1 << n) - 1)
         best_rd = max((n_rd[j] for j in range(n) if v_mask >> j & 1), default=0.0)
         best_sr = max((n_sr[j] for j in range(n) if w_mask >> j & 1), default=0.0)
         total += weight * max(n_sd, best_rd + best_sr)
     return total
 
 
-def min_cut(realization: ChannelRealization, snr: float, schedule: TwoHopSchedule) -> float:
+def min_cut(g_sd, g_sr, g_rd, snr: float, weights) -> float:
     """Minimum of `cut_flow` over all 2^N cuts."""
-    n = schedule.n_relays
-    return min(cut_flow(realization, snr, schedule, Cut(m, n)) for m in range(1 << n))
+    return min(cut_flow(g_sd, g_sr, g_rd, snr, weights, m) for m in range(1 << len(g_sr)))
 
 
-def cut_average(realization: ChannelRealization, snr: float, cut: Cut) -> float:
+def cut_average(g_sd, g_sr, g_rd, snr: float, omega_mask: int) -> float:
     """Average capacity of the N+1 links crossing the cut, relay by relay."""
-    n = cut.n_relays
+    n = len(g_sr)
     snr = float(snr)
-    total = capacity(realization.g_sd, snr)
+    total = capacity(g_sd, snr)
     for j in range(n):
-        if cut.contains(j):
-            total += capacity(realization.g_rd[j], snr)
+        if omega_mask >> j & 1:
+            total += capacity(g_rd[j], snr)
         else:
-            total += capacity(realization.g_sr[j], snr)
+            total += capacity(g_sr[j], snr)
     return total / (n + 1)
 
 
-def highsnr_order(orders: ExponentVector, t: float) -> float:
+def highsnr_order(a_sd: float, a_sr: float, a_rd: float, t: float) -> float:
     """a_sd + min{t*(a_sr - a_sd)^+, (1-t)*(a_rd - a_sd)^+} in Python floats."""
-    a_sd = orders.a_sd
-    gain_sr = max(orders.a_sr[0] - a_sd, 0.0)
-    gain_rd = max(orders.a_rd[0] - a_sd, 0.0)
+    gain_sr = max(a_sr - a_sd, 0.0)
+    gain_rd = max(a_rd - a_sd, 0.0)
     return a_sd + min(t * gain_sr, (1.0 - t) * gain_rd)
 
 
-def two_hop_cut_outage(orders: ExponentVector, r: float, cut: Cut) -> bool:
+def two_hop_cut_outage(a_sd: float, a_sr, a_rd, r: float, omega_mask: int) -> bool:
     """Sum of the crossing-link orders, relay by relay, against (N+1)*r."""
-    n = cut.n_relays
-    total = orders.a_sd
+    n = len(a_sr)
+    total = a_sd
     for j in range(n):
-        total += orders.a_rd[j] if cut.contains(j) else orders.a_sr[j]
+        total += a_rd[j] if omega_mask >> j & 1 else a_sr[j]
     return total <= (n + 1) * r
 
 
-def realization_from_stream(n_relays: int, stream: RandomStream) -> ChannelRealization:
-    """Inverse-CDF gains -ln(1 - u) of the stream's first 2N+1 uniforms."""
-    g = -np.log1p(-stream_uniforms(stream, 2 * n_relays + 1))
-    return ChannelRealization(
-        g_sd=float(g[0]), g_sr=tuple(g[1 : 1 + n_relays]), g_rd=tuple(g[1 + n_relays :])
-    )
+Row = tuple[float, list[float], list[float]]
+
+
+def split_row(g: np.ndarray, n_relays: int) -> Row:
+    """(sd, [sr...], [rd...]) parts of one row of 2N+1 per-link gains or orders."""
+    return float(g[0]), g[1 : 1 + n_relays].tolist(), g[1 + n_relays :].tolist()
+
+
+def realization_from_stream(n_relays: int, seed: int, index: int) -> Row:
+    """Inverse-CDF gains -ln(1 - u) of the first 2N+1 uniforms of stream (seed, index)."""
+    u = uniforms_for_streams(seed, np.array([index], dtype=np.uint64), 2 * n_relays + 1)[0]
+    return split_row(-np.log1p(-u), n_relays)
 
 
 def cut_avg_instance(u: np.ndarray, max_relays: int) -> float:
     """One cut-avg suite instance from its uniforms, as the suite draws it."""
     n = 1 + int(u[0] * max_relays)
-    cut = Cut(int(u[1] * (1 << n)), n)
+    omega_mask = int(u[1] * (1 << n))
     snr = float(10.0 ** (4.0 * u[2]))  # 0..40 dB
-    gains = -np.log1p(-u[3 : 3 + 2 * n + 1])
-    realization = ChannelRealization(
-        g_sd=float(gains[0]),
-        g_sr=tuple(gains[1 : 1 + n]),
-        g_rd=tuple(gains[1 + n :]),
-    )
-    schedule = TwoHopSchedule.uniform(n)
-    return cut_flow(realization, snr, schedule, cut) - cut_average(realization, snr, cut)
+    gains = split_row(-np.log1p(-u[3 : 3 + 2 * n + 1]), n)
+    weights = (1.0 / (1 << n),) * (1 << n)  # the uniform schedule
+    return cut_flow(*gains, snr, weights, omega_mask) - cut_average(*gains, snr, omega_mask)
 
 
 def exhaustive_grid_oracle(predicate, dim: int, step: float, chunk_size: int = 1 << 20) -> float:

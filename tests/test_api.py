@@ -1,0 +1,94 @@
+"""The package's public names: array kernels, schedules, campaigns and checks.
+
+Every formula is exported once, as an array kernel; a single realization is
+a batch of one row.  The batch-of-one wrappers and the dataclasses that
+existed only for them were removed in 0.2.0, and must not come back under
+their old names.
+"""
+
+import importlib
+
+import hdrelay
+
+PUBLIC = [
+    "CheckKind",
+    "Cut",
+    "DmtCurve",
+    "GENERATOR_NAME",
+    "OutageRow",
+    "OutageTable",
+    "RunConfig",
+    "Schedule",
+    "SingleRelaySchedule",
+    "TwoHopSchedule",
+    "VerificationReport",
+    "__version__",
+    "check_avg_lemma",
+    "check_tchebychef",
+    "confidence_interval",
+    "crossing_links_outage_region",
+    "cut_average_array",
+    "cut_flow_array",
+    "db_to_linear",
+    "enumerate_cuts",
+    "estimate_diversity_slope",
+    "estimate_outage",
+    "exponent_grid_oracle",
+    "link_capacities",
+    "link_capacity_bits",
+    "miso_dmt",
+    "optimize_schedule_single",
+    "parallel_channel_dmt",
+    "run_randomized_suite",
+    "sample_gain_arrays",
+    "single_relay_bound_array",
+    "single_relay_exponent_analytic",
+    "single_relay_order_array",
+    "single_relay_outage_region",
+    "two_hop_bound_array",
+    "two_hop_cut_outage_region",
+    "two_hop_exponent_analytic",
+]
+
+# removed name -> the module that defined it
+REMOVED = {
+    "outage_event": "montecarlo",
+    "single_relay_cutset_bits": "cutset",
+    "highsnr_cutset_order": "cutset",
+    "z_channel_flow_bits": "cutset",
+    "cut_flow_lower_bound": "cutset",
+    "network_min_cut_lower_bound": "cutset",
+    "cut_average_lower_bound": "cutset",
+    "NetworkState": "cutset",
+    "enumerate_states": "cutset",
+    "check_relay_dims": "cutset",
+    "check_cut_avg_consistency": "lemmas",
+    "single_relay_outage_predicate": "dmt",
+    "two_hop_cut_outage_predicate": "dmt",
+    "sample_realization": "channel",
+    "exponential_order": "channel",
+    "orders_from_realization": "channel",
+    "ChannelRealization": "channel",
+    "ExponentVector": "channel",
+    "_check_gains": "channel",
+    "RandomStream": "rng",
+    "stream_uniforms": "rng",
+    "_check_gap": "montecarlo",
+}
+
+
+def test_public_names_are_pinned():
+    assert sorted(hdrelay.__all__) == PUBLIC
+
+
+def test_public_names_resolve():
+    assert [name for name in PUBLIC if getattr(hdrelay, name, None) is None] == []
+
+
+def test_removed_names_stay_removed():
+    present = [
+        name
+        for name, module in REMOVED.items()
+        if hasattr(hdrelay, name) or hasattr(importlib.import_module(f"hdrelay.{module}"), name)
+    ]
+    assert present == []

@@ -6,52 +6,60 @@ import numpy as np
 import pytest
 
 import reference_loops as ref
-from hdrelay.channel import ChannelRealization, ExponentVector, orders_from_realization
 from hdrelay.cutset import (
     Cut,
-    NetworkState,
     SingleRelaySchedule,
     TwoHopSchedule,
-    cut_average_lower_bound,
-    cut_flow_lower_bound,
+    cut_average_array,
+    cut_flow_array,
     enumerate_cuts,
-    enumerate_states,
-    highsnr_cutset_order,
+    link_capacities,
     link_capacity_bits,
-    network_min_cut_lower_bound,
     single_relay_bound_array,
-    single_relay_cutset_bits,
+    single_relay_order_array,
     two_hop_bound_array,
-    z_channel_flow_bits,
 )
 
 
-def _real1(g_sd, g_sr, g_rd):
-    return ChannelRealization(g_sd=g_sd, g_sr=(g_sr,), g_rd=(g_rd,))
+def _batch(g_sd, g_sr, g_rd):
+    """One realization as a batch of one row: shapes (1,), (1, N), (1, N)."""
+    return tuple(np.array([g], dtype=np.float64) for g in (g_sd, g_sr, g_rd))
+
+
+def _flow(g_sd, g_sr, g_rd, snr, weights, omega_mask):
+    caps = link_capacities(*_batch(g_sd, g_sr, g_rd), snr)
+    return float(cut_flow_array(*caps, weights, omega_mask)[0])
+
+
+def _min_cut(g_sd, g_sr, g_rd, snr, schedule):
+    return float(two_hop_bound_array(*_batch(g_sd, g_sr, g_rd), snr, schedule)[0])
+
+
+def _average(g_sd, g_sr, g_rd, snr, omega_mask):
+    caps = link_capacities(*_batch(g_sd, g_sr, g_rd), snr)
+    return float(cut_average_array(*caps, omega_mask)[0])
 
 
 class TestSingleRelayBound:
     def test_all_links_dead(self):
-        assert single_relay_cutset_bits(_real1(0, 0, 0), 5.0, 0.3) == 0.0
+        assert single_relay_bound_array(0.0, 0.0, 0.0, 5.0, 0.3) == 0.0
 
     def test_t_zero_reduces_to_direct_link(self):
         for g_sd, g_sr, g_rd, rho in [(1.0, 2.0, 3.0, 10.0), (0.2, 5.0, 0.1, 100.0)]:
-            bound = single_relay_cutset_bits(_real1(g_sd, g_sr, g_rd), rho, 0.0)
+            bound = single_relay_bound_array(g_sd, g_sr, g_rd, rho, 0.0)
             assert bound == pytest.approx(math.log2(1 + rho * g_sd), abs=1e-12)
 
     def test_unit_gains_half_listen(self):
         # broadcast cut 0.5*log2(3) + 0.5, cooperation cut 0.5*log2(5) + 0.5
-        bound = single_relay_cutset_bits(_real1(1, 1, 1), 1.0, 0.5)
+        bound = single_relay_bound_array(1.0, 1.0, 1.0, 1.0, 0.5)
         assert bound == pytest.approx(0.5 * math.log2(3) + 0.5, abs=1e-12)
         assert bound == pytest.approx(1.2925, abs=5e-4)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            single_relay_cutset_bits(_real1(1, 1, 1), 1.0, 1.5)
+            single_relay_bound_array(1.0, 1.0, 1.0, 1.0, 1.5)
         with pytest.raises(ValueError):
-            single_relay_cutset_bits(_real1(1, 1, 1), 0.0, 0.5)
-        with pytest.raises(ValueError):
-            single_relay_cutset_bits(ChannelRealization(g_sd=1.0), 1.0, 0.5)
+            single_relay_bound_array(1.0, 1.0, 1.0, 0.0, 0.5)
 
     def test_monotone_in_snr_and_gains(self):
         rng = np.random.default_rng(7)
@@ -84,88 +92,85 @@ class TestSingleRelayBound:
         rng = np.random.default_rng(9)
         rho = 1e8
         scale = math.log2(rho)
-        for _ in range(1_000):
-            g = rng.uniform(0.1, 10.0, size=3)
-            real = _real1(*g)
-            normalized = single_relay_cutset_bits(real, rho, 0.5) / scale
-            order = highsnr_cutset_order(orders_from_realization(real, rho), 0.5)
-            assert abs(normalized - order) < 0.05
+        g = rng.uniform(0.1, 10.0, size=(1_000, 3))
+        normalized = single_relay_bound_array(g[:, 0], g[:, 1], g[:, 2], rho, 0.5) / scale
+        # finite-SNR exponential orders log(1 + g*snr) / log(snr)
+        a = np.log1p(g * rho) / np.log(rho)
+        order = single_relay_order_array(a[:, 0], a[:, 1], a[:, 2], 0.5)
+        assert np.all(np.abs(normalized - order) < 0.05)
 
 
 class TestHighSnrOrder:
     def test_saturated_direct_link(self):
-        assert highsnr_cutset_order(ExponentVector(1.0, (0.3,), (0.9,)), 0.5) == 1.0
+        assert single_relay_order_array(1.0, 0.3, 0.9, 0.5) == 1.0
 
     def test_symmetric_half(self):
-        assert highsnr_cutset_order(ExponentVector(0.5, (1.0,), (1.0,)), 0.5) == pytest.approx(0.75)
+        assert single_relay_order_array(0.5, 1.0, 1.0, 0.5) == pytest.approx(0.75)
 
     def test_asymmetric_quarter(self):
-        ev = ExponentVector(0.5, (1.0,), (0.7,))
-        assert highsnr_cutset_order(ev, 0.25) == pytest.approx(0.625)
+        assert single_relay_order_array(0.5, 1.0, 0.7, 0.25) == pytest.approx(0.625)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            highsnr_cutset_order(ExponentVector(0.5, (1.0, 1.0), (1.0, 1.0)), 0.5)
-        with pytest.raises(ValueError):
-            highsnr_cutset_order(ExponentVector(0.5, (1.0,), (1.0,)), -0.1)
+            single_relay_order_array(0.5, 1.0, 1.0, -0.1)
 
 
 class TestZChannelFlow:
-    def test_matches_log_det_oracle(self):
+    """The flow of one cut in one state: relay 0 sits with the source and
+    transmits, relay 1 listens, so the Z-channel has rows (h_r0d, h_sd) and
+    (0, h_sr1) and the kernel takes max{C_sd, C_r0d + C_sr1}."""
+
+    STATE_2 = (0.0, 0.0, 1.0, 0.0)
+
+    def _z_flow(self, g_sd, g_sr1, g_rd0, rho):
+        g_sd, g_sr1, g_rd0 = (np.atleast_1d(g).astype(np.float64) for g in (g_sd, g_sr1, g_rd0))
+        zero = np.zeros_like(g_sd)  # links that do not cross the cut in this state
+        caps = link_capacities(g_sd, np.column_stack([zero, g_sr1]), np.column_stack([g_rd0, zero]), rho)
+        return cut_flow_array(*caps, self.STATE_2, 0b01)
+
+    def test_at_most_log_det_flow(self):
         rng = np.random.default_rng(10)
         for _ in range(200):
-            g_sd, g_sr, g_rd = rng.exponential(size=3)
+            g_sd, g_sr1, g_rd0 = rng.exponential(size=3)
             rho = float(rng.uniform(0.5, 1e4))
-            h = np.array([[math.sqrt(g_rd), math.sqrt(g_sd)], [0.0, math.sqrt(g_sr)]])
-            oracle = math.log2(np.linalg.det(np.eye(2) + rho * h @ h.T))
-            assert z_channel_flow_bits(g_sd, g_sr, g_rd, rho) == pytest.approx(oracle, rel=1e-9)
+            h = np.array([[math.sqrt(g_rd0), math.sqrt(g_sd)], [0.0, math.sqrt(g_sr1)]])
+            log_det = math.log2(np.linalg.det(np.eye(2) + rho * h @ h.T))
+            hops = math.log2(1 + rho * g_rd0) + math.log2(1 + rho * g_sr1)
+            flow = float(self._z_flow(g_sd, g_sr1, g_rd0, rho)[0])
+            assert flow == pytest.approx(max(math.log2(1 + rho * g_sd), hops), rel=1e-12)
+            assert flow <= log_det * (1 + 1e-12)
 
     def test_unit_gains(self):
-        assert z_channel_flow_bits(1, 1, 1, 1) == pytest.approx(math.log2(5), abs=1e-12)
+        # the two hops give 2 bits, below the log-det flow log2(5)
+        assert self._z_flow(1.0, 1.0, 1.0, 1.0)[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_degenerate_cases(self):
-        assert z_channel_flow_bits(0, 0, 0, 7.0) == 0.0
-        assert z_channel_flow_bits(1, 0, 0, 3.0) == pytest.approx(2.0, abs=1e-12)
+        assert self._z_flow(0.0, 0.0, 0.0, 7.0)[0] == 0.0
+        assert self._z_flow(1.0, 0.0, 0.0, 3.0)[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_dominates_both_branches(self):
         rng = np.random.default_rng(11)
         g_sd, g_sr, g_rd = (rng.exponential(size=5000) for _ in range(3))
         rho = 40.0
-        flow = z_channel_flow_bits(g_sd, g_sr, g_rd, rho)
+        flow = self._z_flow(g_sd, g_sr, g_rd, rho)
         assert np.all(flow >= link_capacity_bits(g_sd, rho) - 1e-12)
         hops = link_capacity_bits(g_sr, rho) + link_capacity_bits(g_rd, rho)
         assert np.all(flow >= hops - 1e-12)
 
-    def test_rejects_negative_gain(self):
-        with pytest.raises(ValueError):
-            z_channel_flow_bits(-1.0, 0.0, 0.0, 1.0)
-
 
 class TestEnumeration:
-    def test_states_single_relay(self):
-        assert [s.listening_mask for s in enumerate_states(1)] == [0, 1]
-
-    def test_states_two_relays(self):
-        assert [s.listening_mask for s in enumerate_states(2)] == [0, 1, 2, 3]
-
-    def test_states_three_relays(self):
-        assert len(enumerate_states(3)) == 8
-
     def test_cuts(self):
         assert [c.omega_mask for c in enumerate_cuts(1)] == [0, 1]
         assert len(enumerate_cuts(2)) == 4
         assert len(enumerate_cuts(12)) == 4096
 
     def test_size_limits(self):
-        for fn in (enumerate_states, enumerate_cuts):
-            with pytest.raises(ValueError):
-                fn(13)
-            with pytest.raises(ValueError):
-                fn(0)
+        with pytest.raises(ValueError):
+            enumerate_cuts(13)
+        with pytest.raises(ValueError):
+            enumerate_cuts(0)
 
     def test_mask_validation(self):
-        with pytest.raises(ValueError):
-            NetworkState(4, 2)
         with pytest.raises(ValueError):
             Cut(2, 1)
 
@@ -199,75 +204,65 @@ class TestCutFlow:
     def test_single_relay_empty_omega(self):
         # relay listening: source->relay crosses; relay transmitting: only
         # the direct link crosses
-        real = _real1(0.7, 1.3, 9.0)
         rho = 4.0
         sched = TwoHopSchedule.uniform(1)
         n_sd = math.log2(1 + rho * 0.7)
         n_sr = math.log2(1 + rho * 1.3)
         expected = 0.5 * max(n_sd, n_sr) + 0.5 * n_sd
-        got = cut_flow_lower_bound(real, rho, sched, Cut(0, 1))
+        got = _flow(0.7, [1.3], [9.0], rho, sched.weights, 0)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_all_gains_zero(self):
-        real = ChannelRealization(g_sd=0.0, g_sr=(0.0, 0.0), g_rd=(0.0, 0.0))
         sched = TwoHopSchedule.uniform(2)
-        assert cut_flow_lower_bound(real, 3.0, sched, Cut(0b01, 2)) == 0.0
+        assert _flow(0.0, [0.0, 0.0], [0.0, 0.0], 3.0, sched.weights, 0b01) == 0.0
 
     def test_two_relays_full_omega_no_direct(self):
         # four states by hand: both transmit, one transmits, none transmit
-        real = ChannelRealization(g_sd=0.0, g_sr=(1.0, 2.0), g_rd=(3.0, 5.0))
         rho = 2.0
         sched = TwoHopSchedule.uniform(2)
         n_r1d = math.log2(1 + rho * 3.0)
         n_r2d = math.log2(1 + rho * 5.0)
         expected = 0.25 * (max(n_r1d, n_r2d) + n_r2d + n_r1d + 0.0)
-        got = cut_flow_lower_bound(real, rho, sched, Cut(0b11, 2))
+        got = _flow(0.0, [1.0, 2.0], [3.0, 5.0], rho, sched.weights, 0b11)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_weighted_schedule_matches_manual_sum(self):
-        real = ChannelRealization(g_sd=0.4, g_sr=(1.0,), g_rd=(2.0,))
         rho = 6.0
         sched = TwoHopSchedule(1, (0.25, 0.75))
         n_sd = math.log2(1 + rho * 0.4)
         n_sr = math.log2(1 + rho * 1.0)
         n_rd = math.log2(1 + rho * 2.0)
         # cut {S}: state 0 (relay transmits) has no crossing relay links
-        assert cut_flow_lower_bound(real, rho, sched, Cut(0, 1)) == pytest.approx(
+        assert _flow(0.4, [1.0], [2.0], rho, sched.weights, 0) == pytest.approx(
             0.25 * n_sd + 0.75 * max(n_sd, n_sr), abs=1e-12
         )
         # cut {S,R}: relay->destination crosses only while it transmits
-        assert cut_flow_lower_bound(real, rho, sched, Cut(1, 1)) == pytest.approx(
+        assert _flow(0.4, [1.0], [2.0], rho, sched.weights, 1) == pytest.approx(
             0.25 * max(n_sd, n_rd) + 0.75 * n_sd, abs=1e-12
         )
 
     def test_dimension_mismatch(self):
-        real = ChannelRealization(g_sd=1.0, g_sr=(1.0,), g_rd=(1.0,))
         with pytest.raises(ValueError):
-            cut_flow_lower_bound(real, 1.0, TwoHopSchedule.uniform(2), Cut(0, 2))
+            _min_cut(1.0, [1.0], [1.0], 1.0, TwoHopSchedule.uniform(2))
         with pytest.raises(ValueError):
-            cut_flow_lower_bound(real, 1.0, TwoHopSchedule.uniform(1), Cut(0, 2))
+            _min_cut(1.0, [1.0, 1.0], [1.0, 1.0], 1.0, TwoHopSchedule.uniform(1))
 
 
 class TestMinCut:
     def test_single_relay_is_min_of_two_cuts(self):
-        real = _real1(0.5, 2.0, 1.5)
         sched = TwoHopSchedule.uniform(1)
         cuts = enumerate_cuts(1)
-        values = [cut_flow_lower_bound(real, 8.0, sched, c) for c in cuts]
-        assert network_min_cut_lower_bound(real, 8.0, sched) == min(values)
+        values = [_flow(0.5, [2.0], [1.5], 8.0, sched.weights, c.omega_mask) for c in cuts]
+        assert _min_cut(0.5, [2.0], [1.5], 8.0, sched) == min(values)
 
     def test_min_does_not_exceed_any_cut(self):
         rng = np.random.default_rng(12)
         sched = TwoHopSchedule.uniform(3)
         for _ in range(50):
-            real = ChannelRealization(
-                g_sd=rng.exponential(),
-                g_sr=tuple(rng.exponential(size=3)),
-                g_rd=tuple(rng.exponential(size=3)),
-            )
-            total = network_min_cut_lower_bound(real, 15.0, sched)
+            g = (rng.exponential(), rng.exponential(size=3), rng.exponential(size=3))
+            total = _min_cut(*g, 15.0, sched)
             for cut in enumerate_cuts(3):
-                assert total <= cut_flow_lower_bound(real, 15.0, sched, cut) + 1e-12
+                assert total <= _flow(*g, 15.0, sched.weights, cut.omega_mask) + 1e-12
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(13)
@@ -278,43 +273,32 @@ class TestMinCut:
             g_rd = rng.exponential(size=(40, n))
             vec = two_hop_bound_array(g_sd, g_sr, g_rd, 12.0, sched)
             for i in range(40):
-                real = ChannelRealization(
-                    g_sd=float(g_sd[i]), g_sr=tuple(g_sr[i]), g_rd=tuple(g_rd[i])
-                )
                 # same arithmetic in the same order as the loop reference
-                assert vec[i] == ref.min_cut(real, 12.0, sched)
+                assert vec[i] == ref.min_cut(g_sd[i], g_sr[i], g_rd[i], 12.0, sched.weights)
 
 
 class TestCutAverage:
     def test_single_relay_empty_omega(self):
-        real = _real1(0.5, 2.0, 9.9)
         rho = 3.0
         expected = (math.log2(1 + rho * 0.5) + math.log2(1 + rho * 2.0)) / 2
-        assert cut_average_lower_bound(real, rho, Cut(0, 1)) == pytest.approx(expected, abs=1e-12)
+        assert _average(0.5, [2.0], [9.9], rho, 0) == pytest.approx(expected, abs=1e-12)
 
     def test_all_zero(self):
-        real = ChannelRealization(g_sd=0.0, g_sr=(0.0, 0.0), g_rd=(0.0, 0.0))
-        assert cut_average_lower_bound(real, 2.0, Cut(0b10, 2)) == 0.0
+        assert _average(0.0, [0.0, 0.0], [0.0, 0.0], 2.0, 0b10) == 0.0
 
     def test_two_relays_mixed_cut(self):
-        real = ChannelRealization(g_sd=0.3, g_sr=(1.0, 2.0), g_rd=(4.0, 8.0))
         rho = 5.0
         expected = (
             math.log2(1 + rho * 0.3) + math.log2(1 + rho * 4.0) + math.log2(1 + rho * 2.0)
         ) / 3
-        assert cut_average_lower_bound(real, rho, Cut(0b01, 2)) == pytest.approx(expected, abs=1e-12)
+        assert _average(0.3, [1.0, 2.0], [4.0, 8.0], rho, 0b01) == pytest.approx(expected, abs=1e-12)
 
     def test_uniform_flow_dominates_average(self):
         rng = np.random.default_rng(14)
         for _ in range(10_000):
             n = int(rng.integers(1, 7))
-            real = ChannelRealization(
-                g_sd=rng.exponential(),
-                g_sr=tuple(rng.exponential(size=n)),
-                g_rd=tuple(rng.exponential(size=n)),
-            )
-            cut = Cut(int(rng.integers(0, 1 << n)), n)
+            g = (rng.exponential(), rng.exponential(size=n), rng.exponential(size=n))
+            omega = int(rng.integers(0, 1 << n))
             rho = float(rng.uniform(0.5, 1e3))
-            flow = cut_flow_lower_bound(real, rho, TwoHopSchedule.uniform(n), cut)
-            avg = cut_average_lower_bound(real, rho, cut)
-            assert flow >= avg - 1e-12
+            flow = _flow(*g, rho, TwoHopSchedule.uniform(n).weights, omega)
+            assert flow >= _average(*g, rho, omega) - 1e-12

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 import reference_loops as ref
-from hdrelay.channel import ExponentVector
 from hdrelay.cutset import Cut, enumerate_cuts
 from hdrelay.dmt import (
     DmtCurve,
@@ -29,9 +28,7 @@ from hdrelay.dmt import (
     optimize_schedule_single,
     parallel_channel_dmt,
     single_relay_exponent_analytic,
-    single_relay_outage_predicate,
     single_relay_outage_region,
-    two_hop_cut_outage_predicate,
     two_hop_cut_outage_region,
     two_hop_exponent_analytic,
 )
@@ -76,9 +73,9 @@ class TestAnalyticCurves:
 
 class TestPredicates:
     def test_single_relay_cases(self):
-        assert single_relay_outage_predicate(ExponentVector(0, (0,), (0,)), 0.1, 0.5)
-        assert single_relay_outage_predicate(ExponentVector(0.5, (1,), (1,)), 0.75, 0.5)
-        assert not single_relay_outage_predicate(ExponentVector(1, (1,), (1,)), 0.9, 0.5)
+        assert single_relay_outage_region(0.1, 0.5)(np.array([[0.0, 0.0, 0.0]]))[0]
+        assert single_relay_outage_region(0.75, 0.5)(np.array([[0.5, 1.0, 1.0]]))[0]
+        assert not single_relay_outage_region(0.9, 0.5)(np.array([[1.0, 1.0, 1.0]]))[0]
 
     def test_single_relay_region_matches_scalar(self):
         rng = np.random.default_rng(15)
@@ -86,20 +83,12 @@ class TestPredicates:
         for r, t in [(0.3, 0.5), (0.75, 0.25), (0.0, 0.9)]:
             mask = single_relay_outage_region(r, t)(alpha)
             for row, flag in zip(alpha, mask):
-                ev = ExponentVector(row[0], (row[1],), (row[2],))
-                assert (ref.highsnr_order(ev, t) <= r) == bool(flag)
-                assert single_relay_outage_predicate(ev, r, t) == bool(flag)
+                assert (ref.highsnr_order(*row.tolist(), t) <= r) == bool(flag)
 
     def test_two_hop_cases(self):
-        assert two_hop_cut_outage_predicate(
-            ExponentVector(0, (0, 0), (0, 0)), 0.2, Cut(0b01, 2)
-        )
-        assert two_hop_cut_outage_predicate(
-            ExponentVector(1, (1, 1), (1, 1)), 1.0, Cut(0, 2)
-        )
-        assert not two_hop_cut_outage_predicate(
-            ExponentVector(0.6, (0.0,), (0.6,)), 0.5, Cut(0b1, 1)
-        )
+        assert two_hop_cut_outage_region(0.2, Cut(0b01, 2))(np.zeros((1, 5)))[0]
+        assert two_hop_cut_outage_region(1.0, Cut(0, 2))(np.ones((1, 5)))[0]
+        assert not two_hop_cut_outage_region(0.5, Cut(0b1, 1))(np.array([[0.6, 0.0, 0.6]]))[0]
 
     def test_two_hop_region_matches_scalar(self):
         rng = np.random.default_rng(16)
@@ -108,13 +97,8 @@ class TestPredicates:
         for cut in enumerate_cuts(n):
             mask = two_hop_cut_outage_region(0.4, cut)(alpha)
             for row, flag in zip(alpha, mask):
-                ev = ExponentVector(row[0], tuple(row[1 : 1 + n]), tuple(row[1 + n :]))
-                assert ref.two_hop_cut_outage(ev, 0.4, cut) == bool(flag)
-                assert two_hop_cut_outage_predicate(ev, 0.4, cut) == bool(flag)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            two_hop_cut_outage_predicate(ExponentVector(0.5, (0.5,), (0.5,)), 0.5, Cut(0, 2))
+                a_sd, a_sr, a_rd = ref.split_row(row, n)
+                assert ref.two_hop_cut_outage(a_sd, a_sr, a_rd, 0.4, cut.omega_mask) == bool(flag)
 
 
 class TestGridOracle:

@@ -1,26 +1,28 @@
 """Outage Monte Carlo: events, determinism, intervals, and slope fits."""
 
 import math
+import threading
+import time
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 import reference_loops as ref
-from hdrelay.channel import ChannelRealization
+from hdrelay import montecarlo
 from hdrelay.cutset import SingleRelaySchedule, TwoHopSchedule
 from hdrelay.montecarlo import (
     SNR_STREAM_STRIDE,
     OutageRow,
     OutageTable,
     RunConfig,
+    _outage_mask,
     confidence_interval,
     db_to_linear,
     estimate_diversity_slope,
     estimate_outage,
-    outage_event,
 )
-from hdrelay.rng import GENERATOR_NAME, RandomStream
+from hdrelay.rng import GENERATOR_NAME
 
 
 def _single_cfg(**overrides):
@@ -36,37 +38,35 @@ def _single_cfg(**overrides):
     return RunConfig(**base)
 
 
+def in_outage(g_sd, g_sr, g_rd, snr, rate_bits, schedule, gap_bits=0.0):
+    """The campaign's outage test on one realization: `_outage_mask` on a batch of one row."""
+    batch = (np.array([g_sd]), np.array([g_sr]), np.array([g_rd]))
+    return bool(_outage_mask(schedule, *batch, snr, rate_bits, gap_bits)[0])
+
+
 class TestOutageEvent:
     def test_zero_rate_never_in_outage(self):
-        real = ChannelRealization(g_sd=0.5, g_sr=(0.0,), g_rd=(0.0,))
-        assert not outage_event(real, 10.0, 0.0, SingleRelaySchedule(0.5))
+        assert not in_outage(0.5, [0.0], [0.0], 10.0, 0.0, SingleRelaySchedule(0.5))
 
     def test_dead_channel_always_in_outage(self):
-        real = ChannelRealization(g_sd=0.0, g_sr=(0.0,), g_rd=(0.0,))
-        assert outage_event(real, 10.0, 0.1, SingleRelaySchedule(0.5))
+        assert in_outage(0.0, [0.0], [0.0], 10.0, 0.1, SingleRelaySchedule(0.5))
 
     def test_threshold_case(self):
-        # bound for unit gains at snr 1, t=0.5 is 0.5*log2(3)+0.5 ~ 1.2925
-        real = ChannelRealization(g_sd=1.0, g_sr=(1.0,), g_rd=(1.0,))
+        # bound at unit gains, snr 1, t 0.5 is 0.5*log2(3) + 0.5 = 1.2925
         sched = SingleRelaySchedule(0.5)
-        assert outage_event(real, 1.0, 1.3, sched)
-        assert not outage_event(real, 1.0, 1.29, sched)
+        assert in_outage(1.0, [1.0], [1.0], 1.0, 1.3, sched)
+        assert not in_outage(1.0, [1.0], [1.0], 1.0, 1.29, sched)
 
     def test_gap_shifts_event(self):
-        real = ChannelRealization(g_sd=1.0, g_sr=(1.0,), g_rd=(1.0,))
         sched = SingleRelaySchedule(0.5)
-        assert not outage_event(real, 1.0, 1.0, sched, gap_bits=0.0)
-        assert outage_event(real, 1.0, 1.0, sched, gap_bits=0.5)
+        assert not in_outage(1.0, [1.0], [1.0], 1.0, 1.0, sched, gap_bits=0.0)
+        assert in_outage(1.0, [1.0], [1.0], 1.0, 1.0, sched, gap_bits=0.5)
 
     def test_realization_relays_must_match_schedule(self):
-        one = ChannelRealization(g_sd=1.0, g_sr=(1.0,), g_rd=(1.0,))
-        two = ChannelRealization(g_sd=1.0, g_sr=(1.0, 1.0), g_rd=(1.0, 1.0))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            outage_event(two, 1.0, 1.0, SingleRelaySchedule(0.5))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            outage_event(one, 1.0, 1.0, TwoHopSchedule.uniform(2))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            outage_event(two, 1.0, 1.0, TwoHopSchedule.uniform(3))
+        with pytest.raises(ValueError, match="gain arrays have 1 relays"):
+            in_outage(1.0, [1.0], [1.0], 1.0, 1.0, TwoHopSchedule.uniform(2))
+        with pytest.raises(ValueError, match="gain arrays have 2 relays"):
+            in_outage(1.0, [1.0, 1.0], [1.0, 1.0], 1.0, 1.0, TwoHopSchedule.uniform(3))
 
 
 class TestRunConfigValidation:
@@ -184,14 +184,65 @@ class TestEstimateOutage:
         rate = 0.5 * math.log2(snr)
         expected = 0
         for trial in range(300):
-            real = ref.realization_from_stream(2, RandomStream(31, 0 * SNR_STREAM_STRIDE + trial))
-            bound = ref.min_cut(real, snr, cfg.schedule)
+            gains = ref.realization_from_stream(2, 31, 0 * SNR_STREAM_STRIDE + trial)
+            bound = ref.min_cut(*gains, snr, cfg.schedule.weights)
             expected += bound < rate
         assert table.rows[0].outage_count == expected
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
             estimate_outage(_single_cfg(trials_per_point=10), workers=0)
+
+
+class TestBoundedSubmission:
+    """Chunks are submitted lazily, at most a window of them in flight."""
+
+    CHUNK = 500
+    CFG = _single_cfg(trials_per_point=5_000)  # 10 chunks at each of 3 points
+
+    def _traced_count(self, monkeypatch, fail_at=None):
+        """Patch a small chunk and a `_count_outages` that records each chunk's
+        start and finish by its flat (point, chunk) index; chunk 0 is slow so
+        that later chunks would overtake it if nothing held them back."""
+        monkeypatch.setattr(montecarlo, "_CHUNK", self.CHUNK)
+        count = montecarlo._count_outages
+        per_point = self.CFG.trials_per_point // self.CHUNK
+        lock = threading.Lock()
+        finished = set()
+        spans = []  # flat index started, oldest unfinished flat index at that moment
+
+        def traced(cfg, snr_index, snr, rate_bits, start, stop):
+            k = snr_index * per_point + start // self.CHUNK
+            with lock:
+                spans.append((k, min(j for j in range(k + 1) if j not in finished)))
+            if k == 0:
+                time.sleep(0.05)
+            if k == fail_at:
+                raise RuntimeError(f"chunk {k} failed")
+            result = count(cfg, snr_index, snr, rate_bits, start, stop)
+            with lock:
+                finished.add(k)
+            return result
+
+        monkeypatch.setattr(montecarlo, "_count_outages", traced)
+        return spans
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_in_flight_chunks_stay_within_the_window(self, monkeypatch, workers):
+        whole = [row.outage_count for row in estimate_outage(self.CFG, workers=1).rows]
+        spans = self._traced_count(monkeypatch)
+        counts = [row.outage_count for row in estimate_outage(self.CFG, workers=workers).rows]
+        assert counts == whole
+        assert sorted(k for k, _ in spans) == list(range(30))
+        window = montecarlo._IN_FLIGHT_PER_WORKER * workers
+        # chunks from the oldest unfinished one to the newest started one
+        assert max(k - oldest + 1 for k, oldest in spans) <= window
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_chunk_exception_surfaces(self, monkeypatch, workers):
+        self._traced_count(monkeypatch, fail_at=13)
+        with pytest.raises(RuntimeError, match="chunk 13 failed"):
+            estimate_outage(self.CFG, workers=workers)
 
 
 class TestOutageRowValidation:

@@ -1,10 +1,10 @@
-"""Every scalar wrapper equals its loop reference exactly.
+"""Every array kernel, on a batch of one row, equals its loop reference exactly.
 
-The scalar functions of the package evaluate the array kernels on a batch
-of one row; `reference_loops` recomputes each quantity by explicit Python
-loops with the same arithmetic in the same order.  Equality is required
-bit for bit (``==``), not within a tolerance.  The staircase grid oracle
-must likewise return the exhaustive grid search's float on every down-set.
+`reference_loops` recomputes each quantity for one row of plain floats by
+explicit Python loops with the same arithmetic in the same order.  Equality
+is required bit for bit (``==``), not within a tolerance.  The staircase
+grid oracle must likewise return the exhaustive grid search's float on
+every down-set.
 """
 
 import math
@@ -14,32 +14,29 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_loops as ref
-from hdrelay.channel import ChannelRealization, ExponentVector
 from hdrelay.cutset import (
     Cut,
     TwoHopSchedule,
-    cut_average_lower_bound,
-    cut_flow_lower_bound,
+    cut_average_array,
+    cut_flow_array,
     enumerate_cuts,
-    highsnr_cutset_order,
-    network_min_cut_lower_bound,
+    link_capacities,
+    single_relay_order_array,
     two_hop_bound_array,
 )
 from hdrelay.dmt import (
     crossing_links_outage_region,
     exponent_grid_oracle,
-    single_relay_outage_predicate,
     single_relay_outage_region,
-    two_hop_cut_outage_predicate,
     two_hop_cut_outage_region,
 )
 from hdrelay.lemmas import (
     CheckKind,
-    check_cut_avg_consistency,
+    _cut_avg_margins,
     cut_avg_suite_margins,
     run_randomized_suite,
 )
-from hdrelay.montecarlo import outage_event
+from hdrelay.montecarlo import _outage_mask
 from hdrelay.rng import uniforms_for_streams
 
 gains = st.floats(min_value=0.0, max_value=20.0, allow_nan=False)
@@ -48,38 +45,37 @@ weight_draws = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=1.0))
 
 @st.composite
 def two_hop_instances(draw):
-    """(realization, snr, non-uniform schedule with zeros allowed, cut)."""
+    """((g_sd, g_sr, g_rd), snr, non-uniform schedule with zeros allowed, omega_mask)."""
     n = draw(st.integers(min_value=1, max_value=4))
     raw = draw(st.lists(weight_draws, min_size=1 << n, max_size=1 << n))
     if not any(raw):
         raw[draw(st.integers(min_value=0, max_value=(1 << n) - 1))] = 1.0
     total = math.fsum(raw)
     schedule = TwoHopSchedule(n, tuple(w / total for w in raw))
-    realization = ChannelRealization(
-        g_sd=draw(gains),
-        g_sr=tuple(draw(st.lists(gains, min_size=n, max_size=n))),
-        g_rd=tuple(draw(st.lists(gains, min_size=n, max_size=n))),
-    )
+    g_sd = draw(gains)
+    g_sr = draw(st.lists(gains, min_size=n, max_size=n))
+    g_rd = draw(st.lists(gains, min_size=n, max_size=n))
     snr = draw(st.floats(min_value=0.01, max_value=1e4))
-    cut = Cut(draw(st.integers(min_value=0, max_value=(1 << n) - 1)), n)
-    return realization, snr, schedule, cut
+    omega_mask = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    return (g_sd, g_sr, g_rd), snr, schedule, omega_mask
 
 
 @given(two_hop_instances(), st.floats(min_value=0.0, max_value=10.0), st.floats(0.0, 2.0))
 @settings(max_examples=300, deadline=None)
 def test_two_hop_wrappers_equal_loop_references(instance, rate_bits, gap_bits):
-    realization, snr, schedule, cut = instance
-    flow = ref.cut_flow(realization, snr, schedule, cut)
-    assert cut_flow_lower_bound(realization, snr, schedule, cut) == flow
-    min_cut = ref.min_cut(realization, snr, schedule)
-    assert network_min_cut_lower_bound(realization, snr, schedule) == min_cut
-    batch = two_hop_bound_array(*realization.as_batch(), snr, schedule)
-    assert batch[0] == min_cut
-    assert cut_average_lower_bound(realization, snr, cut) == ref.cut_average(realization, snr, cut)
+    (g_sd, g_sr, g_rd), snr, schedule, omega = instance
+    batch = (np.array([g_sd]), np.array([g_sr]), np.array([g_rd]))
+    caps = link_capacities(*batch, snr)
+    flow = ref.cut_flow(g_sd, g_sr, g_rd, snr, schedule.weights, omega)
+    assert cut_flow_array(*caps, schedule.weights, omega)[0] == flow
+    min_cut = ref.min_cut(g_sd, g_sr, g_rd, snr, schedule.weights)
+    assert two_hop_bound_array(*batch, snr, schedule)[0] == min_cut
+    average = ref.cut_average(g_sd, g_sr, g_rd, snr, omega)
+    assert cut_average_array(*caps, omega)[0] == average
     uniform = TwoHopSchedule.uniform(schedule.n_relays)
-    margin = ref.cut_flow(realization, snr, uniform, cut) - ref.cut_average(realization, snr, cut)
-    assert check_cut_avg_consistency(realization, snr, cut) == margin
-    event = outage_event(realization, snr, rate_bits, schedule, gap_bits)
+    margin = ref.cut_flow(g_sd, g_sr, g_rd, snr, uniform.weights, omega) - average
+    assert _cut_avg_margins(*caps, omega)[0] == margin
+    event = _outage_mask(schedule, *batch, snr, rate_bits, gap_bits)[0]
     assert event == (min_cut - gap_bits < rate_bits)
 
 
@@ -89,10 +85,9 @@ orders = st.floats(min_value=0.0, max_value=1.0)
 @given(orders, orders, orders, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 @settings(max_examples=300, deadline=None)
 def test_single_relay_order_equals_loop_reference(a_sd, a_sr, a_rd, t, r):
-    ev = ExponentVector(a_sd, (a_sr,), (a_rd,))
-    order = ref.highsnr_order(ev, t)
-    assert highsnr_cutset_order(ev, t) == order
-    assert single_relay_outage_predicate(ev, r, t) == (order <= r)
+    order = ref.highsnr_order(a_sd, a_sr, a_rd, t)
+    assert single_relay_order_array(np.array([a_sd]), np.array([a_sr]), np.array([a_rd]), t)[0] == order
+    assert single_relay_outage_region(r, t)(np.array([[a_sd, a_sr, a_rd]]))[0] == (order <= r)
 
 
 @given(st.integers(min_value=1, max_value=4), st.data())
@@ -101,14 +96,13 @@ def test_two_hop_cut_predicate_equals_loop_reference(n, data):
     # values on a 1/8 grid make every partial sum exact, so the two
     # summation orders agree even on the boundary of the outage set
     grid = st.integers(min_value=0, max_value=8).map(lambda k: k / 8)
-    ev = ExponentVector(
-        data.draw(grid),
-        tuple(data.draw(st.lists(grid, min_size=n, max_size=n))),
-        tuple(data.draw(st.lists(grid, min_size=n, max_size=n))),
-    )
-    cut = Cut(data.draw(st.integers(min_value=0, max_value=(1 << n) - 1)), n)
+    a_sd = data.draw(grid)
+    a_sr = data.draw(st.lists(grid, min_size=n, max_size=n))
+    a_rd = data.draw(st.lists(grid, min_size=n, max_size=n))
+    omega = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
     r = data.draw(grid)
-    assert two_hop_cut_outage_predicate(ev, r, cut) == ref.two_hop_cut_outage(ev, r, cut)
+    inside = two_hop_cut_outage_region(r, Cut(omega, n))(np.array([[a_sd, *a_sr, *a_rd]]))[0]
+    assert inside == ref.two_hop_cut_outage(a_sd, a_sr, a_rd, r, omega)
 
 
 def test_batched_cut_avg_suite_equals_per_instance_reference():

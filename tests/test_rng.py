@@ -4,14 +4,13 @@ honor the (seed, stream_index) determinism contract."""
 import numpy as np
 import pytest
 
-from hdrelay.rng import (
-    GENERATOR_NAME,
-    RandomStream,
-    exponentials_for_streams,
-    philox4x64_block,
-    stream_uniforms,
-    uniforms_for_streams,
-)
+from hdrelay.rng import GENERATOR_NAME, exponentials_for_streams, philox4x64_block
+from hdrelay.rng import uniforms_for_streams
+
+
+def _stream(seed, index, n):
+    """First n uniforms of stream (seed, index): the kernel on a batch of one index."""
+    return uniforms_for_streams(seed, np.array([index], dtype=np.uint64), n)[0]
 
 
 @pytest.mark.parametrize(
@@ -57,13 +56,12 @@ def test_block_is_vectorized_consistently():
 
 
 def test_stream_uniforms_deterministic_and_in_range():
-    s = RandomStream(seed=42, stream_index=7)
-    u1 = stream_uniforms(s, 9)
-    u2 = stream_uniforms(s, 9)
+    u1 = _stream(42, 7, 9)
+    u2 = _stream(42, 7, 9)
     np.testing.assert_array_equal(u1, u2)
     assert np.all(u1 >= 0.0) and np.all(u1 < 1.0)
     # a prefix of the same stream is a prefix of the longer draw
-    np.testing.assert_array_equal(stream_uniforms(s, 4), u1[:4])
+    np.testing.assert_array_equal(_stream(42, 7, 4), u1[:4])
 
 
 def test_streams_are_independent_of_batch_composition():
@@ -73,17 +71,16 @@ def test_streams_are_independent_of_batch_composition():
 
 
 def test_distinct_streams_and_seeds_differ():
-    a = stream_uniforms(RandomStream(1, 0), 8)
-    b = stream_uniforms(RandomStream(1, 1), 8)
-    c = stream_uniforms(RandomStream(2, 0), 8)
+    a = _stream(1, 0, 8)
+    b = _stream(1, 1, 8)
+    c = _stream(2, 0, 8)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_exponentials_match_inverse_cdf_of_uniforms():
-    s = RandomStream(3, 4)
-    u = stream_uniforms(s, 6)
-    g = exponentials_for_streams(s.seed, s.index_batch(), 6)[0]
+    u = _stream(3, 4, 6)
+    g = exponentials_for_streams(3, np.array([4], dtype=np.uint64), 6)[0]
     np.testing.assert_array_equal(g, -np.log1p(-u))
 
 
