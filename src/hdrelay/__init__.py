@@ -4,13 +4,11 @@ and diversity-multiplexing exponents."""
 from ._version import __version__
 from .channel import sample_gain_arrays
 from .cutset import (
-    Cut,
     Schedule,
     SingleRelaySchedule,
     TwoHopSchedule,
     cut_average_array,
     cut_flow_array,
-    enumerate_cuts,
     link_capacities,
     link_capacity_bits,
     single_relay_bound_array,
@@ -18,16 +16,12 @@ from .cutset import (
     two_hop_bound_array,
 )
 from .dmt import (
-    DmtCurve,
     crossing_links_outage_region,
     exponent_grid_oracle,
     miso_dmt,
     optimize_schedule_single,
-    parallel_channel_dmt,
-    single_relay_exponent_analytic,
     single_relay_outage_region,
     two_hop_cut_outage_region,
-    two_hop_exponent_analytic,
 )
 from .lemmas import (
     CheckKind,
@@ -51,28 +45,22 @@ __all__ = [
     "__version__",
     "GENERATOR_NAME",
     "sample_gain_arrays",
-    "Cut",
     "Schedule",
     "SingleRelaySchedule",
     "TwoHopSchedule",
     "cut_average_array",
     "cut_flow_array",
-    "enumerate_cuts",
     "link_capacities",
     "link_capacity_bits",
     "single_relay_bound_array",
     "single_relay_order_array",
     "two_hop_bound_array",
-    "DmtCurve",
     "crossing_links_outage_region",
     "exponent_grid_oracle",
     "miso_dmt",
     "optimize_schedule_single",
-    "parallel_channel_dmt",
-    "single_relay_exponent_analytic",
     "single_relay_outage_region",
     "two_hop_cut_outage_region",
-    "two_hop_exponent_analytic",
     "CheckKind",
     "VerificationReport",
     "check_avg_lemma",

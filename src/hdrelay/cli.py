@@ -18,6 +18,7 @@ import math
 import os
 import shlex
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Sequence
@@ -26,15 +27,11 @@ from ._version import __version__
 from .cutset import SingleRelaySchedule, TwoHopSchedule
 from .dmt import (
     DEFAULT_ORACLE_BUDGET,
-    DmtCurve,
     crossing_links_outage_region,
     exponent_grid_oracle,
     miso_dmt,
     optimize_schedule_single,
-    parallel_channel_dmt,
-    single_relay_exponent_analytic,
     single_relay_outage_region,
-    two_hop_exponent_analytic,
 )
 from .lemmas import CheckKind, run_randomized_suite
 from .montecarlo import (
@@ -147,28 +144,16 @@ def render(
 
 
 def emit(
-    obj: OutageTable | DmtCurve | tuple[Sequence[str], Sequence[dict[str, Any]]],
-    fmt: str = "csv",
-    target: str | None = None,
-    metadata: dict[str, Any] | None = None,
+    columns: Sequence[str],
+    rows: Sequence[dict[str, Any]],
+    metadata: dict[str, Any] | None,
+    fmt: str,
+    target: str | None,
 ) -> None:
-    """Serialize a result to `target` (a path, or stdout when None).
+    """Serialize a table to `target` (a path, or stdout when None).
 
-    Accepts an OutageTable (its own metadata is merged under any explicit
-    one), a DmtCurve, or a generic (columns, rows) pair.  The rendered text
-    is written in one operation after it is fully built.
+    The rendered text is written in one operation after it is fully built.
     """
-    if isinstance(obj, OutageTable):
-        columns: Sequence[str] = OUTAGE_COLUMNS
-        rows = [{col: getattr(row, col) for col in OUTAGE_COLUMNS} for row in obj.rows]
-        merged = dict(obj.metadata)
-        merged.update(metadata or {})
-        metadata = merged
-    elif isinstance(obj, DmtCurve):
-        columns = ["r", "d"]
-        rows = [{"r": r, "d": d} for r, d in obj.points]
-    else:
-        columns, rows = obj
     text = render(columns, rows, metadata, fmt)
     if target is None:
         sys.stdout.write(text)
@@ -235,9 +220,7 @@ def _cmd_exponent(args: argparse.Namespace) -> int:
             d_oracle = _usage_wrap(
                 exponent_grid_oracle, region, 3, step, args.budget
             )
-            d_analytic = (
-                _usage_wrap(single_relay_exponent_analytic, r) if t == 0.5 else None
-            )
+            d_analytic = miso_dmt(2, r) if t == 0.5 else None
         else:
             # every cut constrains its own N+1 crossing links the same way,
             # so the per-cut minimum equals the one reduced search
@@ -248,7 +231,7 @@ def _cmd_exponent(args: argparse.Namespace) -> int:
                 step,
                 args.budget,
             )
-            d_analytic = _usage_wrap(two_hop_exponent_analytic, args.relays, r)
+            d_analytic = miso_dmt(args.relays + 1, r)
         rows.append(
             {
                 "r": r,
@@ -260,7 +243,7 @@ def _cmd_exponent(args: argparse.Namespace) -> int:
     metadata.update(
         {"relays": args.relays, "t": t if args.relays == 1 else None, "oracle_step": step}
     )
-    emit((["r", "d_analytic", "d_oracle"], rows), args.format, args.output, metadata)
+    emit(["r", "d_analytic", "d_oracle"], rows, metadata, args.format, args.output)
     return 0
 
 
@@ -292,9 +275,9 @@ def _cmd_outage(args: argparse.Namespace) -> int:
         gap_bits=args.gap_bits,
     )
     table = estimate_outage(cfg, workers=workers)
-    metadata = _base_metadata(args.argv)
-    metadata["workers"] = workers
-    emit(table, args.format, args.output, metadata)
+    rows = [asdict(row) for row in table.rows]
+    metadata = {**table.metadata, **_base_metadata(args.argv), "workers": workers}
+    emit(OUTAGE_COLUMNS, rows, metadata, args.format, args.output)
     return 0
 
 
@@ -361,7 +344,7 @@ def _cmd_slope(args: argparse.Namespace) -> int:
     if table.metadata:
         metadata["source"] = table.metadata
     rows = [{"slope": slope, "stderr": stderr, "points_used": used}]
-    emit((["slope", "stderr", "points_used"], rows), args.format, args.output, metadata)
+    emit(["slope", "stderr", "points_used"], rows, metadata, args.format, args.output)
     return 0
 
 
@@ -375,28 +358,28 @@ def _cmd_schedule_opt(args: argparse.Namespace) -> int:
         rows.append({"r": r, "t_star": t_star, "d_star": d_star})
     metadata = _base_metadata(args.argv)
     metadata.update({"t_step": args.t_step, "oracle_step": args.oracle_step})
-    emit((["r", "t_star", "d_star"], rows), args.format, args.output, metadata)
+    emit(["r", "t_star", "d_star"], rows, metadata, args.format, args.output)
     return 0
 
 
 def _cmd_curves(args: argparse.Namespace) -> int:
     r_values = parse_grid(args.r_grid)
     if args.miso is not None:
-        label = f"miso-{args.miso}x1"
-        fn = lambda r: miso_dmt(args.miso, r)
+        label, m = f"miso-{args.miso}x1", args.miso
     elif args.parallel:
-        label = "parallel-channel"
-        fn = parallel_channel_dmt
+        label, m = "parallel-channel", 2
     elif args.single_relay:
-        label = "single-relay"
-        fn = single_relay_exponent_analytic
+        label, m = "single-relay", 2
     else:
-        label = f"two-hop-{args.two_hop}-relays"
-        fn = lambda r: two_hop_exponent_analytic(args.two_hop, r)
-    curve = _usage_wrap(DmtCurve.from_function, r_values, fn)
+        if args.two_hop < 1:
+            raise UsageError(f"n_relays must be >= 1, got {args.two_hop}")
+        label, m = f"two-hop-{args.two_hop}-relays", args.two_hop + 1
+    rows = [{"r": r, "d": _usage_wrap(miso_dmt, m, r)} for r in r_values]
+    if any(b <= a for a, b in zip(r_values, r_values[1:])):
+        raise UsageError("multiplexing gains must be strictly increasing")
     metadata = _base_metadata(args.argv)
     metadata["curve"] = label
-    emit(curve, args.format, args.output, metadata)
+    emit(["r", "d"], rows, metadata, args.format, args.output)
     return 0
 
 
@@ -421,12 +404,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "seed": report.seed,
         }
     ]
-    emit(
-        (["kind", "instances", "violations", "worst_margin", "seed"], rows),
-        args.format,
-        args.output,
-        metadata,
-    )
+    columns = ["kind", "instances", "violations", "worst_margin", "seed"]
+    emit(columns, rows, metadata, args.format, args.output)
     if report.violations > 0:
         print(f"verification failed: {report.violations} violations", file=sys.stderr)
         return 3

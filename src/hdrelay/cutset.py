@@ -40,7 +40,7 @@ def check_listen_fraction(t: float) -> None:
         raise ValueError(f"listen fraction t must lie in [0, 1], got {t!r}")
 
 
-def _check_relay_count(n_relays: int) -> None:
+def check_relay_count(n_relays: int) -> None:
     if not 1 <= n_relays <= MAX_RELAYS:
         raise ValueError(f"n_relays must lie in [1, {MAX_RELAYS}], got {n_relays}")
 
@@ -72,7 +72,7 @@ class TwoHopSchedule:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        _check_relay_count(self.n_relays)
+        check_relay_count(self.n_relays)
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         if len(self.weights) != 1 << self.n_relays:
             raise ValueError(
@@ -92,30 +92,6 @@ class TwoHopSchedule:
 
 
 Schedule = SingleRelaySchedule | TwoHopSchedule
-
-
-@dataclass(frozen=True)
-class Cut:
-    """Node partition: bit j of omega_mask set means relay j sits with the source.
-
-    The source is implicitly on the omega side, the destination on the
-    complement.  In a given state m, the relays that matter are those whose
-    cut-crossing link is active: omega relays that transmit (relay ->
-    destination crosses) and complement relays that listen (source -> relay
-    crosses).
-    """
-
-    omega_mask: int
-    n_relays: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.omega_mask < (1 << self.n_relays):
-            raise ValueError(
-                f"omega_mask {self.omega_mask} out of range for {self.n_relays} relays"
-            )
-
-    def contains(self, relay: int) -> bool:
-        return bool(self.omega_mask >> relay & 1)
 
 
 def link_capacity_bits(g, snr):
@@ -160,12 +136,6 @@ def single_relay_order_array(a_sd, a_sr, a_rd, t: float):
     relay_in = t * np.maximum(np.subtract(a_sr, a_sd), 0.0)
     relay_out = (1.0 - t) * np.maximum(np.subtract(a_rd, a_sd), 0.0)
     return a_sd + np.minimum(relay_in, relay_out)
-
-
-def enumerate_cuts(n_relays: int) -> list[Cut]:
-    """All 2^N source-side relay subsets, masks ascending."""
-    _check_relay_count(n_relays)
-    return [Cut(m, n_relays) for m in range(1 << n_relays)]
 
 
 def link_capacities(g_sd, g_sr, g_rd, snr) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,11 +1,12 @@
-"""Diversity-multiplexing exponents: analytic curves and a grid oracle.
+"""Diversity-multiplexing exponents: a closed form and a grid oracle.
 
 The outage exponent d(r) is the infimum of sum(1 - a_i) over per-link
 exponential orders a in [0, 1]^dim that put the channel in outage at
-multiplexing gain r.  Closed forms are implemented for the cases with known
-answers (m x 1 MISO, the parallel channel, the single relay at any listen
-fraction, and the two-hop N-relay network under uniform scheduling), and a
-grid minimizer provides an independent check of each closed form.
+multiplexing gain r.  The one closed form is the m x 1 MISO curve
+m*(1 - r): the single relay at listen fraction 1/2 and the two-path
+parallel channel follow it with m = 2, and the two-hop N-relay network
+under the uniform schedule with m = N+1.  A grid minimizer over each
+outage region provides an independent check of it.
 
 Every outage region here is a down-set: lowering any order keeps a point in
 outage.  The minimizer relies on that twice.  Rounding every coordinate of a
@@ -19,50 +20,21 @@ evaluating every grid point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .cutset import Cut, check_listen_fraction, single_relay_order_array
+from .cutset import check_listen_fraction, check_relay_count, single_relay_order_array
 
 DEFAULT_ORACLE_BUDGET = 1_000_000_000
+
+# grid prefixes the oracle searches together; a memory bound only
+_CHUNK = 1 << 16
 
 # predicate values within this of each other are treated as exact ties
 _TIE_TOL = 1e-9
 
 RegionPredicate = Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class DmtCurve:
-    """Sampled (multiplexing gain, diversity order) pairs, r strictly increasing."""
-
-    points: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        pts = tuple((float(r), float(d)) for r, d in self.points)
-        object.__setattr__(self, "points", pts)
-        for r, d in pts:
-            if not 0.0 <= r <= 1.0:
-                raise ValueError(f"multiplexing gain must lie in [0, 1], got {r!r}")
-            if d < 0.0:
-                raise ValueError(f"diversity order must be >= 0, got {d!r}")
-        rs = [r for r, _ in pts]
-        if any(b <= a for a, b in zip(rs, rs[1:])):
-            raise ValueError("multiplexing gains must be strictly increasing")
-
-    @property
-    def r(self) -> tuple[float, ...]:
-        return tuple(r for r, _ in self.points)
-
-    @property
-    def d(self) -> tuple[float, ...]:
-        return tuple(d for _, d in self.points)
-
-    @classmethod
-    def from_function(cls, r_values, fn: Callable[[float], float]) -> "DmtCurve":
-        return cls(points=tuple((float(r), float(fn(r))) for r in r_values))
 
 
 def _check_r(r: float) -> None:
@@ -78,23 +50,6 @@ def miso_dmt(m_antennas: int, r: float) -> float:
     return m_antennas * (1.0 - r)
 
 
-def parallel_channel_dmt(r: float) -> float:
-    """Two independently faded parallel links, each carrying rate r: miso_dmt(2, r)."""
-    return miso_dmt(2, r)
-
-
-def single_relay_exponent_analytic(r: float) -> float:
-    """Exact single-relay exponent at listen fraction 0.5: miso_dmt(2, r)."""
-    return miso_dmt(2, r)
-
-
-def two_hop_exponent_analytic(n_relays: int, r: float) -> float:
-    """Exact two-hop exponent under the uniform schedule: miso_dmt(N+1, r)."""
-    if n_relays < 1:
-        raise ValueError(f"n_relays must be >= 1, got {n_relays}")
-    return miso_dmt(n_relays + 1, r)
-
-
 def single_relay_outage_region(r: float, t: float) -> RegionPredicate:
     """Vectorized single-relay outage predicate over (k, 3) arrays.
 
@@ -103,6 +58,7 @@ def single_relay_outage_region(r: float, t: float) -> RegionPredicate:
     so boundary points count as outage).
     """
     check_listen_fraction(t)
+    _check_r(r)
 
     def predicate(alpha: np.ndarray) -> np.ndarray:
         return single_relay_order_array(alpha[:, 0], alpha[:, 1], alpha[:, 2], t) <= r
@@ -110,18 +66,22 @@ def single_relay_outage_region(r: float, t: float) -> RegionPredicate:
     return predicate
 
 
-def two_hop_cut_outage_region(r: float, cut: Cut) -> RegionPredicate:
-    """Vectorized per-cut outage predicate over (k, 2N+1) arrays, N = cut.n_relays.
+def two_hop_cut_outage_region(n_relays: int, r: float, omega_mask: int) -> RegionPredicate:
+    """Vectorized per-cut outage predicate over (k, 2N+1) arrays.
 
-    Columns are a_sd, then a_sr[0..N-1], then a_rd[0..N-1].  Only the cut's
-    crossing links enter the inequality: the direct link, relay->destination
-    for omega relays and source->relay for the rest must together have order
-    at most (N+1)*r.
+    Bit j of `omega_mask` set means relay j sits with the source; the
+    destination is on the other side.  Columns are a_sd, then
+    a_sr[0..N-1], then a_rd[0..N-1].  Only the cut's crossing links enter
+    the inequality: the direct link, relay->destination for omega relays
+    and source->relay for the rest must together have order at most
+    (N+1)*r.
     """
-    n_relays = cut.n_relays
+    check_relay_count(n_relays)
+    if not 0 <= omega_mask < 1 << n_relays:
+        raise ValueError(f"omega_mask {omega_mask} out of range for {n_relays} relays")
     cols = [0]
-    cols += [1 + j for j in range(n_relays) if not cut.contains(j)]
-    cols += [1 + n_relays + j for j in range(n_relays) if cut.contains(j)]
+    cols += [1 + j for j in range(n_relays) if not omega_mask >> j & 1]
+    cols += [1 + n_relays + j for j in range(n_relays) if omega_mask >> j & 1]
     crossing = crossing_links_outage_region(n_relays, r)
 
     def predicate(alpha: np.ndarray) -> np.ndarray:
@@ -139,6 +99,7 @@ def crossing_links_outage_region(n_relays: int, r: float) -> RegionPredicate:
     """
     if n_relays < 1:
         raise ValueError(f"n_relays must be >= 1, got {n_relays}")
+    _check_r(r)
     threshold = (n_relays + 1) * r
 
     def predicate(alpha: np.ndarray) -> np.ndarray:
@@ -160,7 +121,6 @@ def exponent_grid_oracle(
     dim: int,
     step: float,
     budget: int = DEFAULT_ORACLE_BUDGET,
-    chunk_size: int = 1 << 16,
 ) -> float:
     """Staircase min of sum(1 - a_i) over grid points in the outage set.
 
@@ -178,9 +138,8 @@ def exponent_grid_oracle(
     this rate").  Work is bounded by `budget` predicate-coordinate
     evaluations, dim * L^(dim-1) * bit_length(L) with L grid levels per
     coordinate, checked before any work starts; an oversized request raises
-    instead of crawling.  `chunk_size` counts grid prefixes searched
-    together; chunking is a memory measure only and does not change the
-    result.
+    instead of crawling.  Prefixes are searched `_CHUNK` at a time; chunking
+    is a memory measure only and does not change the result.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -198,8 +157,8 @@ def exponent_grid_oracle(
         )
     strides = [levels ** (dim - 2 - k) for k in range(dim - 1)]
     best_sum = -math.inf
-    for start in range(0, prefixes, chunk_size):
-        idx = np.arange(start, min(start + chunk_size, prefixes), dtype=np.int64)
+    for start in range(0, prefixes, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, prefixes), dtype=np.int64)
         rows = np.empty((idx.shape[0], dim), dtype=np.float64)
         for k, stride in enumerate(strides):
             rows[:, k] = coords[(idx // stride) % levels]

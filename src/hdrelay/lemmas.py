@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -80,17 +80,9 @@ def _subset_maxima(s: Sequence[float]) -> list[float]:
     return out
 
 
-def check_avg_lemma(
-    a: float,
-    s: Sequence[float],
-    f_override: Mapping[int, float] | None = None,
-) -> float:
-    """Margin of the subset-average inequality.
-
-    By default f(V) = max(a, max_{i in V} s_i) with f(empty) = a, the tight
-    instantiation.  An override maps subset bitmasks to values and must
-    dominate that pointwise lower bound on every one of the 2^n subsets.
-    """
+def check_avg_lemma(a: float, s: Sequence[float]) -> float:
+    """Margin of the subset-average inequality at its tight instantiation,
+    f(V) = max(a, max_{i in V} s_i) with f(empty) = a."""
     s = [float(v) for v in s]
     n = len(s)
     if n > MAX_SUBSET_LEN:
@@ -100,19 +92,7 @@ def check_avg_lemma(
     maxima = _subset_maxima(s)
     total = 0.0
     for mask in range(1 << n):
-        floor_value = max(a, maxima[mask])
-        if f_override is None:
-            value = floor_value
-        else:
-            if mask not in f_override:
-                raise ValueError(f"f_override must define every subset, missing {mask:#b}")
-            value = float(f_override[mask])
-            if value < floor_value:
-                raise ValueError(
-                    f"f_override violates the pointwise lower bound at subset {mask:#b}: "
-                    f"{value} < {floor_value}"
-                )
-        total += value
+        total += max(a, maxima[mask])
     lhs = total / (1 << n)
     rhs = (a + math.fsum(s)) / (n + 1)
     return lhs - rhs

@@ -57,8 +57,14 @@ class RunConfig:
             raise ValueError(f"trials_per_point must be < {SNR_STREAM_STRIDE}")
         if not self.snr_db_grid:
             raise ValueError("snr_db_grid must be non-empty")
-        if not all(math.isfinite(v) for v in self.snr_db_grid):
-            raise ValueError(f"snr_db_grid values must be finite, got {self.snr_db_grid!r}")
+        with np.errstate(over="ignore"):
+            snr = db_to_linear(self.snr_db_grid)
+        # a dB value past about +-3000 over- or underflows the linear SNR
+        if not np.all(np.isfinite(snr) & (snr > 0)):
+            raise ValueError(
+                f"snr_db_grid values must be finite with a linear SNR in (0, inf), "
+                f"got {self.snr_db_grid!r}"
+            )
         if any(b <= a for a, b in zip(self.snr_db_grid, self.snr_db_grid[1:])):
             raise ValueError("snr_db_grid must be strictly ascending")
         check_seed(self.seed)
@@ -80,6 +86,8 @@ class OutageRow:
     ci_high: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.snr_linear) and self.snr_linear > 0):
+            raise ValueError(f"snr_linear must be finite and > 0, got {self.snr_linear!r}")
         if not 0 <= self.outage_count <= self.trials:
             raise ValueError("outage_count must lie in [0, trials]")
         if not 0.0 <= self.p_hat <= 1.0:
@@ -215,8 +223,9 @@ def estimate_diversity_slope(table: OutageTable, min_count: int = 50) -> tuple[f
     """Least-squares slope of -log10(p_hat) against log10(snr).
 
     Rows with fewer than `min_count` outage events are excluded (their
-    p_hat is too noisy to anchor a log fit).  Returns (slope, stderr);
-    stderr is NaN when only two rows qualify.
+    p_hat is too noisy to anchor a log fit); the rest must span at least
+    two SNR values.  Returns (slope, stderr); stderr is NaN when only two
+    rows qualify.
     """
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
@@ -225,6 +234,11 @@ def estimate_diversity_slope(table: OutageTable, min_count: int = 50) -> tuple[f
         raise ValueError(
             f"insufficient data: need >= 2 rows with outage_count >= {min_count}, "
             f"got {len(qualifying)}"
+        )
+    distinct = len({row.snr_linear for row in qualifying})
+    if distinct < 2:
+        raise ValueError(
+            f"insufficient data: need >= 2 distinct snr_linear values, got {distinct}"
         )
     x = np.log10([row.snr_linear for row in qualifying])
     y = -np.log10([row.p_hat for row in qualifying])

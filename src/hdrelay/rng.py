@@ -49,9 +49,8 @@ def _mulhilo(a: np.ndarray, m: np.uint64) -> tuple[np.ndarray, np.ndarray]:
 def philox4x64_block(
     counter: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     key: tuple[np.ndarray, np.ndarray],
-    rounds: int = 10,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Apply the Philox4x64 block function to uint64 counter/key words.
+    """Apply the Philox4x64-10 block function to uint64 counter/key words.
 
     All six inputs are uint64 arrays (or scalars) of a common broadcast
     shape; the return value is the four output words of the block.
@@ -60,7 +59,7 @@ def philox4x64_block(
     k0 = np.asarray(key[0], dtype=np.uint64)
     k1 = np.asarray(key[1], dtype=np.uint64)
     with np.errstate(over="ignore"):
-        for i in range(rounds):
+        for i in range(10):
             if i > 0:
                 k0 = k0 + _W0
                 k1 = k1 + _W1
@@ -82,13 +81,15 @@ def uniforms_for_streams(seed: int, stream_indices: np.ndarray, n: int) -> np.nd
     Returns an array of shape ``(len(stream_indices), n)``; row i is the
     first `n` uniforms of stream ``(seed, stream_indices[i])`` whatever the
     other indices of the batch, so a batch of one index yields one stream.
+    The seed is the first key word as is; one outside [0, 2**64) is rejected.
     """
+    check_seed(seed)
     idx = np.asarray(stream_indices, dtype=np.uint64)
     if idx.ndim != 1:
         raise ValueError("stream_indices must be one-dimensional")
     if n < 0:
         raise ValueError("n must be >= 0")
-    k0 = np.full(idx.shape, np.uint64(seed % _U64), dtype=np.uint64)
+    k0 = np.full(idx.shape, np.uint64(seed), dtype=np.uint64)
     out = np.empty((idx.shape[0], n), dtype=np.float64)
     zero = np.zeros(idx.shape, dtype=np.uint64)
     for block in range((n + 3) // 4):

@@ -1,9 +1,11 @@
 """The package's public names: array kernels, schedules, campaigns and checks.
 
 Every formula is exported once, as an array kernel; a single realization is
-a batch of one row.  The batch-of-one wrappers and the dataclasses that
-existed only for them were removed in 0.2.0, and must not come back under
-their old names.
+a batch of one row, a cut is its integer `omega_mask`, and every closed-form
+exponent is `miso_dmt(m, r)`.  The batch-of-one wrappers and the dataclasses
+that existed only for them (removed in 0.2.0), and the named aliases of
+`miso_dmt`, the `DmtCurve` container and the `Cut` dataclass (removed in
+0.3.0), must not come back under their old names.
 """
 
 import importlib
@@ -12,8 +14,6 @@ import hdrelay
 
 PUBLIC = [
     "CheckKind",
-    "Cut",
-    "DmtCurve",
     "GENERATOR_NAME",
     "OutageRow",
     "OutageTable",
@@ -30,7 +30,6 @@ PUBLIC = [
     "cut_average_array",
     "cut_flow_array",
     "db_to_linear",
-    "enumerate_cuts",
     "estimate_diversity_slope",
     "estimate_outage",
     "exponent_grid_oracle",
@@ -38,16 +37,13 @@ PUBLIC = [
     "link_capacity_bits",
     "miso_dmt",
     "optimize_schedule_single",
-    "parallel_channel_dmt",
     "run_randomized_suite",
     "sample_gain_arrays",
     "single_relay_bound_array",
-    "single_relay_exponent_analytic",
     "single_relay_order_array",
     "single_relay_outage_region",
     "two_hop_bound_array",
     "two_hop_cut_outage_region",
-    "two_hop_exponent_analytic",
 ]
 
 # removed name -> the module that defined it
@@ -74,6 +70,12 @@ REMOVED = {
     "RandomStream": "rng",
     "stream_uniforms": "rng",
     "_check_gap": "montecarlo",
+    "Cut": "cutset",
+    "enumerate_cuts": "cutset",
+    "DmtCurve": "dmt",
+    "parallel_channel_dmt": "dmt",
+    "single_relay_exponent_analytic": "dmt",
+    "two_hop_exponent_analytic": "dmt",
 }
 
 

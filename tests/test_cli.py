@@ -4,11 +4,11 @@ import csv
 import io
 import json
 import math
+from dataclasses import asdict
 
 import pytest
 
-from hdrelay.cli import UsageError, emit, parse_count, parse_grid, render, run
-from hdrelay.dmt import DmtCurve
+from hdrelay.cli import OUTAGE_COLUMNS, UsageError, emit, parse_count, parse_grid, render, run
 from hdrelay.lemmas import CheckKind, VerificationReport
 from hdrelay.montecarlo import OutageRow, OutageTable
 
@@ -73,12 +73,14 @@ class TestRender:
         row = OutageRow(10.0, 10.0, 2.0, 100, 5, 0.05, 0.02, 0.11)
         table = OutageTable(rows=(row,), metadata={"seed": 9})
         path = tmp_path / "t.csv"
-        emit(table, "csv", str(path))
+        emit(OUTAGE_COLUMNS, [asdict(r) for r in table.rows], table.metadata, "csv", str(path))
         text = path.read_text()
         assert "# seed=9" in text
         parsed = _read_csv(text)
         assert parsed[0]["outage_count"] == "5"
-        emit(DmtCurve(points=((0.0, 2.0), (1.0, 0.0))), "json", str(tmp_path / "c.json"))
+        assert list(parsed[0]) == OUTAGE_COLUMNS
+        curve = [{"r": 0.0, "d": 2.0}, {"r": 1.0, "d": 0.0}]
+        emit(["r", "d"], curve, None, "json", str(tmp_path / "c.json"))
         doc = json.loads((tmp_path / "c.json").read_text())
         assert doc["rows"] == [{"r": 0.0, "d": 2.0}, {"r": 1.0, "d": 0.0}]
 
@@ -149,6 +151,23 @@ class TestCurvesCommand:
         assert float(_read_csv(capsys.readouterr().out)[0]["d"]) == 1.5
         assert run(["curves", "--two-hop", "3", "--r-grid", "0.5"]) == 0
         assert float(_read_csv(capsys.readouterr().out)[0]["d"]) == 2.0
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("--two-hop 0", "n_relays must be >= 1, got 0"),
+            ("--parallel --r-grid 0.5,0.2", "multiplexing gains must be strictly increasing"),
+            ("--single-relay --r-grid 0.5,0.5", "multiplexing gains must be strictly increasing"),
+            ("--miso 2 --r-grid 1.5", "multiplexing gain r must lie in [0, 1], got 1.5"),
+            ("--miso 0", "m_antennas must be >= 1, got 0"),
+        ],
+        ids=["two-hop-0", "decreasing-r", "repeated-r", "r-above-1", "miso-0"],
+    )
+    def test_bad_curves_are_usage_errors(self, argv, message, capsys):
+        assert run(["curves", *argv.split()]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"hdrelay: error: {message}\n"
 
 
 class TestOutageAndSlopeCommands:
@@ -265,6 +284,14 @@ class TestPinnedResults:
              "outage_count", [707, 101]),
             ("exponent --relays 1 --t 0.3 --r-grid 0.2,0.6 --oracle-step 0.05",
              "d_oracle", [1.35, 0.5999999999999996]),
+            ("exponent --relays 2 --r-grid 0.1,0.3 --oracle-step 0.05",
+             "d_analytic", [2.7, 2.0999999999999996]),
+            ("curves --parallel --r-grid 0:1:0.25", "d", [2.0, 1.5, 1.0, 0.5, 0.0]),
+            ("curves --single-relay --r-grid 0.3,0.7", "d", [1.4, 0.6000000000000001]),
+            ("curves --two-hop 2 --r-grid 0.1,0.3,0.9", "d",
+             [2.7, 2.0999999999999996, 0.29999999999999993]),
+            ("verify --kind avg-lemma --instances 5 --seed 7 --max-len 16",
+             "worst_margin", [1.8804357568813472]),
         ],
     )
     def test_pinned_values(self, argv, column, expected, capsys):
@@ -317,6 +344,33 @@ class TestExitCodesAndSafety:
         assert run(["outage", "--r", "0.5", "--snr-db", "10", "--trials", "0", "--seed", "1"]) == 2
         assert run(["exponent", "--oracle-step", "0.5"]) == 2
         assert run(["verify", "--kind", "avg-lemma", "--seed", "1", "--max-len", "40"]) == 2
+        # r is checked on the oracle route too, not only by the t = 0.5 closed form
+        assert run(["exponent", "--t", "0.3", "--r-grid", "1.5,2", "--oracle-step", "0.05"]) == 2
+        assert run(["exponent", "--t", "0.3", "--r-grid", "nan", "--oracle-step", "0.05"]) == 2
+
+    @pytest.mark.parametrize(
+        "snr_linear, expected",
+        [
+            ([10.0, 10.0, 10.0], "need >= 2 distinct snr_linear values, got 1"),
+            ([10.0, 10.0], "need >= 2 distinct snr_linear values, got 1"),
+            ([0.0, 100.0], "snr_linear must be finite and > 0, got 0.0"),
+            ([10.0, math.inf], "snr_linear must be finite and > 0, got inf"),
+        ],
+        ids=["one-snr-three-rows", "one-snr-two-rows", "zero-snr", "infinite-snr"],
+    )
+    def test_degenerate_slope_tables_are_usage_errors(self, snr_linear, expected, tmp_path, capsys):
+        rows = [
+            {"snr_db": 10.0 * k, "snr_linear": snr, "rate_bits": 1.0, "trials": 1000,
+             "outage_count": 100 - 10 * k, "p_hat": (100 - 10 * k) / 1000,
+             "ci_low": 0.0, "ci_high": 1.0}
+            for k, snr in enumerate(snr_linear)
+        ]
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"metadata": {}, "rows": rows}), encoding="utf-8")
+        assert run(["slope", "--input", str(path), "--min-count", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert expected in captured.err
 
     def test_malformed_inputs_are_usage_errors(self, tmp_path, capsys):
         bad_json = tmp_path / "bad.json"
@@ -335,6 +389,8 @@ class TestExitCodesAndSafety:
             ["--snr-db", "inf"],
             ["--snr-db", "10,nan"],
             ["--model", "two-hop-zlb", "--relays", "1", "--weights", "nan,nan"],
+            ["--snr-db", "-4000"],  # the linear SNR underflows to 0
+            ["--snr-db", "10,4000"],  # and overflows to inf
         ],
     )
     def test_non_finite_values_are_usage_errors(self, flags, capsys):

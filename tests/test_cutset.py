@@ -7,18 +7,17 @@ import pytest
 
 import reference_loops as ref
 from hdrelay.cutset import (
-    Cut,
     SingleRelaySchedule,
     TwoHopSchedule,
     cut_average_array,
     cut_flow_array,
-    enumerate_cuts,
     link_capacities,
     link_capacity_bits,
     single_relay_bound_array,
     single_relay_order_array,
     two_hop_bound_array,
 )
+from hdrelay.dmt import two_hop_cut_outage_region
 
 
 def _batch(g_sd, g_sr, g_rd):
@@ -159,20 +158,26 @@ class TestZChannelFlow:
 
 
 class TestEnumeration:
+    """A cut is its omega_mask: bit j set puts relay j with the source."""
+
     def test_cuts(self):
-        assert [c.omega_mask for c in enumerate_cuts(1)] == [0, 1]
-        assert len(enumerate_cuts(2)) == 4
-        assert len(enumerate_cuts(12)) == 4096
+        row = np.array([[0.0, 0.0, 1.0]])  # a_sd, a_sr, a_rd
+        # mask 0 is crossed by source->relay, mask 1 by relay->destination
+        assert two_hop_cut_outage_region(1, 0.25, 0)(row)[0]
+        assert not two_hop_cut_outage_region(1, 0.25, 1)(row)[0]
+        two_hop_cut_outage_region(12, 0.5, (1 << 12) - 1)
 
     def test_size_limits(self):
         with pytest.raises(ValueError):
-            enumerate_cuts(13)
+            two_hop_cut_outage_region(13, 0.5, 0)
         with pytest.raises(ValueError):
-            enumerate_cuts(0)
+            two_hop_cut_outage_region(0, 0.5, 0)
 
     def test_mask_validation(self):
         with pytest.raises(ValueError):
-            Cut(2, 1)
+            two_hop_cut_outage_region(1, 0.5, 2)
+        with pytest.raises(ValueError):
+            two_hop_cut_outage_region(1, 0.5, -1)
 
 
 class TestSchedules:
@@ -251,8 +256,7 @@ class TestCutFlow:
 class TestMinCut:
     def test_single_relay_is_min_of_two_cuts(self):
         sched = TwoHopSchedule.uniform(1)
-        cuts = enumerate_cuts(1)
-        values = [_flow(0.5, [2.0], [1.5], 8.0, sched.weights, c.omega_mask) for c in cuts]
+        values = [_flow(0.5, [2.0], [1.5], 8.0, sched.weights, omega) for omega in range(2)]
         assert _min_cut(0.5, [2.0], [1.5], 8.0, sched) == min(values)
 
     def test_min_does_not_exceed_any_cut(self):
@@ -261,8 +265,8 @@ class TestMinCut:
         for _ in range(50):
             g = (rng.exponential(), rng.exponential(size=3), rng.exponential(size=3))
             total = _min_cut(*g, 15.0, sched)
-            for cut in enumerate_cuts(3):
-                assert total <= _flow(*g, 15.0, sched.weights, cut.omega_mask) + 1e-12
+            for omega in range(1 << 3):
+                assert total <= _flow(*g, 15.0, sched.weights, omega) + 1e-12
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(13)

@@ -14,23 +14,20 @@ links and pushes the direct link as high as outage allows).
 """
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
 import reference_loops as ref
-from hdrelay.cutset import Cut, enumerate_cuts
+from hdrelay import dmt
 from hdrelay.dmt import (
-    DmtCurve,
     crossing_links_outage_region,
     exponent_grid_oracle,
     miso_dmt,
     optimize_schedule_single,
-    parallel_channel_dmt,
-    single_relay_exponent_analytic,
     single_relay_outage_region,
     two_hop_cut_outage_region,
-    two_hop_exponent_analytic,
 )
 
 
@@ -54,21 +51,31 @@ class TestAnalyticCurves:
             miso_dmt(0, 0.5)
 
     def test_parallel(self):
-        assert parallel_channel_dmt(0.0) == 2.0
-        assert parallel_channel_dmt(1.0) == 0.0
-        assert parallel_channel_dmt(0.25) == 1.5
+        # two links each carrying rate r are in outage when both are: the
+        # 2 x 1 MISO curve, miso_dmt(2, r), as `curves --parallel` prints it
+        for r in (0.0, 0.25, 0.5, 1.0):
+            both_fail = lambda alpha: alpha.max(axis=1) <= r
+            d = exponent_grid_oracle(both_fail, 2, 0.05)
+            assert d == pytest.approx(miso_dmt(2, r), abs=2 * 0.05 + 1e-12)
+        assert miso_dmt(2, 0.25) == 1.5
 
     def test_single_relay(self):
-        assert single_relay_exponent_analytic(0.0) == 2.0
-        assert single_relay_exponent_analytic(1.0) == 0.0
-        assert single_relay_exponent_analytic(0.3) == pytest.approx(1.4)
+        # the paper's single-relay result at t = 1/2 is the 2 x 1 MISO curve
+        for r in (0.0, 0.3, 0.7, 1.0):
+            d = exponent_grid_oracle(single_relay_outage_region(r, 0.5), 3, 0.025)
+            assert d == pytest.approx(miso_dmt(2, r), abs=3 * 0.025)
+        assert miso_dmt(2, 0.3) == pytest.approx(1.4)
 
     def test_two_hop(self):
-        assert two_hop_exponent_analytic(1, 0.5) == 1.0
-        assert two_hop_exponent_analytic(4, 1.0) == 0.0
-        assert two_hop_exponent_analytic(2, 0.25) == 2.25
+        # N relays under the uniform schedule: the (N+1) x 1 MISO curve
+        assert miso_dmt(1 + 1, 0.5) == 1.0
+        assert miso_dmt(4 + 1, 1.0) == 0.0
+        assert miso_dmt(2 + 1, 0.25) == 2.25
+        for n in (1, 2, 3):
+            d = exponent_grid_oracle(crossing_links_outage_region(n, 0.4), n + 1, 0.05)
+            assert d == pytest.approx(miso_dmt(n + 1, 0.4), abs=(n + 1) * 0.05 + 1e-12)
         with pytest.raises(ValueError):
-            two_hop_exponent_analytic(0, 0.5)
+            crossing_links_outage_region(0, 0.5)
 
 
 class TestPredicates:
@@ -86,19 +93,28 @@ class TestPredicates:
                 assert (ref.highsnr_order(*row.tolist(), t) <= r) == bool(flag)
 
     def test_two_hop_cases(self):
-        assert two_hop_cut_outage_region(0.2, Cut(0b01, 2))(np.zeros((1, 5)))[0]
-        assert two_hop_cut_outage_region(1.0, Cut(0, 2))(np.ones((1, 5)))[0]
-        assert not two_hop_cut_outage_region(0.5, Cut(0b1, 1))(np.array([[0.6, 0.0, 0.6]]))[0]
+        assert two_hop_cut_outage_region(2, 0.2, 0b01)(np.zeros((1, 5)))[0]
+        assert two_hop_cut_outage_region(2, 1.0, 0)(np.ones((1, 5)))[0]
+        assert not two_hop_cut_outage_region(1, 0.5, 0b1)(np.array([[0.6, 0.0, 0.6]]))[0]
+
+    def test_rates_outside_the_unit_interval_are_rejected(self):
+        for r in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match="multiplexing gain"):
+                single_relay_outage_region(r, 0.3)
+            with pytest.raises(ValueError, match="multiplexing gain"):
+                crossing_links_outage_region(2, r)
+            with pytest.raises(ValueError, match="multiplexing gain"):
+                two_hop_cut_outage_region(2, r, 0b01)
 
     def test_two_hop_region_matches_scalar(self):
         rng = np.random.default_rng(16)
         n = 2
         alpha = rng.uniform(0, 1, size=(300, 2 * n + 1))
-        for cut in enumerate_cuts(n):
-            mask = two_hop_cut_outage_region(0.4, cut)(alpha)
+        for omega in range(1 << n):
+            mask = two_hop_cut_outage_region(n, 0.4, omega)(alpha)
             for row, flag in zip(alpha, mask):
                 a_sd, a_sr, a_rd = ref.split_row(row, n)
-                assert ref.two_hop_cut_outage(a_sd, a_sr, a_rd, 0.4, cut.omega_mask) == bool(flag)
+                assert ref.two_hop_cut_outage(a_sd, a_sr, a_rd, 0.4, omega) == bool(flag)
 
 
 class TestGridOracle:
@@ -137,9 +153,10 @@ class TestGridOracle:
             return single_relay_outage_region(0.5, 0.5)(alpha)
 
         cost = 3 * 21**2 * (21).bit_length()  # dim * L^(dim-1) * bit_length(L) at step 0.05
-        for chunk_size in (1, 17, 1 << 16):
+        for chunk in (1, 17, 1 << 16):
             rows.clear()
-            d = exponent_grid_oracle(counting, 3, 0.05, budget=cost, chunk_size=chunk_size)
+            with patch.object(dmt, "_CHUNK", chunk):
+                d = exponent_grid_oracle(counting, 3, 0.05, budget=cost)
             assert d == ref.exhaustive_grid_oracle(single_relay_outage_region(0.5, 0.5), 3, 0.05)
             assert 0 < 3 * sum(rows) <= cost
         rows.clear()
@@ -157,18 +174,19 @@ class TestGridOracle:
     def test_chunking_does_not_change_result(self):
         pred = single_relay_outage_region(0.6, 0.5)
         full = exponent_grid_oracle(pred, 3, 0.05)
-        chunked = exponent_grid_oracle(pred, 3, 0.05, chunk_size=17)
+        with patch.object(dmt, "_CHUNK", 17):
+            chunked = exponent_grid_oracle(pred, 3, 0.05)
         assert full == chunked
 
     def test_two_hop_cut_exponents(self):
         for n in (1, 2):
             for r in (0.0, 0.3, 0.7, 1.0):
-                target = two_hop_exponent_analytic(n, r)
+                target = miso_dmt(n + 1, r)
                 reduced = exponent_grid_oracle(crossing_links_outage_region(n, r), n + 1, 0.05)
                 assert reduced == pytest.approx(target, abs=(n + 1) * 0.05 + 1e-12)
-                for cut in enumerate_cuts(n):
+                for omega in range(1 << n):
                     full = exponent_grid_oracle(
-                        two_hop_cut_outage_region(r, cut), 2 * n + 1, 0.05
+                        two_hop_cut_outage_region(n, r, omega), 2 * n + 1, 0.05
                     )
                     assert full == pytest.approx(reduced, abs=1e-9)
 
@@ -197,31 +215,12 @@ class TestScheduleOptimization:
 
 
 class TestDmtCurve:
-    def test_accessors(self):
-        curve = DmtCurve(points=((0.0, 2.0), (0.5, 1.0), (1.0, 0.0)))
-        assert curve.r == (0.0, 0.5, 1.0)
-        assert curve.d == (2.0, 1.0, 0.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DmtCurve(points=((0.5, 1.0), (0.5, 0.9)))
-        with pytest.raises(ValueError):
-            DmtCurve(points=((0.0, -0.1),))
-        with pytest.raises(ValueError):
-            DmtCurve(points=((1.5, 0.0),))
-
     def test_produced_curves_are_nonincreasing(self):
         r_grid = [k / 10 for k in range(11)]
         curves = [
-            DmtCurve.from_function(r_grid, lambda r: miso_dmt(2, r)),
-            DmtCurve.from_function(r_grid, parallel_channel_dmt),
-            DmtCurve.from_function(r_grid, single_relay_exponent_analytic),
-            DmtCurve.from_function(r_grid, lambda r: two_hop_exponent_analytic(3, r)),
-            DmtCurve.from_function(
-                r_grid,
-                lambda r: exponent_grid_oracle(single_relay_outage_region(r, 0.5), 3, 0.05),
-            ),
+            [miso_dmt(2, r) for r in r_grid],
+            [miso_dmt(3 + 1, r) for r in r_grid],
+            [exponent_grid_oracle(single_relay_outage_region(r, 0.5), 3, 0.05) for r in r_grid],
         ]
-        for curve in curves:
-            d = curve.d
+        for d in curves:
             assert all(b <= a + 1e-12 for a, b in zip(d, d[1:]))

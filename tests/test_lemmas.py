@@ -86,22 +86,6 @@ class TestAvgLemma:
         with pytest.raises(ValueError):
             check_avg_lemma(1.0, [-0.5])
 
-    def test_override_with_slack_increases_margin(self):
-        s = [0.0, 1.0]
-        tight = check_avg_lemma(0.0, s)
-        slack = {mask: 5.0 for mask in range(4)}
-        assert check_avg_lemma(0.0, s, f_override=slack) > tight
-
-    def test_override_must_dominate_floor(self):
-        s = [0.0, 1.0]
-        bad = {0: 0.0, 1: 0.0, 2: 0.5, 3: 1.0}  # subset {2} needs >= 1
-        with pytest.raises(ValueError, match="pointwise lower bound"):
-            check_avg_lemma(0.0, s, f_override=bad)
-
-    def test_override_must_be_complete(self):
-        with pytest.raises(ValueError, match="every subset"):
-            check_avg_lemma(0.0, [1.0], f_override={0: 1.0})
-
     @given(values, st.lists(values, min_size=1, max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_never_violates(self, a, s):

@@ -91,6 +91,8 @@ class TestRunConfigValidation:
             dict(snr_db_grid=(math.nan,)),
             dict(snr_db_grid=(math.inf,)),
             dict(snr_db_grid=(10.0, math.nan)),
+            dict(snr_db_grid=(-4000.0,)),  # linear SNR underflows to 0
+            dict(snr_db_grid=(10.0, 4000.0)),  # and overflows to inf
             dict(r=math.nan),
         ):
             with pytest.raises(ValueError):

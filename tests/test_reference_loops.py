@@ -8,18 +8,18 @@ every down-set.
 """
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_loops as ref
+from hdrelay import dmt
 from hdrelay.cutset import (
-    Cut,
     TwoHopSchedule,
     cut_average_array,
     cut_flow_array,
-    enumerate_cuts,
     link_capacities,
     single_relay_order_array,
     two_hop_bound_array,
@@ -101,7 +101,7 @@ def test_two_hop_cut_predicate_equals_loop_reference(n, data):
     a_rd = data.draw(st.lists(grid, min_size=n, max_size=n))
     omega = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
     r = data.draw(grid)
-    inside = two_hop_cut_outage_region(r, Cut(omega, n))(np.array([[a_sd, *a_sr, *a_rd]]))[0]
+    inside = two_hop_cut_outage_region(n, r, omega)(np.array([[a_sd, *a_sr, *a_rd]]))[0]
     assert inside == ref.two_hop_cut_outage(a_sd, a_sr, a_rd, r, omega)
 
 
@@ -118,30 +118,33 @@ def test_batched_cut_avg_suite_equals_per_instance_reference():
 
 
 # prefixes per chunk: one, a count that splits the grid unevenly, the default
-chunkings = st.sampled_from([{"chunk_size": 1}, {"chunk_size": 17}, {}])
+chunks = st.sampled_from([1, 17, dmt._CHUNK])
 unit = st.floats(min_value=0.0, max_value=1.0)
 
 
-@given(unit, unit, st.sampled_from([0.25, 0.1, 0.05, 0.025]), chunkings)
+@given(unit, unit, st.sampled_from([0.25, 0.1, 0.05, 0.025]), chunks)
 @settings(max_examples=60, deadline=None)
-def test_staircase_oracle_equals_exhaustive_single_relay(r, t, step, chunking):
+def test_staircase_oracle_equals_exhaustive_single_relay(r, t, step, chunk):
     region = single_relay_outage_region(r, t)
-    assert exponent_grid_oracle(region, 3, step, **chunking) == ref.exhaustive_grid_oracle(region, 3, step)
+    with patch.object(dmt, "_CHUNK", chunk):
+        assert exponent_grid_oracle(region, 3, step) == ref.exhaustive_grid_oracle(region, 3, step)
 
 
-@given(st.integers(min_value=1, max_value=3), unit, st.sampled_from([0.25, 0.1]), chunkings)
+@given(st.integers(min_value=1, max_value=3), unit, st.sampled_from([0.25, 0.1]), chunks)
 @settings(max_examples=40, deadline=None)
-def test_staircase_oracle_equals_exhaustive_two_hop(n, r, step, chunking):
+def test_staircase_oracle_equals_exhaustive_two_hop(n, r, step, chunk):
     crossing = crossing_links_outage_region(n, r)
     expected = ref.exhaustive_grid_oracle(crossing, n + 1, step)
-    assert exponent_grid_oracle(crossing, n + 1, step, **chunking) == expected
+    with patch.object(dmt, "_CHUNK", chunk):
+        assert exponent_grid_oracle(crossing, n + 1, step) == expected
     if n <= 2:
         # the full 2N+1 coordinates cost L^(2N) prefixes, so N=2 keeps the coarse grid
         full_step = step if n == 1 else 0.25
-        for cut in enumerate_cuts(n):
-            region = two_hop_cut_outage_region(r, cut)
+        for omega in range(1 << n):
+            region = two_hop_cut_outage_region(n, r, omega)
             expected = ref.exhaustive_grid_oracle(region, 2 * n + 1, full_step)
-            assert exponent_grid_oracle(region, 2 * n + 1, full_step, **chunking) == expected
+            with patch.object(dmt, "_CHUNK", chunk):
+                assert exponent_grid_oracle(region, 2 * n + 1, full_step) == expected
 
 
 @st.composite
@@ -154,16 +157,17 @@ def box_unions(draw):
     return dim, np.array(corners, dtype=np.float64).reshape(len(corners), dim)
 
 
-@given(box_unions(), st.sampled_from([0.25, 0.1, 0.05]), chunkings)
-@example((3, np.empty((0, 3))), 0.1, {})  # empty: no outage at all
-@example((4, np.full((1, 4), 1.0)), 0.25, {"chunk_size": 17})  # full: the whole cube
+@given(box_unions(), st.sampled_from([0.25, 0.1, 0.05]), chunks)
+@example((3, np.empty((0, 3))), 0.1, dmt._CHUNK)  # empty: no outage at all
+@example((4, np.full((1, 4), 1.0)), 0.25, 17)  # full: the whole cube
 @settings(max_examples=80, deadline=None)
-def test_staircase_oracle_equals_exhaustive_on_box_unions(dim_corners, step, chunking):
+def test_staircase_oracle_equals_exhaustive_on_box_unions(dim_corners, step, chunk):
     dim, corners = dim_corners
     if dim == 4:
-        step = max(step, 0.1)  # keeps the chunk_size=1 runs short
+        step = max(step, 0.1)  # keeps the one-prefix-chunk runs short
 
     def region(alpha):
         return np.any(np.all(alpha[:, None, :] <= corners[None, :, :], axis=2), axis=1)
 
-    assert exponent_grid_oracle(region, dim, step, **chunking) == ref.exhaustive_grid_oracle(region, dim, step)
+    with patch.object(dmt, "_CHUNK", chunk):
+        assert exponent_grid_oracle(region, dim, step) == ref.exhaustive_grid_oracle(region, dim, step)

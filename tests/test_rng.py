@@ -4,6 +4,7 @@ honor the (seed, stream_index) determinism contract."""
 import numpy as np
 import pytest
 
+from hdrelay.channel import sample_gain_arrays
 from hdrelay.rng import GENERATOR_NAME, exponentials_for_streams, philox4x64_block
 from hdrelay.rng import uniforms_for_streams
 
@@ -76,6 +77,17 @@ def test_distinct_streams_and_seeds_differ():
     c = _stream(2, 0, 8)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_seeds_outside_64_bits_are_rejected_not_aliased():
+    # reduced mod 2**64, -1 would replay seed 2**64 - 1 and 2**64 seed 0
+    idx = np.array([1], dtype=np.uint64)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            uniforms_for_streams(seed, idx, 3)
+        with pytest.raises(ValueError, match="seed must lie"):
+            sample_gain_arrays(1, seed, idx)
+    assert not np.array_equal(_stream(0, 1, 3), _stream(2**64 - 1, 1, 3))
 
 
 def test_exponentials_match_inverse_cdf_of_uniforms():
