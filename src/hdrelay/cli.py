@@ -18,7 +18,7 @@ import math
 import os
 import shlex
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Sequence
@@ -45,20 +45,14 @@ from .rng import GENERATOR_NAME
 
 WORKERS_ENV = "HDRELAY_WORKERS"
 
-OUTAGE_COLUMNS = [
-    "snr_db",
-    "snr_linear",
-    "rate_bits",
-    "trials",
-    "outage_count",
-    "p_hat",
-    "ci_low",
-    "ci_high",
-]
+MAX_GRID_POINTS = 10_001  # of one start:stop:step grid
+
+OUTAGE_COLUMNS = [f.name for f in fields(OutageRow)]
 
 
-class UsageError(Exception):
-    """Invalid flag values or inconsistent options."""
+class UsageError(ValueError):
+    """Invalid flag values or inconsistent options; `run` exits 2 on any
+    ValueError, and this subclass marks the ones the CLI itself raises."""
 
 
 def parse_grid(text: str) -> list[float]:
@@ -70,12 +64,16 @@ def parse_grid(text: str) -> list[float]:
             if len(parts) != 3:
                 raise ValueError("expected start:stop:step")
             start, stop, step = (float(p) for p in parts)
+            if not all(map(math.isfinite, (start, stop, step))):
+                raise ValueError("start, stop and step must be finite")
             if step <= 0:
                 raise ValueError("step must be > 0")
             if stop < start:
                 raise ValueError("stop must be >= start")
-            count = int(math.floor((stop - start) / step + 0.5))
-            return [round(start + k * step, 12) for k in range(count + 1)]
+            last = (stop - start) / step + 0.5  # may overflow to inf
+            if last >= MAX_GRID_POINTS:
+                raise ValueError(f"more than {MAX_GRID_POINTS} points")
+            return [round(start + k * step, 12) for k in range(math.floor(last) + 1)]
         if "," in text:
             return [float(p) for p in text.split(",")]
         return [float(text)]
@@ -175,17 +173,13 @@ def _base_metadata(argv: Sequence[str]) -> dict[str, Any]:
 
 def _resolve_workers(flag: int | None) -> int:
     if flag is not None:
-        workers = flag
-    elif os.environ.get(WORKERS_ENV):
+        return flag
+    if os.environ.get(WORKERS_ENV):
         try:
-            workers = int(os.environ[WORKERS_ENV])
+            return int(os.environ[WORKERS_ENV])
         except ValueError as exc:
             raise UsageError(f"bad {WORKERS_ENV} value {os.environ[WORKERS_ENV]!r}") from exc
-    else:
-        workers = os.cpu_count() or 1
-    if workers < 1:
-        raise UsageError(f"workers must be >= 1, got {workers}")
-    return workers
+    return os.cpu_count() or 1
 
 
 def _mode_flag(args: argparse.Namespace, name: str, default: Any, applies: bool, mode: str) -> Any:
@@ -199,37 +193,20 @@ def _mode_flag(args: argparse.Namespace, name: str, default: Any, applies: bool,
     return value
 
 
-def _usage_wrap(fn, *args, **kwargs):
-    """Constructor calls whose ValueErrors are flag problems, not crashes."""
-    try:
-        return fn(*args, **kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _cmd_exponent(args: argparse.Namespace) -> int:
     r_values = parse_grid(args.r_grid)
-    if args.relays < 1:
-        raise UsageError(f"--relays must be >= 1, got {args.relays}")
     t = _mode_flag(args, "t", 0.5, args.relays == 1, "relays")
     step = args.oracle_step if args.oracle_step is not None else (0.005 if args.relays == 1 else 0.05)
     rows = []
     for r in r_values:
         if args.relays == 1:
-            region = _usage_wrap(single_relay_outage_region, r, t)
-            d_oracle = _usage_wrap(
-                exponent_grid_oracle, region, 3, step, args.budget
-            )
+            d_oracle = exponent_grid_oracle(single_relay_outage_region(r, t), 3, step, args.budget)
             d_analytic = miso_dmt(2, r) if t == 0.5 else None
         else:
             # every cut constrains its own N+1 crossing links the same way,
             # so the per-cut minimum equals the one reduced search
-            d_oracle = _usage_wrap(
-                exponent_grid_oracle,
-                _usage_wrap(crossing_links_outage_region, args.relays, r),
-                args.relays + 1,
-                step,
-                args.budget,
+            d_oracle = exponent_grid_oracle(
+                crossing_links_outage_region(args.relays, r), args.relays + 1, step, args.budget
             )
             d_analytic = miso_dmt(args.relays + 1, r)
         rows.append(
@@ -256,17 +233,16 @@ def _cmd_outage(args: argparse.Namespace) -> int:
     if single:
         if args.relays != 1:
             raise UsageError("--model single-relay-ub requires --relays 1")
-        schedule: SingleRelaySchedule | TwoHopSchedule = _usage_wrap(SingleRelaySchedule, t)
+        schedule: SingleRelaySchedule | TwoHopSchedule = SingleRelaySchedule(t)
     elif weights is not None:
         try:
             parsed = tuple(float(w) for w in weights.split(","))
         except ValueError as exc:
             raise UsageError(f"bad --weights {weights!r}: {exc}") from exc
-        schedule = _usage_wrap(TwoHopSchedule, args.relays, parsed)
+        schedule = TwoHopSchedule(args.relays, parsed)
     else:
-        schedule = _usage_wrap(TwoHopSchedule.uniform, args.relays)
-    cfg = _usage_wrap(
-        RunConfig,
+        schedule = TwoHopSchedule.uniform(args.relays)
+    cfg = RunConfig(
         schedule=schedule,
         r=args.r,
         snr_db_grid=tuple(parse_grid(args.snr_db)),
@@ -313,18 +289,10 @@ def _read_table(path: str) -> OutageTable:
     rows = []
     try:
         for raw in raw_rows:
-            rows.append(
-                OutageRow(
-                    snr_db=float(raw["snr_db"]),
-                    snr_linear=float(raw["snr_linear"]),
-                    rate_bits=float(raw["rate_bits"]),
-                    trials=int(raw["trials"]),
-                    outage_count=int(raw["outage_count"]),
-                    p_hat=float(raw["p_hat"]),
-                    ci_low=float(raw["ci_low"]),
-                    ci_high=float(raw["ci_high"]),
-                )
-            )
+            rows.append(OutageRow(**{
+                col: (int if col in ("trials", "outage_count") else float)(raw[col])
+                for col in OUTAGE_COLUMNS
+            }))
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{path!r} is not an outage table: {exc}") from exc
     return OutageTable(rows=tuple(rows), metadata=metadata)
@@ -332,12 +300,7 @@ def _read_table(path: str) -> OutageTable:
 
 def _cmd_slope(args: argparse.Namespace) -> int:
     table = _read_table(args.input)
-    if args.min_count < 1:
-        raise UsageError(f"--min-count must be >= 1, got {args.min_count}")
-    try:
-        slope, stderr = estimate_diversity_slope(table, min_count=args.min_count)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    slope, stderr = estimate_diversity_slope(table, min_count=args.min_count)
     used = sum(1 for row in table.rows if row.outage_count >= args.min_count)
     metadata = _base_metadata(args.argv)
     metadata.update({"input": args.input, "min_count": args.min_count})
@@ -352,9 +315,7 @@ def _cmd_schedule_opt(args: argparse.Namespace) -> int:
     r_values = parse_grid(args.r_grid)
     rows = []
     for r in r_values:
-        t_star, d_star = _usage_wrap(
-            optimize_schedule_single, r, args.t_step, args.oracle_step, args.budget
-        )
+        t_star, d_star = optimize_schedule_single(r, args.t_step, args.oracle_step, args.budget)
         rows.append({"r": r, "t_star": t_star, "d_star": d_star})
     metadata = _base_metadata(args.argv)
     metadata.update({"t_step": args.t_step, "oracle_step": args.oracle_step})
@@ -374,7 +335,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
         if args.two_hop < 1:
             raise UsageError(f"n_relays must be >= 1, got {args.two_hop}")
         label, m = f"two-hop-{args.two_hop}-relays", args.two_hop + 1
-    rows = [{"r": r, "d": _usage_wrap(miso_dmt, m, r)} for r in r_values]
+    rows = [{"r": r, "d": miso_dmt(m, r)} for r in r_values]
     if any(b <= a for a, b in zip(r_values, r_values[1:])):
         raise UsageError("multiplexing gains must be strictly increasing")
     metadata = _base_metadata(args.argv)
@@ -385,8 +346,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     cut_avg = args.kind == CheckKind.CUT_AVG.value
-    report = _usage_wrap(
-        run_randomized_suite,
+    report = run_randomized_suite(
         CheckKind(args.kind),
         args.instances,
         args.seed,
@@ -395,17 +355,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
     metadata = _base_metadata(args.argv)
     metadata.update({"seed": args.seed, "generator": GENERATOR_NAME})
-    rows = [
-        {
-            "kind": report.kind.value,
-            "instances": report.instances,
-            "violations": report.violations,
-            "worst_margin": report.worst_margin,
-            "seed": report.seed,
-        }
-    ]
-    columns = ["kind", "instances", "violations", "worst_margin", "seed"]
-    emit(columns, rows, metadata, args.format, args.output)
+    row = {**asdict(report), "kind": report.kind.value}
+    emit(list(row), [row], metadata, args.format, args.output)
     if report.violations > 0:
         print(f"verification failed: {report.violations} violations", file=sys.stderr)
         return 3
@@ -509,7 +460,7 @@ def run(argv: list[str]) -> int:
     args.argv = list(argv)
     try:
         return args.handler(args)
-    except UsageError as exc:
+    except ValueError as exc:  # every input check raises one
         print(f"hdrelay: error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - boundary of the process

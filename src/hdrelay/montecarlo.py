@@ -88,10 +88,13 @@ class OutageRow:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.snr_linear) and self.snr_linear > 0):
             raise ValueError(f"snr_linear must be finite and > 0, got {self.snr_linear!r}")
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.outage_count <= self.trials:
             raise ValueError("outage_count must lie in [0, trials]")
-        if not 0.0 <= self.p_hat <= 1.0:
-            raise ValueError("p_hat must lie in [0, 1]")
+        # exact: writers compute it so, and repr round-trips through CSV and JSON
+        if self.p_hat != self.outage_count / self.trials:
+            raise ValueError(f"p_hat must equal outage_count / trials, got {self.p_hat!r}")
         if not self.ci_low <= self.p_hat <= self.ci_high:
             raise ValueError("confidence interval must bracket p_hat")
 

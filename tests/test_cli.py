@@ -8,7 +8,16 @@ from dataclasses import asdict
 
 import pytest
 
-from hdrelay.cli import OUTAGE_COLUMNS, UsageError, emit, parse_count, parse_grid, render, run
+from hdrelay.cli import (
+    MAX_GRID_POINTS,
+    OUTAGE_COLUMNS,
+    UsageError,
+    emit,
+    parse_count,
+    parse_grid,
+    render,
+    run,
+)
 from hdrelay.lemmas import CheckKind, VerificationReport
 from hdrelay.montecarlo import OutageRow, OutageTable
 
@@ -38,6 +47,22 @@ class TestGridParsing:
         for text in ("0:1", "1:0:0.1", "0:1:0", "0:1:-1", "a:b:c", "zzz"):
             with pytest.raises(UsageError):
                 parse_grid(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("0:inf:1", "must be finite"),
+        ("nan:1:0.1", "must be finite"),
+        ("0:1:inf", "must be finite"),
+        ("0:1:1e-12", f"more than {MAX_GRID_POINTS} points"),
+        ("-1e308:1e308:1", f"more than {MAX_GRID_POINTS} points"),  # stop - start overflows
+    ])
+    def test_non_finite_or_oversized_ranges(self, text, message):
+        # rejected before any list is built
+        with pytest.raises(UsageError, match=message):
+            parse_grid(text)
+
+    def test_largest_range(self):
+        grid = parse_grid("0:1:0.0001")
+        assert len(grid) == MAX_GRID_POINTS and grid[-1] == 1.0
 
     def test_counts(self):
         assert parse_count("1e6") == 1_000_000
@@ -372,6 +397,16 @@ class TestExitCodesAndSafety:
         assert captured.out == ""
         assert expected in captured.err
 
+    def test_p_hat_that_contradicts_the_counts_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "table.csv"
+        path.write_text(",".join(OUTAGE_COLUMNS) + "\n"
+                        "10.0,10.0,1.0,100,50,0.0,0.0,1.0\n"
+                        "20.0,100.0,1.0,100,10,0.1,0.0,1.0\n", encoding="utf-8")
+        assert run(["slope", "--input", str(path), "--min-count", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "p_hat must equal outage_count / trials, got 0.0" in captured.err
+
     def test_malformed_inputs_are_usage_errors(self, tmp_path, capsys):
         bad_json = tmp_path / "bad.json"
         bad_json.write_text("{bad", encoding="utf-8")
@@ -438,6 +473,41 @@ class TestExitCodesAndSafety:
             assert run(argv + ["--output", str(missing)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("hdrelay: error: cannot write") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        "curves --miso 2 --r-grid 0:inf:1",
+        "exponent --r-grid 0:1:1e-12",
+    ])
+    def test_bad_ranges_are_usage_errors(self, argv, capsys):
+        assert run(argv.split()) == 2
+        assert capsys.readouterr().err.startswith("hdrelay: error: bad grid")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("exponent --relays 0 --r-grid 0.5", "n_relays must be >= 1, got 0"),
+            ("slope --min-count 0", "min_count must be >= 1, got 0"),
+            ("outage --r 0.5 --snr-db 10 --trials 10 --seed 1 --workers 0", "workers must be >= 1, got 0"),
+        ],
+        ids=["relays-0", "min-count-0", "workers-0"],
+    )
+    def test_library_checks_are_usage_errors(self, argv, message, tmp_path, capsys):
+        table = tmp_path / "t.csv"
+        assert run(["outage", "--r", "0.5", "--snr-db", "10:20:10", "--trials", "100",
+                    "--seed", "1", "--output", str(table)]) == 0
+        words = argv.split() + (["--input", str(table)] if argv.startswith("slope") else [])
+        assert run(words) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"hdrelay: error: {message}\n"
+
+    def test_any_value_error_is_usage_error(self, capsys, monkeypatch):
+        def reject(*args, **kwargs):
+            raise ValueError("x")
+
+        monkeypatch.setattr("hdrelay.cli.estimate_outage", reject)
+        assert run(["outage", "--r", "0.5", "--snr-db", "10", "--trials", "10", "--seed", "1"]) == 2
+        assert capsys.readouterr().err == "hdrelay: error: x\n"
 
     def test_runtime_error_exit_code(self, capsys, monkeypatch):
         def crash(*args, **kwargs):

@@ -256,6 +256,19 @@ class TestOutageRowValidation:
         with pytest.raises(ValueError):
             OutageRow(10.0, 10.0, 1.0, 100, -1, 0.0, 0.0, 0.1)
 
+    @pytest.mark.parametrize(
+        "trials, count, p_hat, message",
+        [
+            (100, 50, 0.0, "p_hat must equal outage_count / trials"),
+            (100, 50, 0.5000000000000001, "p_hat must equal outage_count / trials"),
+            (100, 50, math.nan, "p_hat must equal outage_count / trials"),
+            (0, 0, 0.0, "trials must be >= 1"),
+        ],
+    )
+    def test_p_hat_is_the_count_ratio(self, trials, count, p_hat, message):
+        with pytest.raises(ValueError, match=message):
+            OutageRow(10.0, 10.0, 1.0, trials, count, p_hat, 0.0, 1.0)
+
 
 class TestConfidenceInterval:
     def test_boundary_cases(self):
@@ -298,6 +311,7 @@ def _synthetic_table(ps, trials=10**6, snrs=(10.0, 100.0, 1000.0)):
     rows = []
     for snr, p in zip(snrs, ps):
         count = int(round(p * trials))
+        p_hat = count / trials  # OutageRow rejects any other value
         rows.append(
             OutageRow(
                 snr_db=10 * math.log10(snr),
@@ -305,9 +319,9 @@ def _synthetic_table(ps, trials=10**6, snrs=(10.0, 100.0, 1000.0)):
                 rate_bits=1.0,
                 trials=trials,
                 outage_count=count,
-                p_hat=p,
-                ci_low=p,
-                ci_high=p,
+                p_hat=p_hat,
+                ci_low=p_hat,
+                ci_high=p_hat,
             )
         )
     return OutageTable(rows=tuple(rows))
