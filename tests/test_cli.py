@@ -48,13 +48,16 @@ class TestGridParsing:
             with pytest.raises(UsageError):
                 parse_grid(text)
 
-    @pytest.mark.parametrize("text, message", [
-        ("0:inf:1", "must be finite"),
-        ("nan:1:0.1", "must be finite"),
-        ("0:1:inf", "must be finite"),
-        ("0:1:1e-12", f"more than {MAX_GRID_POINTS} points"),
-        ("-1e308:1e308:1", f"more than {MAX_GRID_POINTS} points"),  # stop - start overflows
-    ])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0:inf:1", "must be finite"),
+            ("nan:1:0.1", "must be finite"),
+            ("0:1:inf", "must be finite"),
+            ("0:1:1e-12", f"more than {MAX_GRID_POINTS} points"),
+            ("-1e308:1e308:1", f"more than {MAX_GRID_POINTS} points"),  # stop - start overflows
+        ],
+    )
     def test_non_finite_or_oversized_ranges(self, text, message):
         # rejected before any list is built
         with pytest.raises(UsageError, match=message):
@@ -474,10 +477,7 @@ class TestExitCodesAndSafety:
             err = capsys.readouterr().err
             assert err.startswith("hdrelay: error: cannot write") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("argv", [
-        "curves --miso 2 --r-grid 0:inf:1",
-        "exponent --r-grid 0:1:1e-12",
-    ])
+    @pytest.mark.parametrize("argv", ["curves --miso 2 --r-grid 0:inf:1", "exponent --r-grid 0:1:1e-12"])
     def test_bad_ranges_are_usage_errors(self, argv, capsys):
         assert run(argv.split()) == 2
         assert capsys.readouterr().err.startswith("hdrelay: error: bad grid")
