@@ -26,9 +26,9 @@ from .dmt import (
 from .lemmas import (
     CheckKind,
     VerificationReport,
-    check_avg_lemma,
-    check_tchebychef,
+    avg_lemma_margin_array,
     run_randomized_suite,
+    tchebychef_margin_array,
 )
 from .montecarlo import (
     OutageRow,
@@ -63,8 +63,8 @@ __all__ = [
     "two_hop_cut_outage_region",
     "CheckKind",
     "VerificationReport",
-    "check_avg_lemma",
-    "check_tchebychef",
+    "avg_lemma_margin_array",
+    "tchebychef_margin_array",
     "run_randomized_suite",
     "OutageRow",
     "OutageTable",

@@ -11,21 +11,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rng import exponentials_for_streams
+from . import rng
+
+
+def gains_from_uniforms(u: np.ndarray, n_relays: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(g_sd, g_sr, g_rd) of shapes (T,), (T, N), (T, N) from (T, 2N+1) uniforms.
+
+    Columns are consumed in the fixed order g_sd, g_sr[0..N-1], g_rd[0..N-1]
+    (relay i's source-relay and relay-destination gains), each through the
+    inverse-CDF transform -ln(1 - u), so a zero uniform maps to gain 0.
+    """
+    g = -np.log1p(-u)
+    return g[:, 0], g[:, 1 : 1 + n_relays], g[:, 1 + n_relays :]
 
 
 def sample_gain_arrays(
     n_relays: int, seed: int, stream_indices: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized realizations for a batch of stream indices.
-
-    Returns (g_sd, g_sr, g_rd) with shapes (T,), (T, N), (T, N): g_sd is
-    the source-destination gain, g_sr[:, i] and g_rd[:, i] the source-relay
-    and relay-destination gains of relay i.  Uniforms of each stream are
-    consumed in the fixed order g_sd, g_sr[0..N-1], g_rd[0..N-1], so a row
-    is a pure function of (seed, stream_index).
-    """
+    """`gains_from_uniforms` of the first 2N+1 uniforms of each stream index,
+    so a row is a pure function of (seed, stream_index)."""
     if n_relays < 0:
         raise ValueError(f"n_relays must be >= 0, got {n_relays}")
-    g = exponentials_for_streams(seed, stream_indices, 2 * n_relays + 1)
-    return g[:, 0], g[:, 1 : 1 + n_relays], g[:, 1 + n_relays :]
+    u = rng.uniforms_for_streams(seed, stream_indices, 2 * n_relays + 1)
+    return gains_from_uniforms(u, n_relays)

@@ -421,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-grid", default="0:1:0.1", help="multiplexing gains, start:stop:step")
     p.add_argument("--t-step", type=float, default=0.05, help="listen-fraction grid step")
     p.add_argument("--oracle-step", type=float, default=0.005, help="grid step of the exponent oracle")
-    p.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET, help="oracle evaluation budget")
+    p.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET, help="evaluation budget of one r's t sweep")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_schedule_opt)
 

@@ -108,9 +108,28 @@ def crossing_links_outage_region(n_relays: int, r: float) -> RegionPredicate:
     return predicate
 
 
+def _grid_levels(step: float, name: str = "step") -> int:
+    """Number of points of the grid {0, step, 2*step, ...} capped at 1."""
+    if not 0.0 < step <= 0.25:
+        raise ValueError(f"{name} must lie in (0, 0.25], got {step!r}")
+    return int(math.floor(1.0 / step + 1e-9)) + 1
+
+
+def _check_budget(calls: int, dim: int, levels: int, budget: int) -> None:
+    """Raise unless `calls` searches of dim * L^(dim-1) * bit_length(L) evaluations
+    fit the budget; a cost over it by a factor e or more is decided on logs, never formed."""
+    probes = levels.bit_length()
+    terms = (f"{calls} * " if calls > 1 else "") + f"{dim} * {levels}^{dim - 1} * bit_length({levels})"
+    if math.log(calls * dim * probes) + (dim - 1) * math.log(levels) > math.log(max(budget, 1)) + 1:
+        raise ValueError(f"budget exceeded: {terms} evaluations > {budget}")
+    cost = calls * dim * levels ** (dim - 1) * probes
+    if cost > budget:
+        raise ValueError(f"budget exceeded: {terms} = {cost} evaluations > {budget}")
+
+
 def _unit_grid(step: float) -> np.ndarray:
     """Grid {0, step, 2*step, ...} capped at 1, endpoint-exact when possible."""
-    levels = int(math.floor(1.0 / step + 1e-9)) + 1
+    levels = _grid_levels(step)
     if abs((levels - 1) * step - 1.0) < 1e-9:
         return np.linspace(0.0, 1.0, levels)
     return np.arange(levels) * step
@@ -143,18 +162,10 @@ def exponent_grid_oracle(
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    if not 0.0 < step <= 0.25:
-        raise ValueError(f"step must lie in (0, 0.25], got {step!r}")
+    levels = _grid_levels(step)
+    _check_budget(1, dim, levels, budget)
     coords = _unit_grid(step)
-    levels = len(coords)
-    probes = levels.bit_length()
     prefixes = levels ** (dim - 1)
-    cost = dim * prefixes * probes
-    if cost > budget:
-        raise ValueError(
-            f"budget exceeded: {dim} * {levels}^{dim - 1} * bit_length({levels}) "
-            f"= {cost} evaluations > {budget}"
-        )
     strides = [levels ** (dim - 2 - k) for k in range(dim - 1)]
     best_sum = -math.inf
     for start in range(0, prefixes, _CHUNK):
@@ -165,7 +176,7 @@ def exponent_grid_oracle(
         # last-coordinate levels <= lo are in outage, levels >= hi are not
         lo = np.full(idx.shape[0], -1, dtype=np.int64)
         hi = np.full(idx.shape[0], levels, dtype=np.int64)
-        for _ in range(probes):
+        for _ in range(levels.bit_length()):
             live = np.flatnonzero(hi - lo > 1)
             mid = (lo[live] + hi[live]) // 2
             probe = rows[live]
@@ -191,13 +202,12 @@ def optimize_schedule_single(
 ) -> tuple[float, float]:
     """Best listen fraction on the grid {0, t_step, ..., 1} by oracle exponent.
 
-    Evaluates the grid oracle of the single-relay outage region at every t
-    and returns (t_star, d_star).  Exponent ties (within 1e-9) are broken
-    toward the t closest to 0.5, then toward the smaller t.
+    Evaluates the grid oracle of the single-relay outage region at every t,
+    all of them within `budget`, and returns (t_star, d_star).  Exponent ties
+    (within 1e-9) are broken toward the t closest to 0.5, then toward the smaller t.
     """
     _check_r(r)
-    if not 0.0 < t_step <= 0.25:
-        raise ValueError(f"t_step must lie in (0, 0.25], got {t_step!r}")
+    _check_budget(_grid_levels(t_step, "t_step"), 3, _grid_levels(oracle_step), budget)
     t_grid = _unit_grid(t_step)
     exponents = [
         exponent_grid_oracle(single_relay_outage_region(r, float(t)), 3, oracle_step, budget)

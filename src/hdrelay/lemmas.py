@@ -1,7 +1,7 @@
 """Falsification harnesses for the inequalities behind the multi-relay bound.
 
-Three checks, each returning its margin LHS - RHS (nonnegative when the
-inequality holds):
+Three checks, each an array kernel returning per-row margins LHS - RHS
+(nonnegative when the inequality holds):
 
 * the product-mean inequality for similarly ordered sequences,
   mean(a*b) >= mean(a) * mean(b);
@@ -23,17 +23,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
+from .channel import gains_from_uniforms
 from .cutset import TwoHopSchedule, cut_average_array, cut_flow_array, link_capacities
-from .rng import check_seed, uniforms_for_streams, unit_exponentials
+from .rng import check_seed, uniforms_for_streams
 
 SIGN_TOL = 1e-12  # floating tolerance for margin >= 0 assertions
 
 MAX_SUBSET_LEN = 16
 MAX_CUT_RELAYS = 10
+
+# instances per suite block and table entries per avg-lemma pass; a memory bound only
+_BLOCK = 1 << 16
 
 
 class CheckKind(str, Enum):
@@ -51,51 +54,53 @@ class VerificationReport:
     seed: int
 
 
-def check_tchebychef(a: Sequence[float], b: Sequence[float]) -> float:
-    """Margin mean(a*b) - mean(a)*mean(b) for similarly ordered sequences.
+def tchebychef_margin_array(a, b) -> np.ndarray:
+    """Margins mean(a*b) - mean(a)*mean(b) of similarly ordered (T, n) rows.
 
-    Sequences are similarly ordered when (a_u - a_v)*(b_u - b_v) >= 0 for
-    every pair; anything else is rejected because the inequality can fail.
+    Rows are similarly ordered when (a_u - a_v)*(b_u - b_v) >= 0 for every
+    pair; anything else is rejected because the inequality can fail.
     """
-    a_arr = np.asarray(a, dtype=np.float64)
-    b_arr = np.asarray(b, dtype=np.float64)
-    if a_arr.ndim != 1 or b_arr.ndim != 1 or a_arr.shape != b_arr.shape:
-        raise ValueError("a and b must be one-dimensional sequences of equal length")
-    if a_arr.size < 1:
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ValueError("a and b must be (T, n) arrays of equal shape")
+    if a.shape[1] < 1:
         raise ValueError("sequences must have length >= 1")
-    da = a_arr[:, None] - a_arr[None, :]
-    db = b_arr[:, None] - b_arr[None, :]
+    da = a[:, :, None] - a[:, None, :]
+    db = b[:, :, None] - b[:, None, :]
     if np.any(da * db < 0):
         raise ValueError("not similarly ordered")
-    return float((a_arr * b_arr).mean() - a_arr.mean() * b_arr.mean())
+    return (a * b).mean(axis=1) - a.mean(axis=1) * b.mean(axis=1)
 
 
-def _subset_maxima(s: Sequence[float]) -> list[float]:
-    """max of s over each subset bitmask, -inf for the empty subset."""
-    n = len(s)
-    out = [-math.inf] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        out[mask] = max(out[mask ^ low], s[low.bit_length() - 1])
-    return out
+def avg_lemma_margin_array(a, s) -> np.ndarray:
+    """Margins of the subset-average inequality at its tight instantiation,
+    f(V) = max(a, max_{i in V} s_i), for a of shape (T,) and s of shape (T, n).
 
-
-def check_avg_lemma(a: float, s: Sequence[float]) -> float:
-    """Margin of the subset-average inequality at its tight instantiation,
-    f(V) = max(a, max_{i in V} s_i) with f(empty) = a."""
-    s = [float(v) for v in s]
-    n = len(s)
+    f is tabulated by doubling, f[mask | 2^k] = max(f[mask], s_k) with f[0] = a,
+    for `_BLOCK >> n` rows (at least one) per pass, and summed in mask order.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64)
+    if a.ndim != 1 or s.ndim != 2 or s.shape[0] != a.shape[0]:
+        raise ValueError("a must have shape (T,) and s shape (T, n)")
+    n = s.shape[1]
     if n > MAX_SUBSET_LEN:
         raise ValueError(f"at most {MAX_SUBSET_LEN} elements supported, got {n}")
-    if a < 0 or any(v < 0 for v in s):
+    if np.any(a < 0) or np.any(s < 0):
         raise ValueError("a and all s_i must be >= 0")
-    maxima = _subset_maxima(s)
-    total = 0.0
-    for mask in range(1 << n):
-        total += max(a, maxima[mask])
-    lhs = total / (1 << n)
-    rhs = (a + math.fsum(s)) / (n + 1)
-    return lhs - rhs
+    total = np.empty(a.shape[0], dtype=np.float64)
+    rows_per_pass = max(1, _BLOCK >> n)
+    for start in range(0, a.shape[0], rows_per_pass):
+        rows = slice(start, start + rows_per_pass)
+        f = np.empty((a[rows].shape[0], 1 << n), dtype=np.float64)
+        f[:, 0] = a[rows]
+        for k in range(n):
+            np.maximum(f[:, : 1 << k], s[rows, k : k + 1], out=f[:, 1 << k : 2 << k])
+        # a sequential sum in mask order
+        total[rows] = np.add.accumulate(f, axis=1, out=f)[:, -1]
+    rhs = (a + np.array([math.fsum(row) for row in s.tolist()])) / (n + 1)
+    return total / (1 << n) - rhs
 
 
 def _cut_avg_margins(n_sd, n_sr, n_rd, omega_mask: int) -> np.ndarray:
@@ -108,37 +113,36 @@ def _cut_avg_margins(n_sd, n_sr, n_rd, omega_mask: int) -> np.ndarray:
     return flow - cut_average_array(n_sd, n_sr, n_rd, omega_mask)
 
 
-def _tchebychef_instance(u: np.ndarray, max_len: int) -> float:
-    n = 1 + int(u[0] * max_len)
-    a = np.sort(10.0 * u[1 : 1 + n])
-    b = np.sort(10.0 * u[1 + max_len : 1 + max_len + n])
-    return check_tchebychef(a, b)
+def suite_margins(kind: CheckKind, uniforms: np.ndarray, max_len: int, max_relays: int) -> np.ndarray:
+    """Margins of the `kind` instances drawn from rows of `uniforms`.
 
-
-def _avg_lemma_instance(u: np.ndarray, max_len: int) -> float:
-    n = 1 + int(u[0] * max_len)
-    a = 10.0 * u[1]
-    s = 10.0 * u[2 : 2 + n]
-    return check_avg_lemma(float(a), s.tolist())
-
-
-def cut_avg_suite_margins(uniforms: np.ndarray, max_relays: int) -> np.ndarray:
-    """Margins of the cut-avg instances drawn from rows of `uniforms`.
-
-    Row i picks N = 1 + floor(u0 * max_relays), the cut floor(u1 * 2^N),
+    Row i picks the size n = 1 + floor(u0 * max_len).  Product-mean rows
+    take a = sort(10 u[1:1+n]) and b = sort(10 u[1+max_len:1+max_len+n]);
+    subset-average rows take a = 10 u1 and s = 10 u[2:2+n].  Cut-avg rows
+    instead pick N = 1 + floor(u0 * max_relays), the cut floor(u1 * 2^N),
     snr = 10^(4 u2) (0..40 dB) and Exponential(1) gains from the next 2N+1
-    uniforms.  Instances are evaluated in batches of equal (N, cut).
+    uniforms.  Rows of equal size (and cut) go through the kernel together.
     """
-    n = 1 + (uniforms[:, 0] * max_relays).astype(np.int64)
-    omega = (uniforms[:, 1] * (1 << n)).astype(np.int64)
-    # a python float power per instance: numpy's array power may round differently
-    snr = np.array([10.0 ** (4.0 * u) for u in uniforms[:, 2].tolist()])
+    if kind is CheckKind.CUT_AVG:
+        size = 1 + (uniforms[:, 0] * max_relays).astype(np.int64)
+        cut = (uniforms[:, 1] * (1 << size)).astype(np.int64)
+        # a python float power per instance: numpy's array power may round differently
+        snr = np.array([10.0 ** (4.0 * u) for u in uniforms[:, 2].tolist()])
+    else:
+        size = 1 + (uniforms[:, 0] * max_len).astype(np.int64)
+        cut = np.zeros_like(size)
     margins = np.empty(uniforms.shape[0], dtype=np.float64)
-    for n_relays, omega_mask in sorted(set(zip(n.tolist(), omega.tolist()))):
-        rows = np.flatnonzero((n == n_relays) & (omega == omega_mask))
-        gains = unit_exponentials(uniforms[rows, 3 : 3 + 2 * n_relays + 1])
-        g_sd, g_sr, g_rd = gains[:, 0], gains[:, 1 : 1 + n_relays], gains[:, 1 + n_relays :]
-        margins[rows] = _cut_avg_margins(*link_capacities(g_sd, g_sr, g_rd, snr[rows]), omega_mask)
+    for n, omega_mask in sorted(set(zip(size.tolist(), cut.tolist()))):
+        rows = np.flatnonzero((size == n) & (cut == omega_mask))
+        u = uniforms[rows]
+        if kind is CheckKind.TCHEBYCHEF:
+            a, b = 10.0 * u[:, 1 : 1 + n], 10.0 * u[:, 1 + max_len : 1 + max_len + n]
+            margins[rows] = tchebychef_margin_array(np.sort(a, axis=1), np.sort(b, axis=1))
+        elif kind is CheckKind.AVG_LEMMA:
+            margins[rows] = avg_lemma_margin_array(10.0 * u[:, 1], 10.0 * u[:, 2 : 2 + n])
+        else:
+            gains = gains_from_uniforms(u[:, 3 : 3 + 2 * n + 1], n)
+            margins[rows] = _cut_avg_margins(*link_capacities(*gains, snr[rows]), omega_mask)
     return margins
 
 
@@ -154,7 +158,9 @@ def run_randomized_suite(
     Sizes are uniform on their allowed range, a and s values uniform on
     [0, 10], Z-channel gains Exponential(1), SNR log-uniform over 0..40 dB;
     the two product-mean sequences are drawn i.i.d. then sorted so the
-    similarly-ordered precondition holds by construction.
+    similarly-ordered precondition holds by construction.  Instances are
+    drawn and checked `_BLOCK` at a time; blocking is a memory measure only
+    and does not change the report.
     """
     kind = CheckKind(kind)
     if n_instances < 1:
@@ -164,25 +170,16 @@ def run_randomized_suite(
         raise ValueError(f"max_len must lie in [1, {MAX_SUBSET_LEN}], got {max_len}")
     if not 1 <= max_relays <= MAX_CUT_RELAYS:
         raise ValueError(f"max_relays must lie in [1, {MAX_CUT_RELAYS}], got {max_relays}")
-    if kind is CheckKind.TCHEBYCHEF:
-        draws = 1 + 2 * max_len
-    elif kind is CheckKind.AVG_LEMMA:
-        draws = 2 + max_len
-    else:
-        draws = 3 + 2 * max_relays + 1
-
-    # one batched draw over per-instance substreams; row i is exactly the
-    # first `draws` uniforms of stream (seed, i)
-    uniforms = uniforms_for_streams(seed, np.arange(n_instances, dtype=np.uint64), draws)
-    if kind is CheckKind.CUT_AVG:
-        margins = cut_avg_suite_margins(uniforms, max_relays)
-    else:
-        instance = _tchebychef_instance if kind is CheckKind.TCHEBYCHEF else _avg_lemma_instance
-        margins = np.array([instance(u, max_len) for u in uniforms])
-    return VerificationReport(
-        kind=kind,
-        instances=n_instances,
-        violations=int(np.count_nonzero(margins < -SIGN_TOL)),
-        worst_margin=float(margins.min()),
-        seed=seed,
-    )
+    draws = {
+        CheckKind.TCHEBYCHEF: 1 + 2 * max_len,
+        CheckKind.AVG_LEMMA: 2 + max_len,
+        CheckKind.CUT_AVG: 3 + 2 * max_relays + 1,
+    }[kind]
+    violations, worst = 0, math.inf
+    for start in range(0, n_instances, _BLOCK):
+        # row i is exactly the first `draws` uniforms of stream (seed, start + i)
+        idx = np.arange(start, min(start + _BLOCK, n_instances), dtype=np.uint64)
+        margins = suite_margins(kind, uniforms_for_streams(seed, idx, draws), max_len, max_relays)
+        violations += int(np.count_nonzero(margins < -SIGN_TOL))
+        worst = min(worst, float(margins.min()))
+    return VerificationReport(kind, n_instances, violations, worst, seed)

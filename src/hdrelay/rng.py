@@ -103,16 +103,3 @@ def uniforms_for_streams(seed: int, stream_indices: np.ndarray, n: int) -> np.nd
             out[:, col] = (w >> _S11) * 2.0**-53
     return out
 
-
-def unit_exponentials(u):
-    """Unit-mean exponential variates from uniforms u in [0, 1).
-
-    Inverse-CDF transform -ln(U) with U = 1 - u in (0, 1], so a zero
-    uniform maps to gain 0 rather than infinity.
-    """
-    return -np.log1p(-u)
-
-
-def exponentials_for_streams(seed: int, stream_indices: np.ndarray, n: int) -> np.ndarray:
-    """`unit_exponentials` of the first `n` uniforms of each stream."""
-    return unit_exponentials(uniforms_for_streams(seed, stream_indices, n))

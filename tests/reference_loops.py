@@ -94,6 +94,33 @@ def realization_from_stream(n_relays: int, seed: int, index: int) -> Row:
     return split_row(-np.log1p(-u), n_relays)
 
 
+def tchebychef_instance(u: np.ndarray, max_len: int) -> float:
+    """One product-mean suite instance from its uniforms, as the suite draws it:
+    mean(a*b) - mean(a)*mean(b) over one pair of sorted sequences."""
+    n = 1 + int(u[0] * max_len)
+    a = np.sort(10.0 * u[1 : 1 + n])
+    b = np.sort(10.0 * u[1 + max_len : 1 + max_len + n])
+    return float((a * b).mean() - a.mean() * b.mean())
+
+
+def avg_lemma_instance(u: np.ndarray, max_len: int) -> float:
+    """One subset-average suite instance from its uniforms, subset by subset:
+    the average of max(a, max of s over V) over the 2^n bitmasks V, minus
+    (a + sum(s)) / (n + 1)."""
+    n = 1 + int(u[0] * max_len)
+    a = float(10.0 * u[1])
+    s = (10.0 * u[2 : 2 + n]).tolist()
+    # max of s over each subset bitmask, built from the mask without its lowest bit
+    maxima = [-math.inf] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        maxima[mask] = max(maxima[mask ^ low], s[low.bit_length() - 1])
+    total = 0.0
+    for mask in range(1 << n):
+        total += max(a, maxima[mask])
+    return total / (1 << n) - (a + math.fsum(s)) / (n + 1)
+
+
 def cut_avg_instance(u: np.ndarray, max_relays: int) -> float:
     """One cut-avg suite instance from its uniforms, as the suite draws it."""
     n = 1 + int(u[0] * max_relays)

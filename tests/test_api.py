@@ -5,7 +5,8 @@ a batch of one row, a cut is its integer `omega_mask`, and every closed-form
 exponent is `miso_dmt(m, r)`.  The batch-of-one wrappers and the dataclasses
 that existed only for them (removed in 0.2.0), and the named aliases of
 `miso_dmt`, the `DmtCurve` container and the `Cut` dataclass (removed in
-0.3.0), must not come back under their old names.
+0.3.0), and the scalar lemma checks and per-instance suite helpers (removed
+in 0.4.0) must not come back under their old names.
 """
 
 import importlib
@@ -23,8 +24,7 @@ PUBLIC = [
     "TwoHopSchedule",
     "VerificationReport",
     "__version__",
-    "check_avg_lemma",
-    "check_tchebychef",
+    "avg_lemma_margin_array",
     "confidence_interval",
     "crossing_links_outage_region",
     "cut_average_array",
@@ -42,6 +42,7 @@ PUBLIC = [
     "single_relay_bound_array",
     "single_relay_order_array",
     "single_relay_outage_region",
+    "tchebychef_margin_array",
     "two_hop_bound_array",
     "two_hop_cut_outage_region",
 ]
@@ -76,6 +77,14 @@ REMOVED = {
     "parallel_channel_dmt": "dmt",
     "single_relay_exponent_analytic": "dmt",
     "two_hop_exponent_analytic": "dmt",
+    "check_tchebychef": "lemmas",
+    "check_avg_lemma": "lemmas",
+    "_subset_maxima": "lemmas",
+    "_tchebychef_instance": "lemmas",
+    "_avg_lemma_instance": "lemmas",
+    "cut_avg_suite_margins": "lemmas",
+    "exponentials_for_streams": "rng",
+    "unit_exponentials": "rng",
 }
 
 

@@ -154,6 +154,11 @@ class TestExponentCommand:
         assert run(argv + ["--budget", "202956029"]) == 2
         assert "5 * 51^4 * bit_length(51) = 202956030" in capsys.readouterr().err
 
+    def test_huge_relay_count_is_a_budget_error(self, capsys):
+        # 5001 * 21^5000 * bit_length(21) is over budget without being formed or printed
+        assert run(["exponent", "--relays", "5000", "--r-grid", "0.5"]) == 2
+        assert capsys.readouterr().err.startswith("hdrelay: error: budget exceeded")
+
     def test_analytic_blank_off_half_listen(self, capsys):
         code = run(["exponent", "--t", "0.3", "--r-grid", "0.5", "--oracle-step", "0.05", "--format", "json"])
         assert code == 0
@@ -278,6 +283,15 @@ class TestScheduleOptCommand:
         row = _read_csv(capsys.readouterr().out)[0]
         assert float(row["t_star"]) == 0.5
         assert float(row["d_star"]) == pytest.approx(0.5, abs=0.15)
+
+
+    def test_budget_bounds_the_t_sweep(self, capsys, monkeypatch):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("oracle called")
+
+        monkeypatch.setattr("hdrelay.dmt.exponent_grid_oracle", no_oracle)
+        assert run(["schedule-opt", "--r-grid", "0.5", "--t-step", "1e-6"]) == 2
+        assert capsys.readouterr().err.startswith("hdrelay: error: budget exceeded: 1000001 * ")
 
 
 class TestVerifyCommand:

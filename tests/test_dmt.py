@@ -164,6 +164,19 @@ class TestGridOracle:
             exponent_grid_oracle(counting, 3, 0.05, budget=cost - 1)
         assert rows == []
 
+    def test_budget_is_checked_before_the_grid_exists(self):
+        def no_grid(step):
+            raise AssertionError(f"grid of step {step} built")
+
+        pred = lambda a: np.ones(len(a), dtype=bool)
+        with patch.object(dmt, "_unit_grid", no_grid):
+            # 3 * 10000001^2 * 24 evaluations; the grid alone would hold 1e7 points
+            with pytest.raises(ValueError, match=r"budget exceeded: 3 \* 10000001\^2"):
+                exponent_grid_oracle(pred, 3, 1e-7)
+            # 21^5000 is decided on logarithms, never formed as an integer
+            with pytest.raises(ValueError, match=r"5001 \* 21\^5000 \* bit_length\(21\) evaluations > 1000000000"):
+                exponent_grid_oracle(pred, 5001, 0.05)
+
     def test_step_validation(self):
         pred = lambda a: np.ones(len(a), dtype=bool)
         with pytest.raises(ValueError):
@@ -212,6 +225,30 @@ class TestScheduleOptimization:
             optimize_schedule_single(1.5, 0.05)
         with pytest.raises(ValueError):
             optimize_schedule_single(0.5, 0.0)
+
+    def test_budget_bounds_the_whole_t_sweep(self):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("oracle called")
+
+        def no_grid(step):
+            raise AssertionError(f"grid of step {step} built")
+
+        # 1,000,001 calls of 3 * 201^2 * bit_length(201) evaluations each
+        with patch.object(dmt, "exponent_grid_oracle", no_oracle), patch.object(dmt, "_unit_grid", no_grid):
+            with pytest.raises(ValueError, match=r"budget exceeded: 1000001 \* 3 \* 201\^2"):
+                optimize_schedule_single(0.5, 1e-6)
+            with pytest.raises(ValueError, match="budget exceeded"):
+                optimize_schedule_single(0.5, 1e-9)
+
+    @pytest.mark.parametrize("t_step, cost", [(0.05, 21 * 969_624), (0.01, 101 * 969_624)])
+    def test_default_budget_fits_the_usual_t_steps(self, t_step, cost):
+        # 969,624 = 3 * 201^2 * bit_length(201), one call at the default oracle step
+        calls = []
+        with patch.object(dmt, "exponent_grid_oracle", lambda *args: calls.append(args) or 1.0):
+            optimize_schedule_single(0.5, t_step)
+            with pytest.raises(ValueError, match=f"= {cost} evaluations > {cost - 1}"):
+                optimize_schedule_single(0.5, t_step, budget=cost - 1)
+        assert len(calls) == round(1 / t_step) + 1
 
 
 class TestDmtCurve:

@@ -1,21 +1,32 @@
 """Inequality checks: worked margins, preconditions, and property tests."""
 
-import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdrelay import lemmas
 from hdrelay.cutset import link_capacities
 from hdrelay.lemmas import (
     SIGN_TOL,
     CheckKind,
     _cut_avg_margins,
-    check_avg_lemma,
-    check_tchebychef,
+    avg_lemma_margin_array,
     run_randomized_suite,
+    tchebychef_margin_array,
 )
+
+
+def _tchebychef(a, b):
+    """Product-mean margin of one pair of sequences: the kernel on a batch of one row."""
+    return float(tchebychef_margin_array([a], [b])[0])
+
+
+def _avg_lemma(a, s):
+    """Subset-average margin of one instance: the kernel on a batch of one row."""
+    return float(avg_lemma_margin_array([a], [s])[0])
 
 
 def _margin(g_sd, g_sr, g_rd, snr, omega_mask):
@@ -28,68 +39,74 @@ values = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
 
 class TestTchebychef:
     def test_constant_sequences(self):
-        assert check_tchebychef([3.0] * 5, [3.0] * 5) == pytest.approx(0.0, abs=1e-15)
+        assert _tchebychef([3.0] * 5, [3.0] * 5) == pytest.approx(0.0, abs=1e-15)
 
     def test_worked_pair(self):
-        assert check_tchebychef([1.0, 2.0], [1.0, 2.0]) == pytest.approx(0.25, abs=1e-15)
+        assert _tchebychef([1.0, 2.0], [1.0, 2.0]) == pytest.approx(0.25, abs=1e-15)
 
     def test_anti_ordered_rejected(self):
         with pytest.raises(ValueError, match="similarly ordered"):
-            check_tchebychef([0.0, 1.0], [1.0, 0.0])
+            _tchebychef([0.0, 1.0], [1.0, 0.0])
 
     def test_shape_errors(self):
         with pytest.raises(ValueError):
-            check_tchebychef([1.0, 2.0], [1.0])
+            _tchebychef([1.0, 2.0], [1.0])
         with pytest.raises(ValueError):
-            check_tchebychef([], [])
+            _tchebychef([], [])
 
     def test_ties_are_allowed(self):
-        assert check_tchebychef([1.0, 1.0, 2.0], [5.0, 0.0, 7.0]) >= -SIGN_TOL
+        assert _tchebychef([1.0, 1.0, 2.0], [5.0, 0.0, 7.0]) >= -SIGN_TOL
 
     @given(st.lists(values, min_size=1, max_size=12), st.lists(values, min_size=1, max_size=12))
     @settings(max_examples=200, deadline=None)
     def test_sorted_pairs_never_violate(self, a, b):
         n = min(len(a), len(b))
-        margin = check_tchebychef(sorted(a[:n]), sorted(b[:n]))
+        margin = _tchebychef(sorted(a[:n]), sorted(b[:n]))
         assert margin >= -SIGN_TOL
 
 
 class TestAvgLemma:
     def test_single_element_tight(self):
-        assert check_avg_lemma(0.0, [1.0]) == pytest.approx(0.0, abs=1e-15)
+        assert _avg_lemma(0.0, [1.0]) == pytest.approx(0.0, abs=1e-15)
 
     def test_all_equal_tight(self):
-        assert check_avg_lemma(1.0, [1.0, 1.0]) == pytest.approx(0.0, abs=1e-15)
+        assert _avg_lemma(1.0, [1.0, 1.0]) == pytest.approx(0.0, abs=1e-15)
 
     def test_enumerated_pair(self):
         # subsets {}, {1}, {2}, {1,2} -> f values 0, 0, 1, 1
-        assert check_avg_lemma(0.0, [0.0, 1.0]) == pytest.approx(1.0 / 6.0, abs=1e-15)
+        assert _avg_lemma(0.0, [0.0, 1.0]) == pytest.approx(1.0 / 6.0, abs=1e-15)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_equality_for_constant_inputs(self, n):
-        assert check_avg_lemma(2.5, [2.5] * n) == pytest.approx(0.0, abs=1e-12)
+        assert _avg_lemma(2.5, [2.5] * n) == pytest.approx(0.0, abs=1e-12)
 
     def test_scale_covariance(self):
         a, s = 1.3, [0.2, 4.0, 2.2]
-        base = check_avg_lemma(a, s)
+        base = _avg_lemma(a, s)
         for lam in (0.5, 2.0, 37.0):
-            scaled = check_avg_lemma(lam * a, [lam * v for v in s])
+            scaled = _avg_lemma(lam * a, [lam * v for v in s])
             assert scaled == pytest.approx(lam * base, rel=1e-9)
 
     def test_size_limit(self):
         with pytest.raises(ValueError):
-            check_avg_lemma(1.0, [1.0] * 17)
+            _avg_lemma(1.0, [1.0] * 17)
+
+    def test_shape_errors(self):
+        with pytest.raises(ValueError, match="shape"):
+            avg_lemma_margin_array([1.0, 2.0], [[1.0]])
+        with pytest.raises(ValueError, match="shape"):
+            avg_lemma_margin_array([[1.0]], [[1.0]])
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
-            check_avg_lemma(-1.0, [1.0])
+            _avg_lemma(-1.0, [1.0])
         with pytest.raises(ValueError):
-            check_avg_lemma(1.0, [-0.5])
+            _avg_lemma(1.0, [-0.5])
 
     @given(values, st.lists(values, min_size=1, max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_never_violates(self, a, s):
-        assert check_avg_lemma(a, s) >= -SIGN_TOL
+        assert _avg_lemma(a, s) >= -SIGN_TOL
 
 
 class TestCutAvgConsistency:
@@ -144,3 +161,26 @@ class TestRandomizedSuites:
             with pytest.raises(ValueError, match="seed"):
                 run_randomized_suite(CheckKind.CUT_AVG, 10, seed=seed)
         assert run_randomized_suite(CheckKind.CUT_AVG, 10, seed=2**64 - 1).seed == 2**64 - 1
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("kind", list(CheckKind))
+    @pytest.mark.parametrize("block", [1, 17])
+    def test_block_size_does_not_change_the_report(self, kind, block):
+        expected = run_randomized_suite(kind, 300, seed=5, max_len=16, max_relays=4)
+        with patch.object(lemmas, "_BLOCK", block):
+            assert run_randomized_suite(kind, 300, seed=5, max_len=16, max_relays=4) == expected
+
+    @pytest.mark.parametrize("kind", list(CheckKind))
+    def test_draws_never_exceed_one_block(self, kind):
+        expected = run_randomized_suite(kind, 2500, seed=2)
+        sizes = []
+        draw = lemmas.uniforms_for_streams
+
+        def counting(seed, stream_indices, n):
+            sizes.append(len(stream_indices))
+            return draw(seed, stream_indices, n)
+
+        with patch.object(lemmas, "_BLOCK", 1000), patch.object(lemmas, "uniforms_for_streams", counting):
+            assert run_randomized_suite(kind, 2500, seed=2) == expected
+        assert sizes == [1000, 1000, 500]

@@ -11,6 +11,7 @@ import math
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -33,8 +34,8 @@ from hdrelay.dmt import (
 from hdrelay.lemmas import (
     CheckKind,
     _cut_avg_margins,
-    cut_avg_suite_margins,
     run_randomized_suite,
+    suite_margins,
 )
 from hdrelay.montecarlo import _outage_mask
 from hdrelay.rng import uniforms_for_streams
@@ -105,16 +106,37 @@ def test_two_hop_cut_predicate_equals_loop_reference(n, data):
     assert inside == ref.two_hop_cut_outage(a_sd, a_sr, a_rd, r, omega)
 
 
-def test_batched_cut_avg_suite_equals_per_instance_reference():
-    for max_relays, instances in ((6, 1500), (10, 200)):
-        draws = 3 + 2 * max_relays + 1
-        for seed in (1, 2, 3):
-            u = uniforms_for_streams(seed, np.arange(instances, dtype=np.uint64), draws)
-            expected = np.array([ref.cut_avg_instance(row, max_relays) for row in u])
-            np.testing.assert_array_equal(cut_avg_suite_margins(u, max_relays), expected)
-            report = run_randomized_suite(CheckKind.CUT_AVG, instances, seed, max_relays=max_relays)
-            assert report.worst_margin == expected.min()
-            assert report.violations == 0
+# kind, size (max_len, or max_relays for cut-avg), instances per seed
+SUITES = [
+    (CheckKind.TCHEBYCHEF, 1, 1500),
+    (CheckKind.TCHEBYCHEF, 8, 1500),
+    (CheckKind.TCHEBYCHEF, 16, 1500),
+    (CheckKind.AVG_LEMMA, 1, 1500),
+    (CheckKind.AVG_LEMMA, 8, 1500),
+    (CheckKind.AVG_LEMMA, 16, 100),
+    (CheckKind.CUT_AVG, 6, 1500),
+    (CheckKind.CUT_AVG, 10, 200),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, size, instances", SUITES, ids=[f"{kind.value}-{size}" for kind, size, _ in SUITES]
+)
+def test_batched_suite_equals_per_instance_reference(kind, size, instances):
+    instance, sizes = {
+        CheckKind.TCHEBYCHEF: (ref.tchebychef_instance, {"max_len": size}),
+        CheckKind.AVG_LEMMA: (ref.avg_lemma_instance, {"max_len": size}),
+        CheckKind.CUT_AVG: (ref.cut_avg_instance, {"max_relays": size}),
+    }[kind]
+    draws = {CheckKind.TCHEBYCHEF: 1 + 2 * size, CheckKind.AVG_LEMMA: 2 + size}.get(kind, 4 + 2 * size)
+    for seed in (1, 2, 3):
+        u = uniforms_for_streams(seed, np.arange(instances, dtype=np.uint64), draws)
+        expected = np.array([instance(row, size) for row in u])
+        margins = suite_margins(kind, u, sizes.get("max_len", 8), sizes.get("max_relays", 6))
+        np.testing.assert_array_equal(margins, expected)
+        report = run_randomized_suite(kind, instances, seed, **sizes)
+        assert report.worst_margin == expected.min()
+        assert report.violations == 0
 
 
 # prefixes per chunk: one, a count that splits the grid unevenly, the default

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hdrelay.channel import sample_gain_arrays
-from hdrelay.rng import GENERATOR_NAME, exponentials_for_streams, philox4x64_block
+from hdrelay.rng import GENERATOR_NAME, philox4x64_block
 from hdrelay.rng import uniforms_for_streams
 
 
@@ -91,9 +91,9 @@ def test_seeds_outside_64_bits_are_rejected_not_aliased():
 
 
 def test_exponentials_match_inverse_cdf_of_uniforms():
-    u = _stream(3, 4, 6)
-    g = exponentials_for_streams(3, np.array([4], dtype=np.uint64), 6)[0]
-    np.testing.assert_array_equal(g, -np.log1p(-u))
+    u = _stream(3, 4, 5)
+    g_sd, g_sr, g_rd = sample_gain_arrays(2, 3, np.array([4], dtype=np.uint64))
+    np.testing.assert_array_equal(np.concatenate([g_sd, g_sr[0], g_rd[0]]), -np.log1p(-u))
 
 
 def test_generator_name_is_published():
