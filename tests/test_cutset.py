@@ -1,11 +1,13 @@
 """Cut-set bound values against hand expansions and independent oracles."""
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
 import reference_loops as ref
+from hdrelay import cutset
 from hdrelay.cutset import (
     SingleRelaySchedule,
     TwoHopSchedule,
@@ -252,6 +254,32 @@ class TestCutFlow:
         with pytest.raises(ValueError):
             _min_cut(1.0, [1.0, 1.0], [1.0, 1.0], 1.0, TwoHopSchedule.uniform(1))
 
+    def test_cuts_outside_range_and_wrong_weight_counts_are_rejected(self):
+        # such cuts once aliased other cuts (4 read as 0 and -1 as 3 at N=2)
+        caps = link_capacities(*_batch(1.0, [2.0, 3.0], [4.0, 5.0]), 2.0)
+        weights = TwoHopSchedule.uniform(2).weights
+        for bad in (4, -1, np.array([0, 4]), np.array([3, -1])):
+            with pytest.raises(ValueError, match="out of range for 2 relays"):
+                cut_flow_array(*caps, weights, bad)
+        for bad in (4, -1):
+            with pytest.raises(ValueError, match="out of range for 2 relays"):
+                cut_average_array(*caps, bad)
+        for count in (2, 8):
+            with pytest.raises(ValueError, match=r"need 2\^2 weights, got %d" % count):
+                cut_flow_array(*caps, (1.0 / count,) * count, 0)
+
+    def test_array_of_cuts_stacks_single_cuts(self):
+        rng = np.random.default_rng(15)
+        g = (rng.exponential(size=50), rng.exponential(size=(50, 3)), rng.exponential(size=(50, 3)))
+        caps = link_capacities(*g, 9.0)
+        weights = TwoHopSchedule(3, (0.0, 0.25, 0.0, 0.125, 0.125, 0.25, 0.25, 0.0)).weights
+        cuts = np.array([5, 0, 7, 5])
+        stacked = cut_flow_array(*caps, weights, cuts)
+        assert stacked.shape == (4, 50)
+        assert cut_flow_array(*caps, weights, 5).shape == (50,)
+        singles = [cut_flow_array(*caps, weights, int(c)) for c in cuts]
+        np.testing.assert_array_equal(stacked, np.stack(singles))
+
 
 class TestMinCut:
     def test_single_relay_is_min_of_two_cuts(self):
@@ -279,6 +307,44 @@ class TestMinCut:
             for i in range(40):
                 # same arithmetic in the same order as the loop reference
                 assert vec[i] == ref.min_cut(g_sd[i], g_sr[i], g_rd[i], 12.0, sched.weights)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_block_size_leaves_the_bound_unchanged(self, n):
+        rng = np.random.default_rng(16)
+        g = (rng.exponential(size=70), rng.exponential(size=(70, n)), rng.exponential(size=(70, n)))
+        snr = 10.0 ** rng.uniform(0.0, 3.0, size=70)
+        sched = TwoHopSchedule.uniform(n)
+        expected = two_hop_bound_array(*g, snr, sched)
+        # one row per pass, and 3 rows per pass with a shorter last pass
+        for block in (1, 3, (1 << n) - 1, 3 << n):
+            with patch.object(cutset, "_BLOCK", block):
+                np.testing.assert_array_equal(two_hop_bound_array(*g, snr, sched), expected)
+
+    def test_tables_stay_within_block(self):
+        sizes = []
+
+        def recording(real):
+            def call(*args):
+                out = real(*args)
+                sizes.append(out.size)
+                return out
+
+            return call
+
+        rng = np.random.default_rng(17)
+        with patch.object(cutset, "_subset_max", recording(cutset._subset_max)):
+            n, rows = 10, 5000
+            g = (rng.exponential(size=rows), rng.exponential(size=(rows, n)), rng.exponential(size=(rows, n)))
+            cut_flow_array(*link_capacities(*g, 10.0), TwoHopSchedule.uniform(n).weights, 0b1011001101)
+            # two tables per pass
+            assert max(sizes) <= cutset._BLOCK and sum(sizes) == 2 * rows << n
+            sizes.clear()
+            # the two-hop bound's (2^N, rows) flows of all cuts are bounded too
+            with patch.object(cutset, "cut_flow_array", recording(cutset.cut_flow_array)):
+                n, rows = 8, 300
+                g = (rng.exponential(size=rows), rng.exponential(size=(rows, n)), rng.exponential(size=(rows, n)))
+                two_hop_bound_array(*g, 10.0, TwoHopSchedule.uniform(n))
+            assert max(sizes) <= cutset._BLOCK and sum(sizes) == 3 * rows << n
 
 
 class TestCutAverage:

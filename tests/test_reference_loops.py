@@ -1,4 +1,4 @@
-"""Every array kernel, on a batch of one row, equals its loop reference exactly.
+"""Every array kernel, on a batch of one row or more, equals its loop reference exactly.
 
 `reference_loops` recomputes each quantity for one row of plain floats by
 explicit Python loops with the same arithmetic in the same order.  Equality
@@ -78,6 +78,30 @@ def test_two_hop_wrappers_equal_loop_references(instance, rate_bits, gap_bits):
     assert _cut_avg_margins(*caps, omega)[0] == margin
     event = _outage_mask(schedule, *batch, snr, rate_bits, gap_bits)[0]
     assert event == (min_cut - gap_bits < rate_bits)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("zeros", [False, True], ids=["uniform", "zeros"])
+def test_multi_row_batches_equal_loop_references(n, zeros):
+    rng = np.random.default_rng(100 + n)
+    raw = rng.integers(0, 3, size=1 << n).astype(np.float64) if zeros else np.ones(1 << n)
+    raw[rng.integers(1 << n)] += 1.0
+    schedule = TwoHopSchedule(n, tuple(raw / raw.sum()))
+    rows = max(3, 96 >> n)
+    g_sd = rng.exponential(size=rows)
+    g_sr = rng.exponential(size=(rows, n))
+    g_rd = rng.exponential(size=(rows, n))
+    # dead links and equal capacities on both hops
+    g_sd[::4], g_sr[1::3, 0], g_rd[:, -1] = 0.0, 0.0, g_sr[:, 0]
+    snr = 10.0 ** rng.uniform(-1.0, 4.0, size=rows)
+    bound = two_hop_bound_array(g_sd, g_sr, g_rd, snr, schedule)
+    cuts = rng.integers(0, 1 << n, size=3)
+    flows = cut_flow_array(*link_capacities(g_sd, g_sr, g_rd, snr), schedule.weights, cuts)
+    for i in range(rows):
+        row = (g_sd[i], g_sr[i].tolist(), g_rd[i].tolist(), float(snr[i]))
+        assert bound[i] == ref.min_cut(*row, schedule.weights)
+        for omega, flow in zip(cuts.tolist(), flows[:, i]):
+            assert flow == ref.cut_flow(*row, schedule.weights, omega)
 
 
 orders = st.floats(min_value=0.0, max_value=1.0)
