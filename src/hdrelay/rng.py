@@ -11,7 +11,10 @@ independent generators.
 The block function is verified against ``numpy.random.Philox`` in the test
 suite; it is reimplemented here only because numpy exposes Philox as a
 sequential bit generator, while the Monte Carlo loops need the keyed block
-function evaluated for millions of stream indices at once.
+function evaluated for millions of stream indices at once.  The counter
+words and the seed enter it as uint64 scalars, so broadcasting keeps round 0
+and half of round 1 scalar, and streams go through in passes of ``_ROWS``
+so the round temporaries stay in cache; neither changes an output bit.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 _S11 = np.uint64(11)
 _U64 = 1 << 64
+_ROWS = 1 << 13  # streams per pass: its ~20 round temporaries of 64 KiB fit in cache
 
 
 def _mulhilo(a: np.ndarray, m: np.uint64) -> tuple[np.ndarray, np.ndarray]:
@@ -39,11 +43,10 @@ def _mulhilo(a: np.ndarray, m: np.uint64) -> tuple[np.ndarray, np.ndarray]:
     a_hi = a >> _S32
     m_lo = m & _MASK32
     m_hi = m >> _S32
-    hi_lo = a_hi * m_lo
-    lo_hi = a_lo * m_hi
-    cross = ((a_lo * m_lo) >> _S32) + (hi_lo & _MASK32) + (lo_hi & _MASK32)
-    hi = a_hi * m_hi + (hi_lo >> _S32) + (lo_hi >> _S32) + (cross >> _S32)
-    return hi, a * m
+    # Hacker's Delight mulhu carry chain: no partial sum exceeds 2**64 - 1
+    u = a_hi * m_lo + ((a_lo * m_lo) >> _S32)
+    v = a_lo * m_hi + (u & _MASK32)
+    return a_hi * m_hi + (u >> _S32) + (v >> _S32), a * m
 
 
 def philox4x64_block(
@@ -89,17 +92,13 @@ def uniforms_for_streams(seed: int, stream_indices: np.ndarray, n: int) -> np.nd
         raise ValueError("stream_indices must be one-dimensional")
     if n < 0:
         raise ValueError("n must be >= 0")
-    k0 = np.full(idx.shape, np.uint64(seed), dtype=np.uint64)
     out = np.empty((idx.shape[0], n), dtype=np.float64)
-    zero = np.zeros(idx.shape, dtype=np.uint64)
-    for block in range((n + 3) // 4):
-        ctr0 = np.full(idx.shape, np.uint64(block), dtype=np.uint64)
-        words = philox4x64_block((ctr0, zero, zero, zero), (k0, idx))
-        for j, w in enumerate(words):
-            col = 4 * block + j
-            if col >= n:
-                break
-            # top 53 bits of the word -> double in [0, 1)
-            out[:, col] = (w >> _S11) * 2.0**-53
+    zero = np.uint64(0)
+    for start in range(0, idx.shape[0], _ROWS):
+        key = (np.uint64(seed), idx[start : start + _ROWS])
+        for block in range((n + 3) // 4):
+            words = philox4x64_block((np.uint64(block), zero, zero, zero), key)
+            for j, w in enumerate(words[: n - 4 * block]):
+                # top 53 bits of the word -> double in [0, 1)
+                out[start : start + _ROWS, 4 * block + j] = (w >> _S11) * 2.0**-53
     return out
-

@@ -1,11 +1,15 @@
 """The counter-based generator must match the reference Philox cipher and
 honor the (seed, stream_index) determinism contract."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hdrelay.channel import sample_gain_arrays
-from hdrelay.rng import GENERATOR_NAME, philox4x64_block
+from hdrelay.rng import _M0, _M1, _ROWS, GENERATOR_NAME, _mulhilo, philox4x64_block
 from hdrelay.rng import uniforms_for_streams
 
 
@@ -54,6 +58,50 @@ def test_block_is_vectorized_consistently():
             (np.uint64(42), np.uint64(i)),
         )
         assert [int(w[i]) for w in batch] == [int(w) for w in single]
+
+
+@pytest.mark.parametrize("m", [_M0, _M1], ids=["M0", "M1"])
+@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=40))
+@example([0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+@settings(max_examples=200, deadline=None)
+def test_mulhilo_matches_python_int_product(m, words):
+    expected = [((a * int(m)) >> 64, (a * int(m)) % 2**64) for a in words]
+    # the low word wraps by design, and uint64 scalars warn when they wrap
+    with np.errstate(over="ignore"):
+        scalars = [_mulhilo(np.uint64(a), m) for a in words]
+        hi, lo = _mulhilo(np.array(words, dtype=np.uint64), m)
+    assert [(int(h), int(w)) for h, w in scalars] == expected
+    assert list(zip(hi.tolist(), lo.tolist())) == expected
+
+
+@pytest.mark.parametrize("block", [0, 1, 2**64 - 1])
+def test_block_with_scalar_counter_and_seed_equals_all_array_call(block):
+    idx = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    ctr, zeros = np.full(idx.shape, block, dtype=np.uint64), np.zeros_like(idx)
+    seed = np.full(idx.shape, 987654321, dtype=np.uint64)
+    arrays = philox4x64_block((ctr, zeros, zeros, zeros), (seed, idx))
+    zero = np.uint64(0)
+    scalars = philox4x64_block((np.uint64(block), zero, zero, zero), (np.uint64(987654321), idx))
+    for a, b in zip(arrays, scalars):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 13, 16])
+def test_rows_on_pass_edges_equal_batch_of_one_draws(n):
+    edges = [0, _ROWS - 1, _ROWS, 2 * _ROWS - 1, 2 * _ROWS, 2 * _ROWS + 4]
+    idx = np.arange(2 * _ROWS + 5, dtype=np.uint64)
+    idx[edges[1::2]] = np.array([2**64 - 1, 2**64 - 2, 2**64 - 3], dtype=np.uint64)
+    batch = uniforms_for_streams(5, idx, n)
+    for row in edges:
+        np.testing.assert_array_equal(batch[row], _stream(5, int(idx[row]), n))
+
+
+def test_uniforms_golden_digest():
+    # three full passes and a partial one; the digest was taken from the
+    # earlier all-array kernel, so it pins every output bit across the rewrite
+    idx = np.arange(2**40, 2**40 + 3 * _ROWS + 7, dtype=np.uint64)
+    digest = hashlib.sha256(uniforms_for_streams(987654321, idx, 13).tobytes()).hexdigest()
+    assert digest == "6b9cafa98cb4bdf29f0cf73956a8f7cf44ac9f16bb06c7ab2401e7e4676f45fb"
 
 
 def test_stream_uniforms_deterministic_and_in_range():
