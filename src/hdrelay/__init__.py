@@ -21,7 +21,6 @@ from .dmt import (
     miso_dmt,
     optimize_schedule_single,
     single_relay_outage_region,
-    two_hop_cut_outage_region,
 )
 from .lemmas import (
     CheckKind,
@@ -60,7 +59,6 @@ __all__ = [
     "miso_dmt",
     "optimize_schedule_single",
     "single_relay_outage_region",
-    "two_hop_cut_outage_region",
     "CheckKind",
     "VerificationReport",
     "avg_lemma_margin_array",

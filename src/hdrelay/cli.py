@@ -35,6 +35,7 @@ from .dmt import (
 )
 from .lemmas import CheckKind, run_randomized_suite
 from .montecarlo import (
+    MAX_WORKERS,
     OutageRow,
     OutageTable,
     RunConfig,
@@ -179,7 +180,7 @@ def _resolve_workers(flag: int | None) -> int:
             return int(os.environ[WORKERS_ENV])
         except ValueError as exc:
             raise UsageError(f"bad {WORKERS_ENV} value {os.environ[WORKERS_ENV]!r}") from exc
-    return os.cpu_count() or 1
+    return min(os.cpu_count() or 1, MAX_WORKERS)
 
 
 def _mode_flag(args: argparse.Namespace, name: str, default: Any, applies: bool, mode: str) -> Any:
@@ -406,7 +407,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help=f"worker threads (default: ${WORKERS_ENV} or available parallelism); results do not depend on it",
+        help=f"worker threads in [1, {MAX_WORKERS}] (default: ${WORKERS_ENV} or available parallelism);"
+        " results do not depend on it",
     )
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_outage)

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cutset import check_listen_fraction, check_relay_count, single_relay_order_array
+from .cutset import check_listen_fraction, single_relay_order_array
 
 DEFAULT_ORACLE_BUDGET = 1_000_000_000
 
@@ -66,32 +66,8 @@ def single_relay_outage_region(r: float, t: float) -> RegionPredicate:
     return predicate
 
 
-def two_hop_cut_outage_region(n_relays: int, r: float, omega_mask: int) -> RegionPredicate:
-    """Vectorized per-cut outage predicate over (k, 2N+1) arrays.
-
-    Bit j of `omega_mask` set means relay j sits with the source; the
-    destination is on the other side.  Columns are a_sd, then
-    a_sr[0..N-1], then a_rd[0..N-1].  Only the cut's crossing links enter
-    the inequality: the direct link, relay->destination for omega relays
-    and source->relay for the rest must together have order at most
-    (N+1)*r.
-    """
-    check_relay_count(n_relays)
-    if not 0 <= omega_mask < 1 << n_relays:
-        raise ValueError(f"omega_mask {omega_mask} out of range for {n_relays} relays")
-    cols = [0]
-    cols += [1 + j for j in range(n_relays) if not omega_mask >> j & 1]
-    cols += [1 + n_relays + j for j in range(n_relays) if omega_mask >> j & 1]
-    crossing = crossing_links_outage_region(n_relays, r)
-
-    def predicate(alpha: np.ndarray) -> np.ndarray:
-        return crossing(alpha[:, cols])
-
-    return predicate
-
-
 def crossing_links_outage_region(n_relays: int, r: float) -> RegionPredicate:
-    """Reduced per-cut predicate over just the N+1 crossing-link orders.
+    """Per-cut outage predicate over just the N+1 crossing-link orders.
 
     Links not crossing the cut never enter the inequality and sit at order 1
     in the optimum, so minimizing over these N+1 coordinates gives the same

@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .channel import gains_from_uniforms
-from .cutset import TwoHopSchedule, cut_average_array, cut_flow_array, link_capacities
+from .cutset import TwoHopSchedule, _subset_max, cut_average_array, cut_flow_array, link_capacities
 from .rng import check_seed, uniforms_for_streams
 
 SIGN_TOL = 1e-12  # floating tolerance for margin >= 0 assertions
@@ -77,8 +77,9 @@ def avg_lemma_margin_array(a, s) -> np.ndarray:
     """Margins of the subset-average inequality at its tight instantiation,
     f(V) = max(a, max_{i in V} s_i), for a of shape (T,) and s of shape (T, n).
 
-    f is tabulated by doubling, f[mask | 2^k] = max(f[mask], s_k) with f[0] = a,
-    for `_BLOCK >> n` rows (at least one) per pass, and summed in mask order.
+    f is max(a, `_subset_max`), the subset-max table `cut_flow_array` reads
+    (its empty-mask row is 0 <= a), for `_BLOCK >> n` rows (at least one) per
+    pass, and summed in mask order.
     """
     a = np.asarray(a, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
@@ -93,10 +94,7 @@ def avg_lemma_margin_array(a, s) -> np.ndarray:
     rows_per_pass = max(1, _BLOCK >> n)
     for start in range(0, a.shape[0], rows_per_pass):
         rows = slice(start, start + rows_per_pass)
-        f = np.empty((a[rows].shape[0], 1 << n), dtype=np.float64)
-        f[:, 0] = a[rows]
-        for k in range(n):
-            np.maximum(f[:, : 1 << k], s[rows, k : k + 1], out=f[:, 1 << k : 2 << k])
+        f = np.maximum(_subset_max(s[rows]).T, a[rows, None], order="C")
         # a sequential sum in mask order
         total[rows] = np.add.accumulate(f, axis=1, out=f)[:, -1]
     rhs = (a + np.array([math.fsum(row) for row in s.tolist()])) / (n + 1)

@@ -32,6 +32,8 @@ _CHUNK = 1 << 16  # trials per task; fixed so chunking never shows in results
 
 _IN_FLIGHT_PER_WORKER = 2  # chunks submitted but not yet summed, per worker
 
+MAX_WORKERS = 256  # threads per campaign; the pool may start one per worker
+
 CONFIDENCE_LEVEL = 0.95  # of the Wilson interval in every row
 
 
@@ -151,6 +153,8 @@ def estimate_outage(cfg: RunConfig, workers: int = 1) -> OutageTable:
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers > MAX_WORKERS:
+        raise ValueError(f"workers must be <= {MAX_WORKERS}, got {workers}")
     points = []
     for snr_db in cfg.snr_db_grid:
         snr = float(db_to_linear(snr_db))

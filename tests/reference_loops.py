@@ -80,6 +80,14 @@ def two_hop_cut_outage(a_sd: float, a_sr, a_rd, r: float, omega_mask: int) -> bo
     return total <= (n + 1) * r
 
 
+def crossing_columns(n_relays: int, omega_mask: int) -> list[int]:
+    """Columns of one cut's N+1 crossing links in a row of 2N+1 orders: a_sd,
+    then a_sr of the complement relays, then a_rd of the omega relays."""
+    sr = [1 + j for j in range(n_relays) if not omega_mask >> j & 1]
+    rd = [1 + n_relays + j for j in range(n_relays) if omega_mask >> j & 1]
+    return [0, *sr, *rd]
+
+
 Row = tuple[float, list[float], list[float]]
 
 

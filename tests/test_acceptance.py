@@ -24,8 +24,8 @@ from hdrelay.dmt import (
     crossing_links_outage_region,
     exponent_grid_oracle,
     single_relay_outage_region,
-    two_hop_cut_outage_region,
 )
+from reference_loops import crossing_columns
 
 SEED = 1
 SNR_DB_GRID = tuple(float(v) for v in range(10, 41, 5))
@@ -87,14 +87,17 @@ def test_criterion_2_two_hop_exponents():
         for k in range(11):
             r = k * 0.1
             target = hd.miso_dmt(n + 1, r)
+            crossing = crossing_links_outage_region(n, r)
             per_cut = []
             for omega in range(1 << n):
                 if n <= 2:
-                    d = exponent_grid_oracle(two_hop_cut_outage_region(n, r, omega), 2 * n + 1, 0.05)
+                    # the full search: all 2N+1 link orders, the cut reading its N+1 crossing links
+                    cols = crossing_columns(n, omega)
+                    d = exponent_grid_oracle(lambda alpha: crossing(alpha[:, cols]), 2 * n + 1, 0.05)
                 else:
                     # only the N+1 crossing links constrain the cut; the rest
                     # sit at order 1, so the reduced search is equivalent
-                    d = exponent_grid_oracle(crossing_links_outage_region(n, r), n + 1, 0.05)
+                    d = exponent_grid_oracle(crossing, n + 1, 0.05)
                 per_cut.append(d)
                 worst_cut = max(worst_cut, abs(d - target))
             worst_min = max(worst_min, abs(min(per_cut) - target))

@@ -6,7 +6,8 @@ exponent is `miso_dmt(m, r)`.  The batch-of-one wrappers and the dataclasses
 that existed only for them (removed in 0.2.0), and the named aliases of
 `miso_dmt`, the `DmtCurve` container and the `Cut` dataclass (removed in
 0.3.0), and the scalar lemma checks and per-instance suite helpers (removed
-in 0.4.0) must not come back under their old names.
+in 0.4.0), and the per-cut outage region over all 2N+1 link orders (removed
+after 0.4.0) must not come back under their old names.
 """
 
 import importlib
@@ -44,7 +45,6 @@ PUBLIC = [
     "single_relay_outage_region",
     "tchebychef_margin_array",
     "two_hop_bound_array",
-    "two_hop_cut_outage_region",
 ]
 
 # removed name -> the module that defined it
@@ -85,6 +85,7 @@ REMOVED = {
     "cut_avg_suite_margins": "lemmas",
     "exponentials_for_streams": "rng",
     "unit_exponentials": "rng",
+    "two_hop_cut_outage_region": "dmt",
 }
 
 

@@ -267,6 +267,16 @@ class TestOutageAndSlopeCommands:
         assert json.loads(capsys.readouterr().out)["metadata"]["workers"] == 1
         monkeypatch.setenv("HDRELAY_WORKERS", "x")
         assert run(["outage", "--r", "0.5", "--snr-db", "10", "--trials", "100", "--seed", "2"]) == 2
+        monkeypatch.setenv("HDRELAY_WORKERS", "257")
+        assert run(["outage", "--r", "0.5", "--snr-db", "10", "--trials", "100", "--seed", "2"]) == 2
+        assert capsys.readouterr().err.endswith("hdrelay: error: workers must be <= 256, got 257\n")
+
+    def test_default_workers_are_capped(self, capsys, monkeypatch):
+        monkeypatch.delenv("HDRELAY_WORKERS", raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 1000)
+        assert run(["outage", "--r", "0.5", "--snr-db", "10", "--trials", "100",
+                    "--seed", "2", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["metadata"]["workers"] == 256
 
     def test_two_hop_model(self, capsys):
         assert run(["outage", "--model", "two-hop-zlb", "--relays", "2", "--r", "0.5",
@@ -504,8 +514,9 @@ class TestExitCodesAndSafety:
             ("exponent --relays 0 --r-grid 0.5", "n_relays must be >= 1, got 0"),
             ("slope --min-count 0", "min_count must be >= 1, got 0"),
             ("outage --r 0.5 --snr-db 10 --trials 10 --seed 1 --workers 0", "workers must be >= 1, got 0"),
+            ("outage --r 0.5 --snr-db 10 --trials 10 --seed 1 --workers 257", "workers must be <= 256, got 257"),
         ],
-        ids=["relays-0", "min-count-0", "workers-0"],
+        ids=["relays-0", "min-count-0", "workers-0", "workers-257"],
     )
     def test_library_checks_are_usage_errors(self, argv, message, tmp_path, capsys):
         table = tmp_path / "t.csv"

@@ -19,7 +19,7 @@ from hdrelay.cutset import (
     single_relay_order_array,
     two_hop_bound_array,
 )
-from hdrelay.dmt import two_hop_cut_outage_region
+from hdrelay.dmt import crossing_links_outage_region
 
 
 def _batch(g_sd, g_sr, g_rd):
@@ -164,22 +164,10 @@ class TestEnumeration:
 
     def test_cuts(self):
         row = np.array([[0.0, 0.0, 1.0]])  # a_sd, a_sr, a_rd
+        crossing = crossing_links_outage_region(1, 0.25)
         # mask 0 is crossed by source->relay, mask 1 by relay->destination
-        assert two_hop_cut_outage_region(1, 0.25, 0)(row)[0]
-        assert not two_hop_cut_outage_region(1, 0.25, 1)(row)[0]
-        two_hop_cut_outage_region(12, 0.5, (1 << 12) - 1)
-
-    def test_size_limits(self):
-        with pytest.raises(ValueError):
-            two_hop_cut_outage_region(13, 0.5, 0)
-        with pytest.raises(ValueError):
-            two_hop_cut_outage_region(0, 0.5, 0)
-
-    def test_mask_validation(self):
-        with pytest.raises(ValueError):
-            two_hop_cut_outage_region(1, 0.5, 2)
-        with pytest.raises(ValueError):
-            two_hop_cut_outage_region(1, 0.5, -1)
+        assert crossing(row[:, ref.crossing_columns(1, 0)])[0]
+        assert not crossing(row[:, ref.crossing_columns(1, 1)])[0]
 
 
 class TestSchedules:

@@ -27,7 +27,6 @@ from hdrelay.dmt import (
     miso_dmt,
     optimize_schedule_single,
     single_relay_outage_region,
-    two_hop_cut_outage_region,
 )
 
 
@@ -93,9 +92,10 @@ class TestPredicates:
                 assert (ref.highsnr_order(*row.tolist(), t) <= r) == bool(flag)
 
     def test_two_hop_cases(self):
-        assert two_hop_cut_outage_region(2, 0.2, 0b01)(np.zeros((1, 5)))[0]
-        assert two_hop_cut_outage_region(2, 1.0, 0)(np.ones((1, 5)))[0]
-        assert not two_hop_cut_outage_region(1, 0.5, 0b1)(np.array([[0.6, 0.0, 0.6]]))[0]
+        assert crossing_links_outage_region(2, 0.2)(np.zeros((1, 5))[:, ref.crossing_columns(2, 0b01)])[0]
+        assert crossing_links_outage_region(2, 1.0)(np.ones((1, 5))[:, ref.crossing_columns(2, 0)])[0]
+        row = np.array([[0.6, 0.0, 0.6]])
+        assert not crossing_links_outage_region(1, 0.5)(row[:, ref.crossing_columns(1, 0b1)])[0]
 
     def test_rates_outside_the_unit_interval_are_rejected(self):
         for r in (-0.1, 1.5, math.nan):
@@ -103,15 +103,13 @@ class TestPredicates:
                 single_relay_outage_region(r, 0.3)
             with pytest.raises(ValueError, match="multiplexing gain"):
                 crossing_links_outage_region(2, r)
-            with pytest.raises(ValueError, match="multiplexing gain"):
-                two_hop_cut_outage_region(2, r, 0b01)
 
     def test_two_hop_region_matches_scalar(self):
         rng = np.random.default_rng(16)
         n = 2
         alpha = rng.uniform(0, 1, size=(300, 2 * n + 1))
         for omega in range(1 << n):
-            mask = two_hop_cut_outage_region(n, 0.4, omega)(alpha)
+            mask = crossing_links_outage_region(n, 0.4)(alpha[:, ref.crossing_columns(n, omega)])
             for row, flag in zip(alpha, mask):
                 a_sd, a_sr, a_rd = ref.split_row(row, n)
                 assert ref.two_hop_cut_outage(a_sd, a_sr, a_rd, 0.4, omega) == bool(flag)
@@ -195,12 +193,12 @@ class TestGridOracle:
         for n in (1, 2):
             for r in (0.0, 0.3, 0.7, 1.0):
                 target = miso_dmt(n + 1, r)
-                reduced = exponent_grid_oracle(crossing_links_outage_region(n, r), n + 1, 0.05)
+                crossing = crossing_links_outage_region(n, r)
+                reduced = exponent_grid_oracle(crossing, n + 1, 0.05)
                 assert reduced == pytest.approx(target, abs=(n + 1) * 0.05 + 1e-12)
                 for omega in range(1 << n):
-                    full = exponent_grid_oracle(
-                        two_hop_cut_outage_region(n, r, omega), 2 * n + 1, 0.05
-                    )
+                    cols = ref.crossing_columns(n, omega)
+                    full = exponent_grid_oracle(lambda alpha: crossing(alpha[:, cols]), 2 * n + 1, 0.05)
                     assert full == pytest.approx(reduced, abs=1e-9)
 
 

@@ -191,9 +191,14 @@ class TestEstimateOutage:
             expected += bound < rate
         assert table.rows[0].outage_count == expected
 
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            estimate_outage(_single_cfg(trials_per_point=10), workers=0)
+    def test_invalid_workers(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+        for workers in (0, 257):
+            with pytest.raises(ValueError, match="workers must be"):
+                estimate_outage(_single_cfg(trials_per_point=10), workers=workers)
 
 
 class TestBoundedSubmission:

@@ -29,7 +29,6 @@ from hdrelay.dmt import (
     crossing_links_outage_region,
     exponent_grid_oracle,
     single_relay_outage_region,
-    two_hop_cut_outage_region,
 )
 from hdrelay.lemmas import (
     CheckKind,
@@ -126,7 +125,8 @@ def test_two_hop_cut_predicate_equals_loop_reference(n, data):
     a_rd = data.draw(st.lists(grid, min_size=n, max_size=n))
     omega = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
     r = data.draw(grid)
-    inside = two_hop_cut_outage_region(n, r, omega)(np.array([[a_sd, *a_sr, *a_rd]]))[0]
+    row = np.array([[a_sd, *a_sr, *a_rd]])
+    inside = crossing_links_outage_region(n, r)(row[:, ref.crossing_columns(n, omega)])[0]
     assert inside == ref.two_hop_cut_outage(a_sd, a_sr, a_rd, r, omega)
 
 
@@ -187,7 +187,11 @@ def test_staircase_oracle_equals_exhaustive_two_hop(n, r, step, chunk):
         # the full 2N+1 coordinates cost L^(2N) prefixes, so N=2 keeps the coarse grid
         full_step = step if n == 1 else 0.25
         for omega in range(1 << n):
-            region = two_hop_cut_outage_region(n, r, omega)
+            cols = ref.crossing_columns(n, omega)
+
+            def region(alpha):
+                return crossing(alpha[:, cols])
+
             expected = ref.exhaustive_grid_oracle(region, 2 * n + 1, full_step)
             with patch.object(dmt, "_CHUNK", chunk):
                 assert exponent_grid_oracle(region, 2 * n + 1, full_step) == expected
