@@ -19,10 +19,13 @@ def gains_from_uniforms(u: np.ndarray, n_relays: int) -> tuple[np.ndarray, np.nd
 
     Columns are consumed in the fixed order g_sd, g_sr[0..N-1], g_rd[0..N-1]
     (relay i's source-relay and relay-destination gains), each through the
-    inverse-CDF transform -ln(1 - u), so a zero uniform maps to gain 0.
+    inverse-CDF transform -ln(1 - u), so a zero uniform maps to gain 0.  The
+    transform runs in place: `u` is overwritten and the gains are views of it.
     """
-    g = -np.log1p(-u)
-    return g[:, 0], g[:, 1 : 1 + n_relays], g[:, 1 + n_relays :]
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.negative(u, out=u)
+    return u[:, 0], u[:, 1 : 1 + n_relays], u[:, 1 + n_relays :]
 
 
 def sample_gain_arrays(

@@ -44,16 +44,9 @@ from .montecarlo import (
 )
 from .rng import GENERATOR_NAME
 
-WORKERS_ENV = "HDRELAY_WORKERS"
-
 MAX_GRID_POINTS = 10_001  # of one start:stop:step grid
 
 OUTAGE_COLUMNS = [f.name for f in fields(OutageRow)]
-
-
-class UsageError(ValueError):
-    """Invalid flag values or inconsistent options; `run` exits 2 on any
-    ValueError, and this subclass marks the ones the CLI itself raises."""
 
 
 def parse_grid(text: str) -> list[float]:
@@ -79,7 +72,7 @@ def parse_grid(text: str) -> list[float]:
             return [float(p) for p in text.split(",")]
         return [float(text)]
     except ValueError as exc:
-        raise UsageError(f"bad grid {text!r}: {exc}") from exc
+        raise ValueError(f"bad grid {text!r}: {exc}") from exc
 
 
 def parse_count(text: str) -> int:
@@ -87,12 +80,12 @@ def parse_count(text: str) -> int:
     try:
         value = float(text)
     except ValueError as exc:
-        raise UsageError(f"bad count {text!r}") from exc
+        raise ValueError(f"bad count {text!r}") from exc
     if not math.isfinite(value):
-        raise UsageError(f"count must be a positive integer, got {text!r}")
+        raise ValueError(f"count must be a positive integer, got {text!r}")
     rounded = round(value)
     if rounded < 1 or abs(value - rounded) > 1e-9 * max(1.0, abs(value)):
-        raise UsageError(f"count must be a positive integer, got {text!r}")
+        raise ValueError(f"count must be a positive integer, got {text!r}")
     return int(rounded)
 
 
@@ -139,7 +132,7 @@ def render(
             "rows": [_json_safe({col: row.get(col) for col in columns}) for row in rows],
         }
         return json.dumps(doc, indent=2) + "\n"
-    raise UsageError(f"unknown format {fmt!r}")
+    raise ValueError(f"unknown format {fmt!r}")
 
 
 def emit(
@@ -160,7 +153,7 @@ def emit(
     try:
         Path(target).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise UsageError(f"cannot write {target!r}: {exc}") from exc
+        raise ValueError(f"cannot write {target!r}: {exc}") from exc
 
 
 def _base_metadata(argv: Sequence[str]) -> dict[str, Any]:
@@ -172,17 +165,6 @@ def _base_metadata(argv: Sequence[str]) -> dict[str, Any]:
     }
 
 
-def _resolve_workers(flag: int | None) -> int:
-    if flag is not None:
-        return flag
-    if os.environ.get(WORKERS_ENV):
-        try:
-            return int(os.environ[WORKERS_ENV])
-        except ValueError as exc:
-            raise UsageError(f"bad {WORKERS_ENV} value {os.environ[WORKERS_ENV]!r}") from exc
-    return min(os.cpu_count() or 1, MAX_WORKERS)
-
-
 def _mode_flag(args: argparse.Namespace, name: str, default: Any, applies: bool, mode: str) -> Any:
     """An optional flag's value, `default` when unset; setting it where the
     value of the flag `mode` makes the command ignore it is a usage error."""
@@ -190,7 +172,7 @@ def _mode_flag(args: argparse.Namespace, name: str, default: Any, applies: bool,
     if value is None:
         return default
     if not applies:
-        raise UsageError(f"--{name.replace('_', '-')} does not apply to --{mode} {getattr(args, mode)}")
+        raise ValueError(f"--{name.replace('_', '-')} does not apply to --{mode} {getattr(args, mode)}")
     return value
 
 
@@ -227,19 +209,18 @@ def _cmd_exponent(args: argparse.Namespace) -> int:
 
 def _cmd_outage(args: argparse.Namespace) -> int:
     trials = parse_count(args.trials)
-    workers = _resolve_workers(args.workers)
     single = args.model == SingleRelaySchedule.model
     t = _mode_flag(args, "t", 0.5, single, "model")
     weights = _mode_flag(args, "weights", None, not single, "model")
     if single:
         if args.relays != 1:
-            raise UsageError("--model single-relay-ub requires --relays 1")
+            raise ValueError("--model single-relay-ub requires --relays 1")
         schedule: SingleRelaySchedule | TwoHopSchedule = SingleRelaySchedule(t)
     elif weights is not None:
         try:
             parsed = tuple(float(w) for w in weights.split(","))
         except ValueError as exc:
-            raise UsageError(f"bad --weights {weights!r}: {exc}") from exc
+            raise ValueError(f"bad --weights {weights!r}: {exc}") from exc
         schedule = TwoHopSchedule(args.relays, parsed)
     else:
         schedule = TwoHopSchedule.uniform(args.relays)
@@ -251,9 +232,9 @@ def _cmd_outage(args: argparse.Namespace) -> int:
         seed=args.seed,
         gap_bits=args.gap_bits,
     )
-    table = estimate_outage(cfg, workers=workers)
+    table = estimate_outage(cfg, workers=args.workers)
     rows = [asdict(row) for row in table.rows]
-    metadata = {**table.metadata, **_base_metadata(args.argv), "workers": workers}
+    metadata = {**table.metadata, **_base_metadata(args.argv), "workers": args.workers}
     emit(OUTAGE_COLUMNS, rows, metadata, args.format, args.output)
     return 0
 
@@ -262,7 +243,7 @@ def _read_table(path: str) -> OutageTable:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise UsageError(f"cannot read {path!r}: {exc}") from exc
+        raise ValueError(f"cannot read {path!r}: {exc}") from exc
     metadata: dict[str, Any] = {}
     raw_rows: list[dict[str, Any]] = []
     stripped = text.lstrip()
@@ -270,7 +251,7 @@ def _read_table(path: str) -> OutageTable:
         try:
             doc = json.loads(stripped)
         except json.JSONDecodeError as exc:
-            raise UsageError(f"{path!r} is not valid JSON: {exc}") from exc
+            raise ValueError(f"{path!r} is not valid JSON: {exc}") from exc
         metadata = doc.get("metadata", {})
         raw_rows = doc.get("rows", [])
     else:
@@ -295,7 +276,7 @@ def _read_table(path: str) -> OutageTable:
                 for col in OUTAGE_COLUMNS
             }))
     except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{path!r} is not an outage table: {exc}") from exc
+        raise ValueError(f"{path!r} is not an outage table: {exc}") from exc
     return OutageTable(rows=tuple(rows), metadata=metadata)
 
 
@@ -326,21 +307,11 @@ def _cmd_schedule_opt(args: argparse.Namespace) -> int:
 
 def _cmd_curves(args: argparse.Namespace) -> int:
     r_values = parse_grid(args.r_grid)
-    if args.miso is not None:
-        label, m = f"miso-{args.miso}x1", args.miso
-    elif args.parallel:
-        label, m = "parallel-channel", 2
-    elif args.single_relay:
-        label, m = "single-relay", 2
-    else:
-        if args.two_hop < 1:
-            raise UsageError(f"n_relays must be >= 1, got {args.two_hop}")
-        label, m = f"two-hop-{args.two_hop}-relays", args.two_hop + 1
-    rows = [{"r": r, "d": miso_dmt(m, r)} for r in r_values]
+    rows = [{"r": r, "d": miso_dmt(args.miso, r)} for r in r_values]
     if any(b <= a for a, b in zip(r_values, r_values[1:])):
-        raise UsageError("multiplexing gains must be strictly increasing")
+        raise ValueError("multiplexing gains must be strictly increasing")
     metadata = _base_metadata(args.argv)
-    metadata["curve"] = label
+    metadata["curve"] = f"miso-{args.miso}x1"
     emit(["r", "d"], rows, metadata, args.format, args.output)
     return 0
 
@@ -349,7 +320,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     cut_avg = args.kind == CheckKind.CUT_AVG.value
     report = run_randomized_suite(
         CheckKind(args.kind),
-        args.instances,
+        parse_count(args.instances),
         args.seed,
         max_len=_mode_flag(args, "max_len", 8, not cut_avg, "kind"),
         max_relays=_mode_flag(args, "max_relays", 6, cut_avg, "kind"),
@@ -403,13 +374,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", default="100000", help="trials per SNR point (accepts 1e6)")
     p.add_argument("--seed", type=int, required=True, help="master seed in [0, 2**64) (echoed in metadata)")
     p.add_argument("--gap-bits", type=float, default=0.0, help="constant gap subtracted from the bound")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=f"worker threads in [1, {MAX_WORKERS}] (default: ${WORKERS_ENV} or available parallelism);"
-        " results do not depend on it",
-    )
+    p.add_argument("--workers", type=int, default=min(os.cpu_count() or 1, MAX_WORKERS),
+                   help=f"worker threads in [1, {MAX_WORKERS}] (default: available parallelism,"
+                   f" at most {MAX_WORKERS}); results do not depend on it")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_outage)
 
@@ -428,18 +395,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_schedule_opt)
 
     p = subs.add_parser("curves", help="closed-form baseline DMT curves")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--miso", type=int, default=None, help="m x 1 MISO curve m*(1-r)")
-    group.add_argument("--parallel", action="store_true", help="two-path parallel channel 2*(1-r)")
-    group.add_argument("--single-relay", action="store_true", help="single relay at t=0.5, 2*(1-r)")
-    group.add_argument("--two-hop", type=int, default=None, help="N-relay two-hop curve (N+1)*(1-r)")
+    p.add_argument("--miso", type=int, required=True,
+                   help="m x 1 MISO curve m*(1-r): m = 2 for one relay at t = 0.5 or the"
+                   " parallel channel, m = N+1 for N two-hop relays")
     p.add_argument("--r-grid", default="0:1:0.05", help="multiplexing gains, start:stop:step")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_curves)
 
     p = subs.add_parser("verify", help="randomized inequality suites (exit 3 on violation)")
     p.add_argument("--kind", choices=[k.value for k in CheckKind], required=True)
-    p.add_argument("--instances", type=int, default=10000)
+    p.add_argument("--instances", default="10000", help="instances to check (accepts 1e6)")
     p.add_argument("--seed", type=int, required=True, help="master seed in [0, 2**64) (echoed in metadata)")
     p.add_argument("--max-len", type=int, default=None, help="max sequence/subset length (default 8)")
     p.add_argument("--max-relays", type=int, default=None, help="max relays of cut-avg instances (default 6)")

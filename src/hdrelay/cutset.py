@@ -43,6 +43,11 @@ def check_listen_fraction(t: float) -> None:
         raise ValueError(f"listen fraction t must lie in [0, 1], got {t!r}")
 
 
+def check_multiplexing_gain(r: float) -> None:
+    if not 0.0 <= r <= 1.0:
+        raise ValueError(f"multiplexing gain r must lie in [0, 1], got {r!r}")
+
+
 def check_relay_count(n_relays: int) -> None:
     if not 1 <= n_relays <= MAX_RELAYS:
         raise ValueError(f"n_relays must lie in [1, {MAX_RELAYS}], got {n_relays}")

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cutset import check_listen_fraction, single_relay_order_array
+from .cutset import check_listen_fraction, check_multiplexing_gain, single_relay_order_array
 
 DEFAULT_ORACLE_BUDGET = 1_000_000_000
 
@@ -37,16 +37,11 @@ _TIE_TOL = 1e-9
 RegionPredicate = Callable[[np.ndarray], np.ndarray]
 
 
-def _check_r(r: float) -> None:
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"multiplexing gain r must lie in [0, 1], got {r!r}")
-
-
 def miso_dmt(m_antennas: int, r: float) -> float:
     """Diversity order m*(1-r) of the fully cooperative m x 1 channel."""
     if m_antennas < 1:
         raise ValueError(f"m_antennas must be >= 1, got {m_antennas}")
-    _check_r(r)
+    check_multiplexing_gain(r)
     return m_antennas * (1.0 - r)
 
 
@@ -58,7 +53,7 @@ def single_relay_outage_region(r: float, t: float) -> RegionPredicate:
     so boundary points count as outage).
     """
     check_listen_fraction(t)
-    _check_r(r)
+    check_multiplexing_gain(r)
 
     def predicate(alpha: np.ndarray) -> np.ndarray:
         return single_relay_order_array(alpha[:, 0], alpha[:, 1], alpha[:, 2], t) <= r
@@ -75,7 +70,7 @@ def crossing_links_outage_region(n_relays: int, r: float) -> RegionPredicate:
     """
     if n_relays < 1:
         raise ValueError(f"n_relays must be >= 1, got {n_relays}")
-    _check_r(r)
+    check_multiplexing_gain(r)
     threshold = (n_relays + 1) * r
 
     def predicate(alpha: np.ndarray) -> np.ndarray:
@@ -182,7 +177,7 @@ def optimize_schedule_single(
     all of them within `budget`, and returns (t_star, d_star).  Exponent ties
     (within 1e-9) are broken toward the t closest to 0.5, then toward the smaller t.
     """
-    _check_r(r)
+    check_multiplexing_gain(r)
     _check_budget(_grid_levels(t_step, "t_step"), 3, _grid_levels(oracle_step), budget)
     t_grid = _unit_grid(t_step)
     exponents = [

@@ -27,6 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .channel import gains_from_uniforms
+from . import cutset
 from .cutset import TwoHopSchedule, _subset_max, cut_average_array, cut_flow_array, link_capacities
 from .rng import check_seed, uniforms_for_streams
 
@@ -35,7 +36,7 @@ SIGN_TOL = 1e-12  # floating tolerance for margin >= 0 assertions
 MAX_SUBSET_LEN = 16
 MAX_CUT_RELAYS = 10
 
-# instances per suite block and table entries per avg-lemma pass; a memory bound only
+# instances per suite block; a memory bound only
 _BLOCK = 1 << 16
 
 
@@ -78,8 +79,8 @@ def avg_lemma_margin_array(a, s) -> np.ndarray:
     f(V) = max(a, max_{i in V} s_i), for a of shape (T,) and s of shape (T, n).
 
     f is max(a, `_subset_max`), the subset-max table `cut_flow_array` reads
-    (its empty-mask row is 0 <= a), for `_BLOCK >> n` rows (at least one) per
-    pass, and summed in mask order.
+    (its empty-mask row is 0 <= a), for `cutset._BLOCK >> n` rows (at least
+    one) per pass, and summed in mask order.
     """
     a = np.asarray(a, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
@@ -91,7 +92,7 @@ def avg_lemma_margin_array(a, s) -> np.ndarray:
     if np.any(a < 0) or np.any(s < 0):
         raise ValueError("a and all s_i must be >= 0")
     total = np.empty(a.shape[0], dtype=np.float64)
-    rows_per_pass = max(1, _BLOCK >> n)
+    rows_per_pass = max(1, cutset._BLOCK >> n)
     for start in range(0, a.shape[0], rows_per_pass):
         rows = slice(start, start + rows_per_pass)
         f = np.maximum(_subset_max(s[rows]).T, a[rows, None], order="C")

@@ -22,7 +22,8 @@ import numpy as np
 
 from ._version import __version__
 from .channel import sample_gain_arrays
-from .cutset import Schedule, SingleRelaySchedule, single_relay_bound_array, two_hop_bound_array
+from .cutset import Schedule, SingleRelaySchedule, check_multiplexing_gain
+from .cutset import single_relay_bound_array, two_hop_bound_array
 from .rng import GENERATOR_NAME, check_seed
 
 # stream index of trial k at SNR point i is i * SNR_STREAM_STRIDE + k
@@ -51,8 +52,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "snr_db_grid", tuple(float(v) for v in self.snr_db_grid))
-        if not 0.0 <= self.r <= 1.0:
-            raise ValueError(f"multiplexing gain r must lie in [0, 1], got {self.r!r}")
+        check_multiplexing_gain(self.r)
         if self.trials_per_point < 1:
             raise ValueError(f"trials_per_point must be >= 1, got {self.trials_per_point}")
         if self.trials_per_point >= SNR_STREAM_STRIDE:
@@ -180,7 +180,7 @@ def estimate_outage(cfg: RunConfig, workers: int = 1) -> OutageTable:
     rows = []
     for (snr_db, snr, rate_bits), count in zip(points, counts):
         p_hat = count / cfg.trials_per_point
-        ci_low, ci_high = confidence_interval(count, cfg.trials_per_point, CONFIDENCE_LEVEL)
+        ci_low, ci_high = confidence_interval(count, cfg.trials_per_point)
         rows.append(
             OutageRow(
                 snr_db=snr_db,
@@ -208,15 +208,13 @@ def estimate_outage(cfg: RunConfig, workers: int = 1) -> OutageTable:
     return OutageTable(rows=tuple(rows), metadata=metadata)
 
 
-def confidence_interval(successes: int, trials: int, level: float) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def confidence_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval at `CONFIDENCE_LEVEL` for a binomial proportion."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes must lie in [0, {trials}], got {successes}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level!r}")
-    z = NormalDist().inv_cdf(0.5 + level / 2.0)
+    z = NormalDist().inv_cdf(0.5 + CONFIDENCE_LEVEL / 2.0)
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import reference_loops as ref
-from hdrelay.channel import sample_gain_arrays
+from hdrelay.channel import gains_from_uniforms, sample_gain_arrays
 
 
 def _one(n_relays, seed, index):
@@ -51,6 +51,17 @@ def test_empirical_cdf_is_unit_exponential():
         np.max(cdf - np.arange(0, n) / n),
     )
     assert ks < 0.002
+
+
+def test_gains_overwrite_the_uniforms_in_place():
+    u = np.random.default_rng(4).random((1000, 5))
+    u[0, 0] = 0.0
+    expected = -np.log1p(-u.copy())
+    g_sd, g_sr, g_rd = gains_from_uniforms(u, 2)
+    for g in (g_sd, g_sr, g_rd):
+        assert np.shares_memory(g, u)
+    # bit for bit, so the zero uniform's gain is +0.0 as before
+    assert np.column_stack([g_sd, g_sr, g_rd]).tobytes() == expected.tobytes()
 
 
 def test_negative_relay_count_rejected():

@@ -4,14 +4,17 @@ import csv
 import io
 import json
 import math
+import re
+import shlex
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
 from hdrelay.cli import (
     MAX_GRID_POINTS,
     OUTAGE_COLUMNS,
-    UsageError,
+    _build_parser,
     emit,
     parse_count,
     parse_grid,
@@ -45,7 +48,7 @@ class TestGridParsing:
 
     def test_bad_grids(self):
         for text in ("0:1", "1:0:0.1", "0:1:0", "0:1:-1", "a:b:c", "zzz"):
-            with pytest.raises(UsageError):
+            with pytest.raises(ValueError):
                 parse_grid(text)
 
     @pytest.mark.parametrize(
@@ -60,7 +63,7 @@ class TestGridParsing:
     )
     def test_non_finite_or_oversized_ranges(self, text, message):
         # rejected before any list is built
-        with pytest.raises(UsageError, match=message):
+        with pytest.raises(ValueError, match=message):
             parse_grid(text)
 
     def test_largest_range(self):
@@ -71,7 +74,7 @@ class TestGridParsing:
         assert parse_count("1e6") == 1_000_000
         assert parse_count("250") == 250
         for text in ("0", "-3", "2.5", "nan", "abc"):
-            with pytest.raises(UsageError):
+            with pytest.raises(ValueError):
                 parse_count(text)
 
 
@@ -175,26 +178,32 @@ class TestCurvesCommand:
 
     def test_requires_exactly_one_curve(self, capsys):
         assert run(["curves", "--r-grid", "0:1:0.5"]) == 2
-        assert run(["curves", "--miso", "2", "--parallel"]) == 2
+        # the alias flags of m = 2 and m = N+1 are gone; --miso is the one way
+        assert run(["curves", "--parallel"]) == 2
+        assert run(["curves", "--miso", "2", "--single-relay"]) == 2
+        assert run(["curves", "--two-hop", "2"]) == 2
 
     def test_other_curves(self, capsys):
-        assert run(["curves", "--parallel", "--r-grid", "0,1"]) == 0
+        assert run(["curves", "--miso", "2", "--r-grid", "0,1"]) == 0
         assert _read_csv(capsys.readouterr().out)[0]["d"] == "2.0"
-        assert run(["curves", "--single-relay", "--r-grid", "0.25"]) == 0
+        assert run(["curves", "--miso", "2", "--r-grid", "0.25"]) == 0
         assert float(_read_csv(capsys.readouterr().out)[0]["d"]) == 1.5
-        assert run(["curves", "--two-hop", "3", "--r-grid", "0.5"]) == 0
+        assert run(["curves", "--miso", "4", "--r-grid", "0.5"]) == 0
         assert float(_read_csv(capsys.readouterr().out)[0]["d"]) == 2.0
+
+    def test_metadata_names_the_miso_curve(self, capsys):
+        assert run(["curves", "--miso", "3", "--r-grid", "0.5", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["metadata"]["curve"] == "miso-3x1"
 
     @pytest.mark.parametrize(
         "argv, message",
         [
-            ("--two-hop 0", "n_relays must be >= 1, got 0"),
-            ("--parallel --r-grid 0.5,0.2", "multiplexing gains must be strictly increasing"),
-            ("--single-relay --r-grid 0.5,0.5", "multiplexing gains must be strictly increasing"),
+            ("--miso 2 --r-grid 0.5,0.2", "multiplexing gains must be strictly increasing"),
+            ("--miso 2 --r-grid 0.5,0.5", "multiplexing gains must be strictly increasing"),
             ("--miso 2 --r-grid 1.5", "multiplexing gain r must lie in [0, 1], got 1.5"),
             ("--miso 0", "m_antennas must be >= 1, got 0"),
         ],
-        ids=["two-hop-0", "decreasing-r", "repeated-r", "r-above-1", "miso-0"],
+        ids=["decreasing-r", "repeated-r", "r-above-1", "miso-0"],
     )
     def test_bad_curves_are_usage_errors(self, argv, message, capsys):
         assert run(["curves", *argv.split()]) == 2
@@ -258,21 +267,20 @@ class TestOutageAndSlopeCommands:
         assert run(["slope", "--input", str(out)]) == 2
 
     def test_workers_env_override(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("HDRELAY_WORKERS", "3")
+        # --workers is the one way to set the count; the environment is not read
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        monkeypatch.setenv("HDRELAY_WORKERS", "x")
         assert run(["outage", "--r", "0.5", "--snr-db", "10", "--trials", "100",
                     "--seed", "2", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["metadata"]["workers"] == 3
         assert run(["outage", "--r", "0.5", "--snr-db", "10", "--trials", "100",
                     "--seed", "2", "--workers", "1", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["metadata"]["workers"] == 1
-        monkeypatch.setenv("HDRELAY_WORKERS", "x")
-        assert run(["outage", "--r", "0.5", "--snr-db", "10", "--trials", "100", "--seed", "2"]) == 2
-        monkeypatch.setenv("HDRELAY_WORKERS", "257")
-        assert run(["outage", "--r", "0.5", "--snr-db", "10", "--trials", "100", "--seed", "2"]) == 2
+        assert run(["outage", "--r", "0.5", "--snr-db", "10", "--trials", "100", "--seed", "2",
+                    "--workers", "257"]) == 2
         assert capsys.readouterr().err.endswith("hdrelay: error: workers must be <= 256, got 257\n")
 
     def test_default_workers_are_capped(self, capsys, monkeypatch):
-        monkeypatch.delenv("HDRELAY_WORKERS", raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: 1000)
         assert run(["outage", "--r", "0.5", "--snr-db", "10", "--trials", "100",
                     "--seed", "2", "--format", "json"]) == 0
@@ -311,6 +319,15 @@ class TestVerifyCommand:
         assert row["violations"] == "0"
         assert int(row["instances"]) == 10000
 
+    def test_instances_accept_scientific_notation(self, capsys):
+        assert run(["verify", "--kind", "tchebychef", "--instances", "1e4", "--seed", "1"]) == 0
+        assert int(_read_csv(capsys.readouterr().out)[0]["instances"]) == 10_000
+
+    @pytest.mark.parametrize("count", ["2.5", "0", "inf"])
+    def test_bad_instance_counts_are_usage_errors(self, count, capsys):
+        assert run(["verify", "--kind", "tchebychef", "--instances", count, "--seed", "1"]) == 2
+        assert capsys.readouterr().err.startswith("hdrelay: error: count must be a positive integer")
+
     def test_violation_exit_code(self, capsys, monkeypatch):
         fake = VerificationReport(
             kind=CheckKind.TCHEBYCHEF, instances=5, violations=2, worst_margin=-0.5, seed=1
@@ -338,9 +355,9 @@ class TestPinnedResults:
              "d_oracle", [1.35, 0.5999999999999996]),
             ("exponent --relays 2 --r-grid 0.1,0.3 --oracle-step 0.05",
              "d_analytic", [2.7, 2.0999999999999996]),
-            ("curves --parallel --r-grid 0:1:0.25", "d", [2.0, 1.5, 1.0, 0.5, 0.0]),
-            ("curves --single-relay --r-grid 0.3,0.7", "d", [1.4, 0.6000000000000001]),
-            ("curves --two-hop 2 --r-grid 0.1,0.3,0.9", "d",
+            ("curves --miso 2 --r-grid 0:1:0.25", "d", [2.0, 1.5, 1.0, 0.5, 0.0]),
+            ("curves --miso 2 --r-grid 0.3,0.7", "d", [1.4, 0.6000000000000001]),
+            ("curves --miso 3 --r-grid 0.1,0.3,0.9", "d",
              [2.7, 2.0999999999999996, 0.29999999999999993]),
             ("verify --kind avg-lemma --instances 5 --seed 7 --max-len 16",
              "worst_margin", [1.8804357568813472]),
@@ -363,13 +380,30 @@ class TestExitCodesAndSafety:
                         "--seed", "--gap-bits", "--workers", "--format", "--output"]),
             ("slope", ["--input", "--min-count", "--format", "--output"]),
             ("schedule-opt", ["--r-grid", "--t-step", "--oracle-step", "--budget", "--format", "--output"]),
-            ("curves", ["--miso", "--parallel", "--single-relay", "--two-hop", "--r-grid", "--format", "--output"]),
+            ("curves", ["--miso", "--r-grid", "--format", "--output"]),
             ("verify", ["--kind", "--instances", "--seed", "--max-len", "--max-relays", "--format", "--output"]),
         ]:
             assert run([sub, "--help"]) == 0
             text = capsys.readouterr().out
             for flag in flags:
                 assert flag in text, (sub, flag)
+
+    def test_readme_examples_parse(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+        commands = [
+            words[1:]
+            for block in blocks
+            for line in block.replace("\\\n", " ").splitlines()
+            if (words := shlex.split(line, comments=True))[:1] == ["hdrelay"]
+        ]
+        assert commands
+        parser = _build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README example does not parse: hdrelay {shlex.join(argv)}")
 
     def test_no_subcommand(self, capsys):
         assert run([]) == 2

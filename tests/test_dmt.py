@@ -51,7 +51,7 @@ class TestAnalyticCurves:
 
     def test_parallel(self):
         # two links each carrying rate r are in outage when both are: the
-        # 2 x 1 MISO curve, miso_dmt(2, r), as `curves --parallel` prints it
+        # 2 x 1 MISO curve, miso_dmt(2, r), as `curves --miso 2` prints it
         for r in (0.0, 0.25, 0.5, 1.0):
             both_fail = lambda alpha: alpha.max(axis=1) <= r
             d = exponent_grid_oracle(both_fail, 2, 0.05)

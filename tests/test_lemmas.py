@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdrelay import lemmas
+from hdrelay import cutset, lemmas
 from hdrelay.cutset import link_capacities
 from hdrelay.lemmas import (
     SIGN_TOL,
@@ -168,7 +168,8 @@ class TestBlocks:
     @pytest.mark.parametrize("block", [1, 17])
     def test_block_size_does_not_change_the_report(self, kind, block):
         expected = run_randomized_suite(kind, 300, seed=5, max_len=16, max_relays=4)
-        with patch.object(lemmas, "_BLOCK", block):
+        # lemmas._BLOCK sizes the instance blocks, cutset._BLOCK the table passes
+        with patch.object(lemmas, "_BLOCK", block), patch.object(cutset, "_BLOCK", block):
             assert run_randomized_suite(kind, 300, seed=5, max_len=16, max_relays=4) == expected
 
     @pytest.mark.parametrize("kind", list(CheckKind))

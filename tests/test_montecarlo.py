@@ -277,9 +277,9 @@ class TestOutageRowValidation:
 
 class TestConfidenceInterval:
     def test_boundary_cases(self):
-        low, high = confidence_interval(0, 100, 0.95)
+        low, high = confidence_interval(0, 100)
         assert low == 0.0 and 0.0 < high < 0.1
-        low, high = confidence_interval(100, 100, 0.95)
+        low, high = confidence_interval(100, 100)
         assert high == 1.0 and 0.9 < low < 1.0
 
     def test_against_reference_implementation(self):
@@ -287,7 +287,7 @@ class TestConfidenceInterval:
         # i.e. (1 + z^2/n) p^2 - (2 p_hat + z^2/n) p + p_hat^2 = 0
         z = NormalDist().inv_cdf(0.975)
         for successes, trials in [(50, 100), (3, 1000), (999, 1000), (120, 345)]:
-            low, high = confidence_interval(successes, trials, 0.95)
+            low, high = confidence_interval(successes, trials)
             p_hat = successes / trials
             a = 1.0 + z * z / trials
             b = -(2.0 * p_hat + z * z / trials)
@@ -297,19 +297,17 @@ class TestConfidenceInterval:
             assert high == pytest.approx((-b + root) / (2.0 * a), abs=1e-10)
 
     def test_half_case_value(self):
-        low, high = confidence_interval(50, 100, 0.95)
+        low, high = confidence_interval(50, 100)
         assert low == pytest.approx(0.4038, abs=5e-4)
         assert high == pytest.approx(0.5962, abs=5e-4)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            confidence_interval(-1, 10, 0.95)
+            confidence_interval(-1, 10)
         with pytest.raises(ValueError):
-            confidence_interval(11, 10, 0.95)
+            confidence_interval(11, 10)
         with pytest.raises(ValueError):
-            confidence_interval(5, 10, 1.0)
-        with pytest.raises(ValueError):
-            confidence_interval(5, 0, 0.95)
+            confidence_interval(5, 0)
 
 
 def _synthetic_table(ps, trials=10**6, snrs=(10.0, 100.0, 1000.0)):
