@@ -10,7 +10,7 @@ import pytest
 
 import reference_loops as ref
 from hdrelay import montecarlo
-from hdrelay.cutset import SingleRelaySchedule, TwoHopSchedule
+from hdrelay.cutset import SingleRelaySchedule, TwoHopSchedule, _min_cut_floor, link_capacities
 from hdrelay.montecarlo import (
     SNR_STREAM_STRIDE,
     OutageRow,
@@ -67,6 +67,27 @@ class TestOutageEvent:
             in_outage(1.0, [1.0], [1.0], 1.0, 1.0, TwoHopSchedule.uniform(2))
         with pytest.raises(ValueError, match="gain arrays have 2 relays"):
             in_outage(1.0, [1.0, 1.0], [1.0, 1.0], 1.0, 1.0, TwoHopSchedule.uniform(3))
+
+    def test_cleared_rows_skip_the_min_cut(self, monkeypatch):
+        # the kernel sees only the rows `_min_cut_floor` leaves below the rate,
+        # and is still called when none are left, so it checks the relay count
+        kernel, seen = montecarlo.two_hop_bound_array, []
+
+        def recording(g_sd, *args):
+            seen.append(g_sd.shape[0])
+            return kernel(g_sd, *args)
+
+        monkeypatch.setattr(montecarlo, "two_hop_bound_array", recording)
+        rng = np.random.default_rng(5)
+        gains = rng.exponential(size=64), rng.exponential(size=(64, 2)), rng.exponential(size=(64, 2))
+        schedule = TwoHopSchedule.uniform(2)
+        floor = _min_cut_floor(*link_capacities(*gains, 100.0), schedule.weights)
+        rate = float(np.median(floor))
+        _outage_mask(schedule, *gains, 100.0, rate, 0.0)
+        _outage_mask(schedule, *gains, 100.0, 0.0, 0.0)
+        assert seen == [np.count_nonzero(floor < rate), 0]
+        with pytest.raises(ValueError, match="gain arrays have 1 relays"):
+            in_outage(1.0, [1.0], [1.0], 1.0, 0.0, schedule)
 
 
 class TestRunConfigValidation:
@@ -244,6 +265,22 @@ class TestBoundedSubmission:
         window = montecarlo._IN_FLIGHT_PER_WORKER * workers
         # chunks from the oldest unfinished one to the newest started one
         assert max(k - oldest + 1 for k, oldest in spans) <= window
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_two_hop_counts_do_not_depend_on_chunks_or_workers(self, monkeypatch, workers):
+        # 6 chunks per point; the min-cut runs only on the rows its floor leaves
+        cfg = RunConfig(
+            schedule=TwoHopSchedule.uniform(3),
+            r=0.75,
+            snr_db_grid=(0.0, 10.0, 20.0),
+            trials_per_point=3_000,
+            seed=41,
+            gap_bits=0.5,
+        )
+        whole = [row.outage_count for row in estimate_outage(cfg, workers=1).rows]
+        monkeypatch.setattr(montecarlo, "_CHUNK", self.CHUNK)
+        counts = [row.outage_count for row in estimate_outage(cfg, workers=workers).rows]
+        assert counts == whole
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_chunk_exception_surfaces(self, monkeypatch, workers):

@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 import reference_loops as ref
 from hdrelay import dmt
 from hdrelay.cutset import (
+    WEIGHT_SUM_TOL,
     TwoHopSchedule,
+    _min_cut_floor,
     cut_average_array,
     cut_flow_array,
     link_capacities,
@@ -36,7 +38,7 @@ from hdrelay.lemmas import (
     run_randomized_suite,
     suite_margins,
 )
-from hdrelay.montecarlo import _outage_mask
+from hdrelay.montecarlo import _FLOOR_TOL, _outage_mask
 from hdrelay.rng import uniforms_for_streams
 
 gains = st.floats(min_value=0.0, max_value=20.0, allow_nan=False)
@@ -101,6 +103,84 @@ def test_multi_row_batches_equal_loop_references(n, zeros):
         assert bound[i] == ref.min_cut(*row, schedule.weights)
         for omega, flow in zip(cuts.tolist(), flows[:, i]):
             assert flow == ref.cut_flow(*row, schedule.weights, omega)
+
+
+def _floor_schedule(rng, n, weights):
+    """Equal weights 2^-N, random weights with zeros and one state holding about
+    half the time, or equal weights whose sum falls short of 1 by
+    0.9 * WEIGHT_SUM_TOL (the most a schedule may)."""
+    if weights == "uniform":
+        return TwoHopSchedule.uniform(n)
+    if weights == "short":
+        return TwoHopSchedule(n, ((1.0 - 0.9 * WEIGHT_SUM_TOL) / (1 << n),) * (1 << n))
+    raw = rng.integers(0, 3, size=1 << n).astype(np.float64)
+    raw[rng.integers(1 << n)] += 1 << n
+    return TwoHopSchedule(n, tuple(raw / raw.sum()))
+
+
+def _floor_gains(rng, n, rows):
+    """Exponential gains, with rows whose direct link is the whole flow (dead
+    relays), strong direct links, dead single links and, at N=1, hops at least
+    as strong as the direct link, where the cut-average lemma holds with equality."""
+    g_sd = rng.exponential(size=rows)
+    g_sr = rng.exponential(size=(rows, n))
+    g_rd = rng.exponential(size=(rows, n))
+    g_sr[0::4], g_rd[0::4] = 0.0, 0.0
+    g_sd[1::4] *= 1e3
+    g_sd[3::8], g_sr[3::5, 0] = 0.0, 0.0
+    if n == 1:
+        tight = g_sd[2::4, None]
+        g_sr[2::4] = tight * rng.uniform(1.0, 2.0, size=tight.shape)
+        g_rd[2::4] = tight * rng.uniform(1.0, 2.0, size=tight.shape)
+    return g_sd, g_sr, g_rd
+
+
+FLOOR_SNRS = (0.1, 1.0, 10.0, 1e3, 1e6, 1e20)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("weights", ["uniform", "zeros", "short"])
+def test_pruned_outage_equals_the_unpruned_min_cut(n, weights):
+    """`_outage_mask` clears rows by `_min_cut_floor` before the kernel; every
+    row must still read `two_hop_bound_array(...) - gap < rate_bits`, also at
+    rates on the computed bound and one ulp either side of it."""
+    rng = np.random.default_rng(300 + n)
+    schedule = _floor_schedule(rng, n, weights)
+    g_sd, g_sr, g_rd = _floor_gains(rng, n, max(12, 512 >> n))
+    for snr in FLOOR_SNRS:
+        bound = two_hop_bound_array(g_sd, g_sr, g_rd, snr, schedule)
+        for gap_bits in (0.0, 0.7):
+            rates = [0.0, math.log2(snr)]  # r = 0 and r = 1
+            for i in range(8):  # every kind of row `_floor_gains` makes
+                edge = bound[i] - gap_bits
+                rates += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+            for rate_bits in rates:
+                mask = _outage_mask(schedule, g_sd, g_sr, g_rd, snr, float(rate_bits), gap_bits)
+                assert (mask == (bound - gap_bits < rate_bits)).all()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("weights", ["uniform", "zeros", "short"])
+def test_min_cut_floor_is_the_cut_average_lemma(n, weights):
+    """Under equal weights the floor is max(n_sd, min over all cuts of
+    `cut_average_array`) bit for bit, else n_sd; it never exceeds the
+    computed min-cut by more than `_FLOOR_TOL` relative."""
+    rng = np.random.default_rng(400 + n)
+    schedule = _floor_schedule(rng, n, weights)
+    gains = _floor_gains(rng, n, max(12, 512 >> n))
+    for snr in FLOOR_SNRS:
+        caps = link_capacities(*gains, snr)
+        floor = _min_cut_floor(*caps, schedule.weights)
+        if min(schedule.weights) != max(schedule.weights):
+            assert (floor == caps[0]).all()
+        else:
+            lemma = np.min([cut_average_array(*caps, omega) for omega in range(1 << n)], axis=0)
+            assert (floor == np.maximum(caps[0], lemma)).all()
+        bound = two_hop_bound_array(*gains, snr, schedule)
+        assert (floor * (1.0 - _FLOOR_TOL) <= bound).all()
+        if n == 1 and weights == "uniform":
+            # the lemma is tight where both hops are at least the direct link
+            assert (floor[2::4] == bound[2::4]).all()
 
 
 orders = st.floats(min_value=0.0, max_value=1.0)
