@@ -1,15 +1,19 @@
 """Seeded Monte Carlo estimation of outage probability across an SNR grid.
 
 A channel is in outage when its capacity bound, minus an optional constant
-gap, falls below the target rate r * log2(snr).  Trials are driven by
-counter-based substreams keyed on (seed, snr point index, trial index), so
-every count is a pure function of the configuration: reruns are bit
-identical for any worker count or chunking, and campaigns that differ only
-in rate or gap see exactly the same channel realizations (which makes the
-monotonicity checks in the test suite exact rather than statistical).
+gap, falls below the target rate r * log2(snr).  A trial's gains are a pure
+function of (seed, snr point index, trial index) (the stream layout is in
+`channel`), so every count is a pure function of the configuration: reruns
+are bit identical for any worker count or chunking, and campaigns that
+differ only in rate or gap see exactly the same channel realizations (which
+makes the monotonicity checks in the test suite exact rather than
+statistical).
 
-A two-hop trial meets an O(N) lower bound on its min-cut first; the 4^N
-min-cut kernel runs only on trials that bound cannot clear of outage.
+Every cut of both bounds is at least the direct link's capacity, so a chunk
+draws its direct gains first and draws relay gains only for the trials the
+direct link cannot clear of outage.  A two-hop trial then meets an O(N)
+lower bound on its min-cut; the 4^N min-cut kernel runs only on trials that
+bound cannot clear either.
 """
 
 from __future__ import annotations
@@ -24,13 +28,10 @@ from typing import Any
 import numpy as np
 
 from ._version import __version__
-from .channel import sample_gain_arrays
+from .channel import check_stream_space, sample_gain_arrays
 from .cutset import Schedule, SingleRelaySchedule, _min_cut_floor, check_multiplexing_gain
-from .cutset import link_capacities, single_relay_bound_array, two_hop_bound_array
+from .cutset import link_capacities, link_capacity_bits, single_relay_bound_array, two_hop_bound_array
 from .rng import GENERATOR_NAME, check_seed
-
-# stream index of trial k at SNR point i is i * SNR_STREAM_STRIDE + k
-SNR_STREAM_STRIDE = 1 << 40
 
 _CHUNK = 1 << 16  # trials per task; fixed so chunking never shows in results
 
@@ -40,8 +41,9 @@ MAX_WORKERS = 256  # threads per campaign; the pool may start one per worker
 
 CONFIDENCE_LEVEL = 0.95  # of the Wilson interval in every row
 
-# relative slack of the `_min_cut_floor` test: weights may sum to 1 - WEIGHT_SUM_TOL, and
-# the kernel's state-order sum and the floor round by under 2^N + N ulps (5e-13 at N=12)
+# relative slack of the n_sd and `_min_cut_floor` tests: weights may sum to 1 - WEIGHT_SUM_TOL,
+# the kernel's state-order sum and the floor round by under 2^N + N ulps (5e-13 at N=12), and
+# the single-relay cuts t*x + (1-t)*n_sd with x >= n_sd can round an ulp below n_sd
 _FLOOR_TOL = 1e-8
 
 
@@ -62,10 +64,9 @@ class RunConfig:
         check_multiplexing_gain(self.r)
         if self.trials_per_point < 1:
             raise ValueError(f"trials_per_point must be >= 1, got {self.trials_per_point}")
-        if self.trials_per_point >= SNR_STREAM_STRIDE:
-            raise ValueError(f"trials_per_point must be < {SNR_STREAM_STRIDE}")
         if not self.snr_db_grid:
             raise ValueError("snr_db_grid must be non-empty")
+        check_stream_space(len(self.snr_db_grid), self.trials_per_point)
         with np.errstate(over="ignore"):
             snr = db_to_linear(self.snr_db_grid)
         # a dB value past about +-3000 over- or underflows the linear SNR
@@ -138,12 +139,16 @@ def _outage_mask(
 def _count_outages(
     cfg: RunConfig, snr_index: int, snr: float, rate_bits: float, start: int, stop: int
 ) -> int:
-    """Outage count over trials [start, stop) at one SNR point."""
-    base = snr_index * SNR_STREAM_STRIDE
-    idx = np.arange(base + start, base + stop, dtype=np.uint64)
-    g_sd, g_sr, g_rd = sample_gain_arrays(cfg.schedule.n_relays, cfg.seed, idx)
-    mask = _outage_mask(cfg.schedule, g_sd, g_sr, g_rd, snr, rate_bits, cfg.gap_bits)
-    return int(np.count_nonzero(mask))
+    """Outage count over trials [start, stop) at one SNR point.
+
+    A trial with n_sd * (1 - _FLOOR_TOL) - gap >= rate is not in outage, so
+    its relay gains are never drawn; `_outage_mask` decides the others."""
+
+    def uncleared(g_sd):
+        return link_capacity_bits(g_sd, snr) * (1.0 - _FLOOR_TOL) - cfg.gap_bits < rate_bits
+
+    gains = sample_gain_arrays(cfg.schedule.n_relays, cfg.seed, snr_index, start, stop, uncleared)
+    return int(np.count_nonzero(_outage_mask(cfg.schedule, *gains, snr, rate_bits, cfg.gap_bits)))
 
 
 def _schedule_metadata(schedule: Schedule) -> dict[str, Any]:

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from hdrelay.cutset import link_capacity_bits
+from hdrelay.cutset import SingleRelaySchedule, link_capacity_bits, single_relay_bound_array, two_hop_bound_array
 from hdrelay.dmt import _unit_grid
 from hdrelay.rng import uniforms_for_streams
 
@@ -96,10 +96,29 @@ def split_row(g: np.ndarray, n_relays: int) -> Row:
     return float(g[0]), g[1 : 1 + n_relays].tolist(), g[1 + n_relays :].tolist()
 
 
-def realization_from_stream(n_relays: int, seed: int, index: int) -> Row:
-    """Inverse-CDF gains -ln(1 - u) of the first 2N+1 uniforms of stream (seed, index)."""
-    u = uniforms_for_streams(seed, np.array([index], dtype=np.uint64), 2 * n_relays + 1)[0]
-    return split_row(-np.log1p(-u), n_relays)
+# the campaign stream layout, written out here so that a change to it shows
+CAMPAIGN_STRIDE = 2**40
+
+
+def campaign_gains(n_relays: int, seed: int, point: int, trials) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every listed trial's full gains -ln(1 - u) at SNR point `point`, each trial
+    drawing its own streams: g_sd is word k % 4 of stream 2 * point * 2**40 + k // 4,
+    and g_sr, g_rd are the first 2N words of stream (2 * point + 1) * 2**40 + k."""
+    k = np.asarray(trials, dtype=np.uint64)
+    direct = uniforms_for_streams(seed, np.uint64(2 * point * CAMPAIGN_STRIDE) + k // np.uint64(4), 4)
+    relay = uniforms_for_streams(seed, np.uint64((2 * point + 1) * CAMPAIGN_STRIDE) + k, 2 * n_relays)
+    g_sd = -np.log1p(-direct[np.arange(k.size), (k % np.uint64(4)).astype(np.int64)])
+    g = -np.log1p(-relay)
+    return g_sd, g[:, :n_relays], g[:, n_relays:]
+
+
+def campaign_bound(schedule, gains, snr: float) -> np.ndarray:
+    """The schedule's bound on every row of `campaign_gains`: no certificate clears
+    a trial, so a trial is in outage when this, less the gap, is below the rate."""
+    g_sd, g_sr, g_rd = gains
+    if isinstance(schedule, SingleRelaySchedule):
+        return single_relay_bound_array(g_sd, g_sr[:, 0], g_rd[:, 0], snr, schedule.t)
+    return two_hop_bound_array(g_sd, g_sr, g_rd, snr, schedule)
 
 
 def tchebychef_instance(u: np.ndarray, max_len: int) -> float:

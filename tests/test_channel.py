@@ -7,42 +7,49 @@ import reference_loops as ref
 from hdrelay.channel import gains_from_uniforms, sample_gain_arrays
 
 
-def _one(n_relays, seed, index):
-    """sample_gain_arrays on a batch of one stream index, as plain floats."""
-    g_sd, g_sr, g_rd = sample_gain_arrays(n_relays, seed, np.array([index], dtype=np.uint64))
+def _one(n_relays, seed, point, trial):
+    """sample_gain_arrays on a range of one trial, as plain floats."""
+    g_sd, g_sr, g_rd = sample_gain_arrays(n_relays, seed, point, trial, trial + 1)
     return float(g_sd[0]), g_sr[0].tolist(), g_rd[0].tolist()
 
 
 def test_zero_relays_has_only_direct_link():
-    g_sd, g_sr, g_rd = sample_gain_arrays(0, 1, np.array([0], dtype=np.uint64))
+    g_sd, g_sr, g_rd = sample_gain_arrays(0, 1, 0, 0, 1)
     assert g_sr.shape == g_rd.shape == (1, 0)
     assert g_sd[0] >= 0
 
 
 def test_sampling_is_deterministic():
-    a = _one(3, 42, 7)
-    assert a == _one(3, 42, 7)
-    assert a != _one(3, 42, 8)
+    a = _one(3, 42, 0, 7)
+    assert a == _one(3, 42, 0, 7)
+    assert a != _one(3, 42, 0, 8)
+    assert a != _one(3, 42, 1, 7)
 
 
 def test_batch_sampler_matches_scalar_sampler():
-    idx = np.array([0, 5, 1000], dtype=np.uint64)
-    g_sd, g_sr, g_rd = sample_gain_arrays(2, 99, idx)
-    for row, i in enumerate(idx):
-        real = ref.realization_from_stream(2, 99, int(i))
-        assert _one(2, 99, int(i)) == real
-        assert real == (g_sd[row], g_sr[row].tolist(), g_rd[row].tolist())
+    # ranges that start and stop inside a direct-gain block, and an empty one
+    for start, stop in [(0, 9), (333, 666), (5, 6), (7, 7)]:
+        g_sd, g_sr, g_rd = sample_gain_arrays(2, 99, 3, start, stop)
+        real = ref.campaign_gains(2, 99, 3, range(start, stop))
+        for got, expected in zip((g_sd, g_sr, g_rd), real):
+            np.testing.assert_array_equal(got, expected)
+        for row, k in enumerate(range(start, min(stop, start + 9))):
+            assert _one(2, 99, 3, k) == (g_sd[row], g_sr[row].tolist(), g_rd[row].tolist())
+        # `keep` drops whole trials: the rows it selects, relay gains included, in trial order
+        kept = sample_gain_arrays(2, 99, 3, start, stop, keep=lambda g: g > 0.5)
+        for got, full in zip(kept, (g_sd, g_sr, g_rd)):
+            np.testing.assert_array_equal(got, full[g_sd > 0.5])
 
 
 def test_sample_mean_is_unit():
-    g_sd, _, _ = sample_gain_arrays(0, 2024, np.arange(1_000_000, dtype=np.uint64))
-    assert abs(g_sd.mean() - 1.0) <= 0.01
+    for g in sample_gain_arrays(1, 2024, 0, 0, 1_000_000):
+        assert abs(g.mean() - 1.0) <= 0.01
 
 
 def test_empirical_cdf_is_unit_exponential():
     # Kolmogorov-Smirnov statistic against 1 - exp(-x), computed directly
     # from the sorted sample.
-    g_sd, _, _ = sample_gain_arrays(0, 123, np.arange(1_000_000, dtype=np.uint64))
+    g_sd, _, _ = sample_gain_arrays(0, 123, 0, 0, 1_000_000)
     x = np.sort(g_sd)
     n = x.size
     cdf = 1.0 - np.exp(-x)
@@ -66,4 +73,4 @@ def test_gains_overwrite_the_uniforms_in_place():
 
 def test_negative_relay_count_rejected():
     with pytest.raises(ValueError):
-        sample_gain_arrays(-1, 0, np.array([0], dtype=np.uint64))
+        sample_gain_arrays(-1, 0, 0, 0, 1)

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import reference_loops as ref
-from hdrelay import montecarlo
+from hdrelay import channel, montecarlo
+from hdrelay.channel import SNR_STREAM_STRIDE, check_stream_space, sample_gain_arrays
+from hdrelay.cli import run
 from hdrelay.cutset import SingleRelaySchedule, TwoHopSchedule, _min_cut_floor, link_capacities
 from hdrelay.montecarlo import (
-    SNR_STREAM_STRIDE,
     OutageRow,
     OutageTable,
     RunConfig,
@@ -104,6 +105,23 @@ class TestRunConfigValidation:
             _single_cfg(trials_per_point=SNR_STREAM_STRIDE)
         with pytest.raises(ValueError):
             _single_cfg(gap_bits=-0.1)
+
+    def test_grid_must_fit_the_stream_space(self, monkeypatch):
+        # two stream ranges per point: 2^23 points of the 2^40 stride fill the 64-bit key word
+        check_stream_space(2**23, SNR_STREAM_STRIDE - 1)
+        with pytest.raises(ValueError, match=r"at most 8388608 SNR points, got 8388609"):
+            check_stream_space(2**23 + 1, 1)
+        # the sampler takes the same check: a trial past the stride would alias another range
+        for point, stop in [(2**23, 1), (0, SNR_STREAM_STRIDE)]:
+            with pytest.raises(ValueError, match="SNR points|trials_per_point"):
+                sample_gain_arrays(1, 5, point, stop - 1, stop)
+        # a stride of 2^62 leaves room for 2 points, whose top stream 3 * 2^62 + k still draws
+        monkeypatch.setattr(channel, "SNR_STREAM_STRIDE", 1 << 62)
+        table = estimate_outage(_single_cfg(snr_db_grid=(10.0, 20.0), trials_per_point=50))
+        assert [row.trials for row in table.rows] == [50, 50]
+        with pytest.raises(ValueError, match="at most 2 SNR points, got 3"):
+            _single_cfg()
+        assert run(["outage", "--snr-db", "10:30:10", "--trials", "10", "--seed", "1"]) == 2
 
     def test_non_finite_values_rejected(self):
         for overrides in (
@@ -206,8 +224,9 @@ class TestEstimateOutage:
         snr = float(db_to_linear(12.0))
         rate = 0.5 * math.log2(snr)
         expected = 0
+        g_sd, g_sr, g_rd = ref.campaign_gains(2, 31, 0, range(300))
         for trial in range(300):
-            gains = ref.realization_from_stream(2, 31, 0 * SNR_STREAM_STRIDE + trial)
+            gains = (float(g_sd[trial]), g_sr[trial].tolist(), g_rd[trial].tolist())
             bound = ref.min_cut(*gains, snr, cfg.schedule.weights)
             expected += bound < rate
         assert table.rows[0].outage_count == expected
@@ -227,6 +246,8 @@ class TestBoundedSubmission:
 
     CHUNK = 500
     CFG = _single_cfg(trials_per_point=5_000)  # 10 chunks at each of 3 points
+    # not a multiple of 4, so chunks start and stop inside a block of direct gains
+    ODD_CHUNK = 333
 
     def _traced_count(self, monkeypatch, fail_at=None):
         """Patch a small chunk and a `_count_outages` that records each chunk's
@@ -266,9 +287,15 @@ class TestBoundedSubmission:
         # chunks from the oldest unfinished one to the newest started one
         assert max(k - oldest + 1 for k, oldest in spans) <= window
 
+    def _assert_chunk_invariant(self, monkeypatch, cfg, workers):
+        whole = [row.outage_count for row in estimate_outage(cfg, workers=1).rows]
+        monkeypatch.setattr(montecarlo, "_CHUNK", self.ODD_CHUNK)
+        counts = [row.outage_count for row in estimate_outage(cfg, workers=workers).rows]
+        assert counts == whole and 0 < sum(whole) < cfg.trials_per_point * len(whole)
+
     @pytest.mark.parametrize("workers", [1, 3])
     def test_two_hop_counts_do_not_depend_on_chunks_or_workers(self, monkeypatch, workers):
-        # 6 chunks per point; the min-cut runs only on the rows its floor leaves
+        # 10 chunks per point; the min-cut runs only on the rows its floor leaves
         cfg = RunConfig(
             schedule=TwoHopSchedule.uniform(3),
             r=0.75,
@@ -277,10 +304,12 @@ class TestBoundedSubmission:
             seed=41,
             gap_bits=0.5,
         )
-        whole = [row.outage_count for row in estimate_outage(cfg, workers=1).rows]
-        monkeypatch.setattr(montecarlo, "_CHUNK", self.CHUNK)
-        counts = [row.outage_count for row in estimate_outage(cfg, workers=workers).rows]
-        assert counts == whole
+        self._assert_chunk_invariant(monkeypatch, cfg, workers)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_single_relay_counts_do_not_depend_on_chunks_or_workers(self, monkeypatch, workers):
+        cfg = _single_cfg(snr_db_grid=(0.0, 10.0, 20.0), trials_per_point=3_000, gap_bits=0.5)
+        self._assert_chunk_invariant(monkeypatch, cfg, workers)
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_chunk_exception_surfaces(self, monkeypatch, workers):

@@ -16,14 +16,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_loops as ref
-from hdrelay import dmt
+from hdrelay import dmt, montecarlo
 from hdrelay.cutset import (
     WEIGHT_SUM_TOL,
+    SingleRelaySchedule,
     TwoHopSchedule,
     _min_cut_floor,
     cut_average_array,
     cut_flow_array,
     link_capacities,
+    link_capacity_bits,
+    single_relay_bound_array,
     single_relay_order_array,
     two_hop_bound_array,
 )
@@ -38,7 +41,7 @@ from hdrelay.lemmas import (
     run_randomized_suite,
     suite_margins,
 )
-from hdrelay.montecarlo import _FLOOR_TOL, _outage_mask
+from hdrelay.montecarlo import _FLOOR_TOL, RunConfig, _count_outages, _outage_mask, db_to_linear
 from hdrelay.rng import uniforms_for_streams
 
 gains = st.floats(min_value=0.0, max_value=20.0, allow_nan=False)
@@ -181,6 +184,93 @@ def test_min_cut_floor_is_the_cut_average_lemma(n, weights):
         if n == 1 and weights == "uniform":
             # the lemma is tight where both hops are at least the direct link
             assert (floor[2::4] == bound[2::4]).all()
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 0.5, 1.0])
+def test_single_relay_bound_keeps_the_direct_link_certificate(t):
+    """Both single-relay cuts are at least n_sd, less rounding within `_FLOOR_TOL`
+    relative, so the staged draw may clear a trial on n_sd alone.  At t = 0.3,
+    t*x + (1-t)*n_sd with x = n_sd rounds below n_sd, which is why the slack is
+    relative and not zero."""
+    rng = np.random.default_rng(7)
+    g_sd = rng.exponential(size=4096)
+    g_sd[0::8], g_sd[1::8] = 0.0, g_sd[1::8] * 1e-9
+    zeros, g = np.zeros_like(g_sd), rng.exponential(size=g_sd.shape)
+    below = False
+    for g_sr, g_rd in [(zeros, zeros), (g, zeros), (zeros, g), (g, g[::-1])]:
+        for snr in 10.0 ** (np.arange(-30.0, 201.0, 10.0) / 10.0):
+            n_sd = link_capacity_bits(g_sd, snr)
+            bound = single_relay_bound_array(g_sd, g_sr, g_rd, snr, t)
+            assert (bound >= n_sd * (1.0 - _FLOOR_TOL)).all()
+            below = below or bool((bound < n_sd).any())
+    assert below or t != 0.3
+
+
+@pytest.mark.parametrize(
+    "kind, n", [(0.0, 1), (0.3, 1), (0.5, 1), (1.0, 1), ("short", 1), ("short", 3), ("zeros", 3)]
+)
+def test_direct_link_certificate_holds_at_rates_on_the_bound(kind, n, monkeypatch):
+    """`_count_outages` clears a trial when n_sd * (1 - _FLOOR_TOL) - gap >= rate.
+    Where the relays are dead, the bound lies an ulp (t = 0.3) or a weight-sum
+    shortfall of 0.9 * WEIGHT_SUM_TOL ("short") below n_sd; at rates on each
+    trial's computed bound and one ulp either side, the count must still be
+    bound - gap < rate.  The sampler serves fixed gains through the same `keep`."""
+    rng = np.random.default_rng(600 + n)
+    if isinstance(kind, float):
+        schedule = SingleRelaySchedule(kind)
+    else:
+        schedule = _floor_schedule(rng, n, kind)
+    gains = _floor_gains(rng, n, 16)
+
+    def sampler(n_relays, seed, point, start, stop, keep):
+        kept = start + np.flatnonzero(keep(gains[0][start:stop]))
+        return tuple(g[kept] for g in gains)
+
+    monkeypatch.setattr(montecarlo, "sample_gain_arrays", sampler)
+    for snr in FLOOR_SNRS:
+        bound = ref.campaign_bound(schedule, gains, snr)
+        for gap_bits in (0.0, 0.7):
+            cfg = RunConfig(schedule, 0.5, (0.0,), 16, 1, gap_bits)
+            for i in range(16):
+                edge = bound[i] - gap_bits
+                for rate_bits in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
+                    count = _count_outages(cfg, 0, snr, float(rate_bits), i, i + 1)
+                    assert count == (bound[i] - gap_bits < rate_bits)
+
+
+STAGED_SNR_DB = (-30.0, 0.0, 10.0, 30.0, 100.0, 200.0)
+STAGED_SCHEDULES = [("single", t) for t in (0.0, 0.3, 0.5, 1.0)] + [
+    (weights, n) for n in range(1, 9) for weights in ("uniform", "zeros")
+]
+
+
+@pytest.mark.parametrize("kind, param", STAGED_SCHEDULES, ids=[f"{k}-{p}" for k, p in STAGED_SCHEDULES])
+def test_staged_draws_equal_drawing_and_bounding_every_trial(kind, param):
+    """`_count_outages` draws relay gains only for the trials whose direct link
+    cannot clear the rate.  Trial by trial, and over a range that starts inside a
+    block of direct gains, its outage must equal the reference that draws every
+    trial's full gains and bounds them all, at negative rates (below 0 dB) too."""
+    seed, trials = 17, 150
+    if kind == "single":
+        schedule = SingleRelaySchedule(param)
+    else:
+        schedule = _floor_schedule(np.random.default_rng(500 + param), param, kind)
+    mixed = False
+    for point, snr_db in enumerate(STAGED_SNR_DB):
+        snr = float(db_to_linear(snr_db))
+        gains = ref.campaign_gains(schedule.n_relays, seed, point, range(trials))
+        bound = ref.campaign_bound(schedule, gains, snr)
+        for gap_bits in (0.0, 0.7):
+            cfg = RunConfig(schedule, 0.5, STAGED_SNR_DB, trials, seed, gap_bits)
+            for r in (0.0, 0.5, 1.0):
+                rate_bits = r * math.log2(snr)
+                expected = bound - gap_bits < rate_bits
+                per_trial = [_count_outages(cfg, point, snr, rate_bits, k, k + 1) for k in range(6)]
+                assert per_trial == expected[:6].tolist()
+                count = _count_outages(cfg, point, snr, rate_bits, 3, trials)
+                assert count == np.count_nonzero(expected[3:])
+                mixed = mixed or 0 < count < trials - 3
+    assert mixed
 
 
 orders = st.floats(min_value=0.0, max_value=1.0)

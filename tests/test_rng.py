@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hdrelay import montecarlo
 from hdrelay.channel import sample_gain_arrays
 from hdrelay.rng import _M0, _M1, _ROWS, GENERATOR_NAME, _mulhilo, philox4x64_block
 from hdrelay.rng import uniforms_for_streams
@@ -134,14 +135,44 @@ def test_seeds_outside_64_bits_are_rejected_not_aliased():
         with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
             uniforms_for_streams(seed, idx, 3)
         with pytest.raises(ValueError, match="seed must lie"):
-            sample_gain_arrays(1, seed, idx)
+            sample_gain_arrays(1, seed, 0, 0, 1)
     assert not np.array_equal(_stream(0, 1, 3), _stream(2**64 - 1, 1, 3))
 
 
 def test_exponentials_match_inverse_cdf_of_uniforms():
-    u = _stream(3, 4, 5)
-    g_sd, g_sr, g_rd = sample_gain_arrays(2, 3, np.array([4], dtype=np.uint64))
+    # trial 6 of point 0: word 2 of direct stream 1, the first 4 words of relay stream 2**40 + 6
+    u = np.concatenate([_stream(3, 1, 4)[2:3], _stream(3, 2**40 + 6, 4)])
+    g_sd, g_sr, g_rd = sample_gain_arrays(2, 3, 0, 6, 7)
     np.testing.assert_array_equal(np.concatenate([g_sd, g_sr[0], g_rd[0]]), -np.log1p(-u))
+
+
+def _numpy_philox_uniforms(seed, stream, n):
+    """First n uniforms of stream (seed, stream) from numpy's own Philox.  numpy
+    adds 1 to its 256-bit counter before each block, so a counter of 2^256 - 1
+    makes its first block the one at counter 0."""
+    words = np.random.Philox(
+        key=np.array([seed, stream], dtype=np.uint64), counter=np.full(4, 2**64 - 1, dtype=np.uint64)
+    ).random_raw(n)
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+@pytest.mark.parametrize(
+    "seed, point, start, stop",
+    [
+        (0, 0, 0, 4),  # one whole direct block
+        (29, 1, 333, 338),  # starts at k % 4 = 1, ends past a block edge, point > 0
+        (2**64 - 1, 6, montecarlo._CHUNK - 2, montecarlo._CHUNK),  # the last trial of a chunk
+        (2**64 - 1, 2**23 - 1, 2**40 - 5, 2**40 - 1),  # the last point; its top stream is 2**64 - 2
+    ],
+)
+def test_campaign_gains_are_numpy_philox_words(seed, point, start, stop):
+    n_relays = 3
+    g_sd, g_sr, g_rd = sample_gain_arrays(n_relays, seed, point, start, stop)
+    for row, k in enumerate(range(start, stop)):
+        direct = _numpy_philox_uniforms(seed, 2 * point * 2**40 + k // 4, 4)[k % 4 : k % 4 + 1]
+        relay = _numpy_philox_uniforms(seed, (2 * point + 1) * 2**40 + k, 2 * n_relays)
+        expected = -np.log1p(-np.concatenate([direct, relay]))
+        np.testing.assert_array_equal(np.concatenate([g_sd[row : row + 1], g_sr[row], g_rd[row]]), expected)
 
 
 def test_generator_name_is_published():
