@@ -88,8 +88,9 @@ class TwoHopSchedule:
             raise ValueError(
                 f"need 2^{self.n_relays} weights, got {len(self.weights)}"
             )
-        if not all(math.isfinite(w) and w >= 0 for w in self.weights):
-            raise ValueError(f"schedule weights must be finite and >= 0, got {self.weights!r}")
+        # checked before fsum, which raises OverflowError on a sum past the float range
+        if not all(0.0 <= w <= 1.0 + WEIGHT_SUM_TOL for w in self.weights):
+            raise ValueError(f"schedule weights must lie in [0, 1], got {self.weights!r}")
         total = math.fsum(self.weights)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"schedule weights must sum to 1, got {total!r}")
@@ -229,13 +230,12 @@ def cut_average_array(n_sd, n_sr, n_rd, omega_mask: int) -> np.ndarray:
 
 
 def _min_cut_floor(n_sd, n_sr, n_rd, weights) -> np.ndarray:
-    """A lower bound on the min-cut per row: n_sd, as every state's flow is at
-    least the direct link; under equal weights, the cut-average lemma's minimum
-    over all cuts, n_sd plus each relay's weaker hop over N+1, if larger."""
-    if min(weights) != max(weights):
-        return n_sd
-    # relay by relay, as cut_average_array adds, so this is its minimum bit for bit
-    return np.maximum(n_sd, sum(np.minimum(n_sr, n_rd).T, n_sd) / (n_sr.shape[1] + 1))
+    """A lower bound on the min-cut per row, for any schedule.  In state m the relays crossing
+    cut omega are omega ^ m, so its flow is at least H(omega ^ m) = max(n_sd, their best weaker
+    hop h); omega ^ m meets every subset once, so each cut is at least min(weights) * the sum of
+    H over all subsets, which by the subset-average lemma is >= 2^N * (n_sd + sum h) / (N+1)."""
+    h = np.minimum(n_sr, n_rd)
+    return np.maximum(n_sd, len(weights) * min(weights) * cut_average_array(n_sd, h, h, 0))
 
 
 def two_hop_bound_array(g_sd, g_sr, g_rd, snr: float, schedule: TwoHopSchedule) -> np.ndarray:

@@ -41,9 +41,9 @@ MAX_WORKERS = 256  # threads per campaign; the pool may start one per worker
 
 CONFIDENCE_LEVEL = 0.95  # of the Wilson interval in every row
 
-# relative slack of the n_sd and `_min_cut_floor` tests: weights may sum to 1 - WEIGHT_SUM_TOL,
-# the kernel's state-order sum and the floor round by under 2^N + N ulps (5e-13 at N=12), and
-# the single-relay cuts t*x + (1-t)*n_sd with x >= n_sd can round an ulp below n_sd
+# relative slack of the n_sd and `_min_cut_floor` tests: the kernel's state-order sum and the
+# floor round by under 2^N + N ulps (5e-13 at N=12); the n_sd term alone also needs it for weights
+# summing to 1 - WEIGHT_SUM_TOL and for single-relay cuts t*x + (1-t)*n_sd, an ulp below n_sd
 _FLOOR_TOL = 1e-8
 
 

@@ -487,6 +487,7 @@ class TestExitCodesAndSafety:
             ["--snr-db", "inf"],
             ["--snr-db", "10,nan"],
             ["--model", "two-hop-zlb", "--relays", "1", "--weights", "nan,nan"],
+            ["--model", "two-hop-zlb", "--relays", "1", "--weights", "1e308,1e308"],  # the sum overflows
             ["--snr-db", "-4000"],  # the linear SNR underflows to 0
             ["--snr-db", "10,4000"],  # and overflows to inf
         ],

@@ -188,6 +188,8 @@ class TestSchedules:
             TwoHopSchedule(1, (math.nan, math.nan))  # nan < 0 and |nan - 1| > tol are both false
         with pytest.raises(ValueError):
             TwoHopSchedule(1, (math.inf, 0.0))
+        with pytest.raises(ValueError):
+            TwoHopSchedule(1, (1e308, 1e308))  # finite, but math.fsum overflows on them
 
     def test_uniform(self):
         sched = TwoHopSchedule.uniform(3)

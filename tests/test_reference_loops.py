@@ -49,9 +49,9 @@ weight_draws = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=1.0))
 
 
 @st.composite
-def two_hop_instances(draw):
+def two_hop_instances(draw, max_relays=4):
     """((g_sd, g_sr, g_rd), snr, non-uniform schedule with zeros allowed, omega_mask)."""
-    n = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=max_relays))
     raw = draw(st.lists(weight_draws, min_size=1 << n, max_size=1 << n))
     if not any(raw):
         raw[draw(st.integers(min_value=0, max_value=(1 << n) - 1))] = 1.0
@@ -109,15 +109,22 @@ def test_multi_row_batches_equal_loop_references(n, zeros):
 
 
 def _floor_schedule(rng, n, weights):
-    """Equal weights 2^-N, random weights with zeros and one state holding about
-    half the time, or equal weights whose sum falls short of 1 by
-    0.9 * WEIGHT_SUM_TOL (the most a schedule may)."""
+    """Equal weights 2^-N; random weights with zeros and one state holding about
+    half the time; equal weights whose sum falls short of 1 by
+    0.9 * WEIGHT_SUM_TOL (the most a schedule may); near-uniform weights, drawn
+    from [0.99, 1.01] and normalized, so within 2.1% of 2^-N; or Dirichlet
+    weights, all positive and unequal."""
     if weights == "uniform":
         return TwoHopSchedule.uniform(n)
     if weights == "short":
         return TwoHopSchedule(n, ((1.0 - 0.9 * WEIGHT_SUM_TOL) / (1 << n),) * (1 << n))
-    raw = rng.integers(0, 3, size=1 << n).astype(np.float64)
-    raw[rng.integers(1 << n)] += 1 << n
+    if weights == "near":
+        raw = rng.uniform(0.99, 1.01, size=1 << n)
+    elif weights == "dirichlet":
+        raw = rng.dirichlet(np.full(1 << n, 4.0))
+    else:
+        raw = rng.integers(0, 3, size=1 << n).astype(np.float64)
+        raw[rng.integers(1 << n)] += 1 << n
     return TwoHopSchedule(n, tuple(raw / raw.sum()))
 
 
@@ -139,10 +146,11 @@ def _floor_gains(rng, n, rows):
 
 
 FLOOR_SNRS = (0.1, 1.0, 10.0, 1e3, 1e6, 1e20)
+FLOOR_KINDS = ["uniform", "zeros", "short", "near", "dirichlet"]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-@pytest.mark.parametrize("weights", ["uniform", "zeros", "short"])
+@pytest.mark.parametrize("weights", FLOOR_KINDS)
 def test_pruned_outage_equals_the_unpruned_min_cut(n, weights):
     """`_outage_mask` clears rows by `_min_cut_floor` before the kernel; every
     row must still read `two_hop_bound_array(...) - gap < rate_bits`, also at
@@ -163,10 +171,10 @@ def test_pruned_outage_equals_the_unpruned_min_cut(n, weights):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-@pytest.mark.parametrize("weights", ["uniform", "zeros", "short"])
+@pytest.mark.parametrize("weights", FLOOR_KINDS)
 def test_min_cut_floor_is_the_cut_average_lemma(n, weights):
-    """Under equal weights the floor is max(n_sd, min over all cuts of
-    `cut_average_array`) bit for bit, else n_sd; it never exceeds the
+    """For every schedule the floor is max(n_sd, 2^N * min(weights) * the minimum
+    over all cuts of `cut_average_array`) bit for bit; it never exceeds the
     computed min-cut by more than `_FLOOR_TOL` relative."""
     rng = np.random.default_rng(400 + n)
     schedule = _floor_schedule(rng, n, weights)
@@ -174,16 +182,26 @@ def test_min_cut_floor_is_the_cut_average_lemma(n, weights):
     for snr in FLOOR_SNRS:
         caps = link_capacities(*gains, snr)
         floor = _min_cut_floor(*caps, schedule.weights)
-        if min(schedule.weights) != max(schedule.weights):
-            assert (floor == caps[0]).all()
-        else:
-            lemma = np.min([cut_average_array(*caps, omega) for omega in range(1 << n)], axis=0)
-            assert (floor == np.maximum(caps[0], lemma)).all()
+        lemma = np.min([cut_average_array(*caps, omega) for omega in range(1 << n)], axis=0)
+        assert (floor == np.maximum(caps[0], (1 << n) * min(schedule.weights) * lemma)).all()
         bound = two_hop_bound_array(*gains, snr, schedule)
         assert (floor * (1.0 - _FLOOR_TOL) <= bound).all()
         if n == 1 and weights == "uniform":
             # the lemma is tight where both hops are at least the direct link
             assert (floor[2::4] == bound[2::4]).all()
+
+
+@given(two_hop_instances(max_relays=5))
+@settings(max_examples=300, deadline=None)
+@example(((0.5, [0.0, 3.0], [2.0, 4.0]), 10.0, TwoHopSchedule(2, (0.1, 0.2, 0.3, 0.4)), 0))
+@example(((1.0, [0.0] * 5, [0.0] * 5), 1e3, TwoHopSchedule.uniform(5), 0))
+def test_min_cut_floor_never_exceeds_the_loop_min_cut(instance):
+    """The floor, less `_FLOOR_TOL` relative as `_outage_mask` reads it, is at
+    most the loop reference's min-cut: weights with zeros, dead links, N = 1..5."""
+    (g_sd, g_sr, g_rd), snr, schedule, _ = instance
+    caps = link_capacities(np.array([g_sd]), np.array([g_sr]), np.array([g_rd]), snr)
+    floor = _min_cut_floor(*caps, schedule.weights)[0]
+    assert floor * (1.0 - _FLOOR_TOL) <= ref.min_cut(g_sd, g_sr, g_rd, snr, schedule.weights)
 
 
 @pytest.mark.parametrize("t", [0.0, 0.3, 0.5, 1.0])
@@ -207,7 +225,9 @@ def test_single_relay_bound_keeps_the_direct_link_certificate(t):
 
 
 @pytest.mark.parametrize(
-    "kind, n", [(0.0, 1), (0.3, 1), (0.5, 1), (1.0, 1), ("short", 1), ("short", 3), ("zeros", 3)]
+    "kind, n",
+    [(0.0, 1), (0.3, 1), (0.5, 1), (1.0, 1), ("short", 1), ("short", 3), ("zeros", 3)]
+    + [(kind, n) for kind in ("near", "dirichlet") for n in range(1, 9)],
 )
 def test_direct_link_certificate_holds_at_rates_on_the_bound(kind, n, monkeypatch):
     """`_count_outages` clears a trial when n_sd * (1 - _FLOOR_TOL) - gap >= rate.
