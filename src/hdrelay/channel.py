@@ -63,17 +63,17 @@ def sample_gain_arrays(
     """Gains (g_sd, g_sr, g_rd) of the trials in [start, stop) of SNR point
     `point`, in the campaign stream layout.
 
-    The direct gains of the whole range are drawn first; `keep` maps them to a
-    boolean mask, and only the trials it selects (all when `keep` is None)
-    get their relay gains drawn and appear in the result, in trial order.
+    The direct uniforms of the whole range are drawn first; `keep` maps them to a boolean
+    mask, and only the trials it selects (all when `keep` is None) get their gains transformed
+    and relay gains drawn, and appear in the result, in trial order.
     """
     if n_relays < 0:
         raise ValueError(f"n_relays must be >= 0, got {n_relays}")
     check_stream_space(point + 1, stop)
     first = start // 4
     blocks = np.arange(first, (stop + 3) // 4, dtype=np.uint64) + np.uint64(2 * point * SNR_STREAM_STRIDE)
-    g_sd = _exponentials(rng.uniforms_for_streams(seed, blocks, 4).reshape(-1)[start - 4 * first : stop - 4 * first])
-    rows = np.arange(stop - start) if keep is None else np.flatnonzero(keep(g_sd))
+    u_sd = rng.uniforms_for_streams(seed, blocks, 4).reshape(-1)[start - 4 * first : stop - 4 * first]
+    rows = np.arange(stop - start) if keep is None else np.flatnonzero(keep(u_sd))
     relays = rows.astype(np.uint64) + np.uint64((2 * point + 1) * SNR_STREAM_STRIDE + start)
     u = _exponentials(rng.uniforms_for_streams(seed, relays, 2 * n_relays))
-    return g_sd[rows], u[:, :n_relays], u[:, n_relays:]
+    return _exponentials(u_sd[rows]), u[:, :n_relays], u[:, n_relays:]

@@ -10,10 +10,10 @@ makes the monotonicity checks in the test suite exact rather than
 statistical).
 
 Every cut of both bounds is at least the direct link's capacity, so a chunk
-draws its direct gains first and draws relay gains only for the trials the
-direct link cannot clear of outage.  A two-hop trial then meets an O(N)
-lower bound on its min-cut; the 4^N min-cut kernel runs only on trials that
-bound cannot clear either.
+draws its direct uniforms first and transforms them and draws relay gains
+only for the trials the direct link cannot clear of outage.  A two-hop trial
+then meets an O(N log N) lower bound on its min-cut, the exact subset
+average; the 4^N min-cut kernel runs only on trials it cannot clear either.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from ._version import __version__
 from .channel import check_stream_space, sample_gain_arrays
 from .cutset import Schedule, SingleRelaySchedule, _min_cut_floor, check_multiplexing_gain
-from .cutset import link_capacities, link_capacity_bits, single_relay_bound_array, two_hop_bound_array
+from .cutset import link_capacities, single_relay_bound_array, two_hop_bound_array
 from .rng import GENERATOR_NAME, check_seed
 
 _CHUNK = 1 << 16  # trials per task; fixed so chunking never shows in results
@@ -41,9 +41,9 @@ MAX_WORKERS = 256  # threads per campaign; the pool may start one per worker
 
 CONFIDENCE_LEVEL = 0.95  # of the Wilson interval in every row
 
-# relative slack of the n_sd and `_min_cut_floor` tests: the kernel's state-order sum and the
-# floor round by under 2^N + N ulps (5e-13 at N=12); the n_sd term alone also needs it for weights
-# summing to 1 - WEIGHT_SUM_TOL and for single-relay cuts t*x + (1-t)*n_sd, an ulp below n_sd
+# relative slack of the n_sd and `_min_cut_floor` tests: the kernel's 2^N-term state-order sum and
+# the floor's (N+1)-term sum round by under 2^N + N + 2 ulps (5e-13 at N=12); the n_sd term also needs
+# it for weights summing to 1 - WEIGHT_SUM_TOL and for single-relay cuts t*x + (1-t)*n_sd, an ulp below
 _FLOOR_TOL = 1e-8
 
 
@@ -136,18 +136,26 @@ def _outage_mask(
     return mask
 
 
+def _direct_link_uniform(snr: float, rate_bits: float, gap: float) -> float:
+    """u* = -expm1(-g*), g* = expm1(ln2 (rate + gap) / (1 - _FLOOR_TOL)) / snr: every direct uniform u
+    whose gain -ln(1 - u) fails n_sd * (1 - _FLOOR_TOL) - gap >= rate has u < u*.  The slack covers
+    that test's rounding: 2^-50 bits where 1 + snr * g loses up to an ulp of 1, 2^-30 relative for
+    the rest; past the float range u* is -inf (rate + gap < 0: no trial survives) or above 1 (all do)."""
+    bits = (rate_bits + gap) / (1.0 - _FLOOR_TOL) + 2.0**-50
+    with np.errstate(over="ignore"):
+        g_star = np.expm1(math.log(2.0) * bits) / snr
+        return float(-np.expm1(-g_star) * (1.0 + 2.0**-30))
+
+
 def _count_outages(
     cfg: RunConfig, snr_index: int, snr: float, rate_bits: float, start: int, stop: int
 ) -> int:
     """Outage count over trials [start, stop) at one SNR point.
 
-    A trial with n_sd * (1 - _FLOOR_TOL) - gap >= rate is not in outage, so
-    its relay gains are never drawn; `_outage_mask` decides the others."""
-
-    def uncleared(g_sd):
-        return link_capacity_bits(g_sd, snr) * (1.0 - _FLOOR_TOL) - cfg.gap_bits < rate_bits
-
-    gains = sample_gain_arrays(cfg.schedule.n_relays, cfg.seed, snr_index, start, stop, uncleared)
+    A trial whose direct uniform is at least `_direct_link_uniform` is not in outage, so
+    its gain is never transformed nor its relay gains drawn; `_outage_mask` decides the others."""
+    u_star = _direct_link_uniform(snr, rate_bits, cfg.gap_bits)
+    gains = sample_gain_arrays(cfg.schedule.n_relays, cfg.seed, snr_index, start, stop, lambda u: u < u_star)
     return int(np.count_nonzero(_outage_mask(cfg.schedule, *gains, snr, rate_bits, cfg.gap_bits)))
 
 

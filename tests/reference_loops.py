@@ -64,6 +64,14 @@ def cut_average(g_sd, g_sr, g_rd, snr: float, omega_mask: int) -> float:
     return total / (n + 1)
 
 
+def subset_max_sum(n_sd: float, h) -> float:
+    """Sum over the 2^N relay subsets x of max(n_sd, max of h over x), subset by subset."""
+    total = 0.0
+    for mask in range(1 << len(h)):
+        total += max([n_sd] + [h[j] for j in range(len(h)) if mask >> j & 1])
+    return total
+
+
 def highsnr_order(a_sd: float, a_sr: float, a_rd: float, t: float) -> float:
     """a_sd + min{t*(a_sr - a_sd)^+, (1-t)*(a_rd - a_sd)^+} in Python floats."""
     gain_sr = max(a_sr - a_sd, 0.0)

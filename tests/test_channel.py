@@ -35,10 +35,13 @@ def test_batch_sampler_matches_scalar_sampler():
             np.testing.assert_array_equal(got, expected)
         for row, k in enumerate(range(start, min(stop, start + 9))):
             assert _one(2, 99, 3, k) == (g_sd[row], g_sr[row].tolist(), g_rd[row].tolist())
-        # `keep` drops whole trials: the rows it selects, relay gains included, in trial order
-        kept = sample_gain_arrays(2, 99, 3, start, stop, keep=lambda g: g > 0.5)
+        # `keep` reads the direct uniforms and drops whole trials: the rows it selects,
+        # relay gains included, in trial order
+        seen = []
+        kept = sample_gain_arrays(2, 99, 3, start, stop, keep=lambda u: seen.append(u.copy()) or u > 0.5)
+        np.testing.assert_array_equal(-np.log1p(-seen[0]), g_sd)
         for got, full in zip(kept, (g_sd, g_sr, g_rd)):
-            np.testing.assert_array_equal(got, full[g_sd > 0.5])
+            np.testing.assert_array_equal(got, full[seen[0] > 0.5])
 
 
 def test_sample_mean_is_unit():

@@ -90,6 +90,22 @@ class TestOutageEvent:
         with pytest.raises(ValueError, match="gain arrays have 1 relays"):
             in_outage(1.0, [1.0], [1.0], 1.0, 0.0, schedule)
 
+    def test_min_cut_rows_of_the_two_hop_benchmark_campaign(self, monkeypatch):
+        # N=6, r=0.75, 10/20/30 dB, 8,192 trials: the direct link and the min-cut floor
+        # leave at most 600 of 24,576 trials to the kernel (4,336 under the floor
+        # 2^N (n_sd + sum h) / (N+1)), so a floor that falls back to a weaker bound shows
+        kernel, seen = montecarlo.two_hop_bound_array, []
+
+        def recording(g_sd, *args):
+            seen.append(g_sd.shape[0])
+            return kernel(g_sd, *args)
+
+        monkeypatch.setattr(montecarlo, "two_hop_bound_array", recording)
+        cfg = RunConfig(TwoHopSchedule.uniform(6), 0.75, (10.0, 20.0, 30.0), 8192, seed=1)
+        table = estimate_outage(cfg, workers=1)
+        assert [row.outage_count for row in table.rows] == [68, 3, 0]
+        assert len(seen) == 3 and sum(seen) <= 600
+
 
 class TestRunConfigValidation:
     def test_grid_must_ascend(self):
@@ -154,6 +170,14 @@ class TestRunConfigValidation:
 
 
 class TestEstimateOutage:
+    def test_direct_uniform_threshold_past_the_float_range(self):
+        # at -3000 dB the rate is below -gap, so no trial is in outage, and with a gap of
+        # 1e308 every trial is; math.expm1 would raise OverflowError on either threshold
+        for schedule in (SingleRelaySchedule(0.5), TwoHopSchedule.uniform(3)):
+            low = estimate_outage(RunConfig(schedule, 0.5, (-3000.0,), 100, 1))
+            high = estimate_outage(RunConfig(schedule, 0.5, (10.0,), 100, 1, 1e308))
+            assert (low.rows[0].outage_count, high.rows[0].outage_count) == (0, 100)
+
     def test_zero_rate_gives_zero_outage(self):
         table = estimate_outage(_single_cfg(r=0.0, trials_per_point=5_000))
         assert all(row.outage_count == 0 for row in table.rows)

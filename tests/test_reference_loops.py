@@ -22,6 +22,7 @@ from hdrelay.cutset import (
     SingleRelaySchedule,
     TwoHopSchedule,
     _min_cut_floor,
+    _subset_max,
     cut_average_array,
     cut_flow_array,
     link_capacities,
@@ -41,7 +42,14 @@ from hdrelay.lemmas import (
     run_randomized_suite,
     suite_margins,
 )
-from hdrelay.montecarlo import _FLOOR_TOL, RunConfig, _count_outages, _outage_mask, db_to_linear
+from hdrelay.montecarlo import (
+    _FLOOR_TOL,
+    RunConfig,
+    _count_outages,
+    _direct_link_uniform,
+    _outage_mask,
+    db_to_linear,
+)
 from hdrelay.rng import uniforms_for_streams
 
 gains = st.floats(min_value=0.0, max_value=20.0, allow_nan=False)
@@ -173,22 +181,32 @@ def test_pruned_outage_equals_the_unpruned_min_cut(n, weights):
 @pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("weights", FLOOR_KINDS)
 def test_min_cut_floor_is_the_cut_average_lemma(n, weights):
-    """For every schedule the floor is max(n_sd, 2^N * min(weights) * the minimum
-    over all cuts of `cut_average_array`) bit for bit; it never exceeds the
-    computed min-cut by more than `_FLOOR_TOL` relative."""
+    """For every schedule the floor is the left side of the subset-average lemma:
+    max(n_sd, min(weights) * the sum over all subsets x of H(x) = max(n_sd, max of
+    h = min(n_sr, n_rd) over x)), within 1e-13 relative of the subset loop and of
+    the `_subset_max` table sum.  It is at least the lemma's right side, the
+    cut-average floor, and never exceeds the computed min-cut by more than
+    `_FLOOR_TOL` relative."""
     rng = np.random.default_rng(400 + n)
     schedule = _floor_schedule(rng, n, weights)
     gains = _floor_gains(rng, n, max(12, 512 >> n))
+    least = min(schedule.weights)
     for snr in FLOOR_SNRS:
         caps = link_capacities(*gains, snr)
         floor = _min_cut_floor(*caps, schedule.weights)
+        h = np.minimum(caps[1], caps[2])
+        loop = [ref.subset_max_sum(a, row) for a, row in zip(caps[0].tolist(), h.tolist())]
+        table = np.add.accumulate(np.maximum(_subset_max(h).T, caps[0][:, None]), axis=1)[:, -1]
+        for total in (np.array(loop), table):
+            expected = np.maximum(caps[0], least * total)
+            np.testing.assert_allclose(floor, expected, rtol=1e-13, atol=0.0)
         lemma = np.min([cut_average_array(*caps, omega) for omega in range(1 << n)], axis=0)
-        assert (floor == np.maximum(caps[0], (1 << n) * min(schedule.weights) * lemma)).all()
+        assert (floor >= np.maximum(caps[0], (1 << n) * least * lemma) * (1.0 - 1e-12)).all()
         bound = two_hop_bound_array(*gains, snr, schedule)
         assert (floor * (1.0 - _FLOOR_TOL) <= bound).all()
         if n == 1 and weights == "uniform":
-            # the lemma is tight where both hops are at least the direct link
-            assert (floor[2::4] == bound[2::4]).all()
+            # one relay: the subset average is the min-cut on every row
+            np.testing.assert_allclose(floor, bound, rtol=1e-13, atol=0.0)
 
 
 @given(two_hop_instances(max_relays=5))
@@ -234,7 +252,8 @@ def test_direct_link_certificate_holds_at_rates_on_the_bound(kind, n, monkeypatc
     Where the relays are dead, the bound lies an ulp (t = 0.3) or a weight-sum
     shortfall of 0.9 * WEIGHT_SUM_TOL ("short") below n_sd; at rates on each
     trial's computed bound and one ulp either side, the count must still be
-    bound - gap < rate.  The sampler serves fixed gains through the same `keep`."""
+    bound - gap < rate.  The sampler serves fixed gains through the same `keep`,
+    which reads their uniforms -expm1(-g)."""
     rng = np.random.default_rng(600 + n)
     if isinstance(kind, float):
         schedule = SingleRelaySchedule(kind)
@@ -243,7 +262,7 @@ def test_direct_link_certificate_holds_at_rates_on_the_bound(kind, n, monkeypatc
     gains = _floor_gains(rng, n, 16)
 
     def sampler(n_relays, seed, point, start, stop, keep):
-        kept = start + np.flatnonzero(keep(gains[0][start:stop]))
+        kept = start + np.flatnonzero(keep(-np.expm1(-gains[0][start:stop])))
         return tuple(g[kept] for g in gains)
 
     monkeypatch.setattr(montecarlo, "sample_gain_arrays", sampler)
@@ -256,6 +275,33 @@ def test_direct_link_certificate_holds_at_rates_on_the_bound(kind, n, monkeypatc
                 for rate_bits in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
                     count = _count_outages(cfg, 0, snr, float(rate_bits), i, i + 1)
                     assert count == (bound[i] - gap_bits < rate_bits)
+
+
+def test_direct_uniform_test_keeps_every_trial_the_n_sd_test_keeps():
+    """`_count_outages` keeps a trial when its direct uniform u < `_direct_link_uniform`.
+    Over 2^17 uniforms per SNR point, the 64 smallest and 64 largest included (u = 0 and
+    1 - 2^-53), at -30..200 dB, gaps 0 and 0.7, r = 0, 0.5, 1 and rates on the n_sd test's
+    boundary and one ulp either side, it keeps every trial with
+    n_sd * (1 - _FLOOR_TOL) - gap < rate.  Of the random uniforms it keeps at most one more,
+    the one on the boundary; its slack reaches only the edges, within 1e-9 of 0 or of 1."""
+    rng = np.random.default_rng(19)
+    edges = np.concatenate([np.arange(64.0), 2.0**53 - np.arange(64.0, 0.0, -1.0)]) * 2.0**-53
+    most_extra = 0
+    for snr_db in np.arange(-30.0, 201.0, 10.0):
+        snr = float(db_to_linear(snr_db))
+        u = np.concatenate([edges, rng.integers(0, 1 << 53, size=1 << 17) * 2.0**-53])
+        n_sd = link_capacity_bits(-np.log1p(-u), snr)
+        for gap in (0.0, 0.7):
+            rates = [r * math.log2(snr) for r in (0.0, 0.5, 1.0)]
+            for i in [*range(0, 128, 9), *rng.integers(128, u.size, size=8)]:
+                edge = n_sd[i] * (1.0 - _FLOOR_TOL) - gap
+                rates += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+            for rate in rates:
+                kept_before = n_sd * (1.0 - _FLOOR_TOL) - gap < rate
+                kept = u < _direct_link_uniform(snr, float(rate), gap)
+                assert not (kept_before & ~kept).any()
+                most_extra = max(most_extra, np.count_nonzero((kept & ~kept_before)[edges.size :]))
+    assert most_extra == 1
 
 
 STAGED_SNR_DB = (-30.0, 0.0, 10.0, 30.0, 100.0, 200.0)
