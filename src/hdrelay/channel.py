@@ -17,6 +17,7 @@ drawn without drawing the others.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -57,23 +58,50 @@ def gains_from_uniforms(u: np.ndarray, n_relays: int) -> tuple[np.ndarray, np.nd
 
 
 def sample_gain_arrays(
-    n_relays: int, seed: int, point: int, start: int, stop: int,
+    n_relays: int, seed: int, point, start, stop,
     keep: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gains (g_sd, g_sr, g_rd) of the trials in [start, stop) of SNR point
     `point`, in the campaign stream layout.
 
-    The direct uniforms of the whole range are drawn first; `keep` maps them to a boolean
-    mask, and only the trials it selects (all when `keep` is None) get their gains transformed
-    and relay gains drawn, and appear in the result, in trial order.
+    `point`, `start` and `stop` are ints naming one range, or equal-length sequences naming
+    several, whose trials follow one another in range order.  The direct uniforms of every range
+    are drawn first, in one pass; `keep` maps them to a boolean mask, and only the trials it
+    selects (all when `keep` is None) get their gains transformed and relay gains drawn, in one
+    more pass, and appear in the result, in trial order.
     """
     if n_relays < 0:
         raise ValueError(f"n_relays must be >= 0, got {n_relays}")
-    check_stream_space(point + 1, stop)
-    first = start // 4
-    blocks = np.arange(first, (stop + 3) // 4, dtype=np.uint64) + np.uint64(2 * point * SNR_STREAM_STRIDE)
-    u_sd = rng.uniforms_for_streams(seed, blocks, 4).reshape(-1)[start - 4 * first : stop - 4 * first]
-    rows = np.arange(stop - start) if keep is None else np.flatnonzero(keep(u_sd))
-    relays = rows.astype(np.uint64) + np.uint64((2 * point + 1) * SNR_STREAM_STRIDE + start)
+    ranges = list(zip(*(_ints(v) for v in (point, start, stop)), strict=True))
+    for p, _, b in ranges:
+        check_stream_space(p + 1, b)
+    u_sd = _direct_uniforms(seed, ranges)
+    rows = np.arange(u_sd.size) if keep is None else np.flatnonzero(keep(u_sd))
+    # row k of range j, whose trials begin at row o_j of u_sd, is its trial start_j + k - o_j
+    offsets = list(accumulate((b - a for _, a, b in ranges), initial=0))
+    cuts = np.searchsorted(rows, offsets).tolist()
+    relays = rows.astype(np.uint64)
+    for (p, a, _), o, c, d in zip(ranges, offsets, cuts, cuts[1:]):
+        relays[c:d] += np.uint64((2 * p + 1) * SNR_STREAM_STRIDE + a - o)
     u = _exponentials(rng.uniforms_for_streams(seed, relays, 2 * n_relays))
     return _exponentials(u_sd[rows]), u[:, :n_relays], u[:, n_relays:]
+
+
+def _direct_uniforms(seed: int, ranges: list[tuple[int, int, int]]) -> np.ndarray:
+    """The direct uniforms of every (point, start, stop) range, end to end, from one pass over
+    their blocks: a view of the block words where the ranges meet on block edges (one range
+    always does), else a copy, so that the words are freed before the relay pass."""
+    blocks = [np.arange(a // 4, (b + 3) // 4, dtype=np.uint64) + np.uint64(2 * p * SNR_STREAM_STRIDE)
+              for p, a, b in ranges]
+    words = rng.uniforms_for_streams(seed, blocks[0] if len(blocks) == 1 else np.concatenate(blocks), 4)
+    words = words.reshape(-1)
+    firsts = accumulate((4 * w.size for w in blocks), initial=0)
+    spans = [(f + a % 4, f + a % 4 + b - a) for f, (_, a, b) in zip(firsts, ranges)]
+    if all(end == begin for (_, end), (begin, _) in zip(spans, spans[1:])):
+        return words[spans[0][0] : spans[-1][1]]  # ranges that meet on block edges
+    return np.concatenate([words[begin:end] for begin, end in spans])
+
+
+def _ints(v) -> list[int]:
+    """An int or a sequence of ints as a list of Python ints, whose stream arithmetic cannot wrap."""
+    return [int(x) for x in v] if np.iterable(v) else [int(v)]

@@ -50,6 +50,12 @@ def check_multiplexing_gain(r: float) -> None:
         raise ValueError(f"multiplexing gain r must lie in [0, 1], got {r!r}")
 
 
+def check_snr(snr) -> None:
+    """A linear SNR, one for a batch or one per row, must be finite and > 0 (NaN is neither)."""
+    if not np.all((0.0 < snr) & (snr < math.inf)):
+        raise ValueError(f"snr must be finite and > 0, got {snr!r}")
+
+
 def check_relay_count(n_relays: int) -> None:
     if not 1 <= n_relays <= MAX_RELAYS:
         raise ValueError(f"n_relays must lie in [1, {MAX_RELAYS}], got {n_relays}")
@@ -110,7 +116,7 @@ def link_capacity_bits(g, snr):
     return np.log2(1.0 + snr * np.asarray(g, dtype=np.float64))
 
 
-def single_relay_bound_array(g_sd, g_sr, g_rd, snr: float, t: float) -> np.ndarray:
+def single_relay_bound_array(g_sd, g_sr, g_rd, snr, t: float) -> np.ndarray:
     """Vectorized single-relay cut-set upper bound over gain arrays.
 
     Broadcast cut: the relay listens a fraction t, during which the source
@@ -118,11 +124,11 @@ def single_relay_bound_array(g_sd, g_sr, g_rd, snr: float, t: float) -> np.ndarr
     the time only the direct link carries information.  Cooperation cut:
     while the relay transmits (fraction 1-t) the relay and source amplitudes
     add coherently toward the destination; while it listens only the direct
-    link crosses.  The bound is the minimum of the two cuts.
+    link crosses.  The bound is the minimum of the two cuts.  `snr` is one
+    value for the batch or one per row.
     """
     check_listen_fraction(t)
-    if snr <= 0:
-        raise ValueError(f"snr must be > 0, got {snr!r}")
+    check_snr(snr)
     g_sd = np.asarray(g_sd, dtype=np.float64)
     g_sr = np.asarray(g_sr, dtype=np.float64)
     g_rd = np.asarray(g_rd, dtype=np.float64)
@@ -156,8 +162,7 @@ def link_capacities(g_sd, g_sr, g_rd, snr) -> tuple[np.ndarray, np.ndarray, np.n
     the batch or one per row.
     """
     snr_arr = np.asarray(snr, dtype=np.float64)
-    if np.any(snr_arr <= 0):
-        raise ValueError(f"snr must be > 0, got {snr!r}")
+    check_snr(snr_arr)
     per_row = snr_arr[..., None]
     n_sd = link_capacity_bits(g_sd, snr_arr)
     return n_sd, link_capacity_bits(g_sr, per_row), link_capacity_bits(g_rd, per_row)
@@ -241,10 +246,11 @@ def _min_cut_floor(n_sd, n_sr, n_rd, weights) -> np.ndarray:
     return np.maximum(n_sd, len(weights) * min(weights) * mean)
 
 
-def two_hop_bound_array(g_sd, g_sr, g_rd, snr: float, schedule: TwoHopSchedule) -> np.ndarray:
+def two_hop_bound_array(g_sd, g_sr, g_rd, snr, schedule: TwoHopSchedule) -> np.ndarray:
     """Min-cut lower bound over a batch of realizations.
 
-    g_sd has shape (T,), g_sr and g_rd shape (T, N); the result is the min
+    g_sd has shape (T,), g_sr and g_rd shape (T, N), snr one value for the
+    batch or one per row (as in `link_capacities`); the result is the min
     of `cut_flow_array` over all 2^N cuts, on passes of `_BLOCK >> N` rows.
     """
     n = schedule.n_relays

@@ -4,16 +4,19 @@ A channel is in outage when its capacity bound, minus an optional constant
 gap, falls below the target rate r * log2(snr).  A trial's gains are a pure
 function of (seed, snr point index, trial index) (the stream layout is in
 `channel`), so every count is a pure function of the configuration: reruns
-are bit identical for any worker count or chunking, and campaigns that
+are bit identical for any worker count or task packing, and campaigns that
 differ only in rate or gap see exactly the same channel realizations (which
 makes the monotonicity checks in the test suite exact rather than
 statistical).
 
-Every cut of both bounds is at least the direct link's capacity, so a chunk
-draws its direct uniforms first and transforms them and draws relay gains
-only for the trials the direct link cannot clear of outage.  A two-hop trial
-then meets an O(N log N) lower bound on its min-cut, the exact subset
-average; the 4^N min-cut kernel runs only on trials it cannot clear either.
+A campaign's unit of work is a task of `_CHUNK` trials of the flattened
+(point, trial) sequence, so one task may hold ranges of several SNR points.
+Every cut of both bounds is at least the direct link's capacity, so a task
+draws the direct uniforms of all its ranges in one pass, and transforms them
+and draws relay gains, in one more pass, only for the trials the direct link
+cannot clear of outage.  A two-hop trial then meets an O(N log N) lower bound
+on its min-cut, the exact subset average; the 4^N min-cut kernel runs only on
+trials it cannot clear either.  Both read one SNR and one rate per row.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import accumulate
 from statistics import NormalDist
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -33,9 +37,9 @@ from .cutset import Schedule, SingleRelaySchedule, _min_cut_floor, check_multipl
 from .cutset import link_capacities, single_relay_bound_array, two_hop_bound_array
 from .rng import GENERATOR_NAME, check_seed
 
-_CHUNK = 1 << 16  # trials per task; fixed so chunking never shows in results
+_CHUNK = 1 << 16  # trials per task, across SNR points; fixed so packing never shows in results
 
-_IN_FLIGHT_PER_WORKER = 2  # chunks submitted but not yet summed, per worker
+_IN_FLIGHT_PER_WORKER = 2  # tasks submitted but not yet summed, per worker
 
 MAX_WORKERS = 256  # threads per campaign; the pool may start one per worker
 
@@ -121,15 +125,15 @@ def db_to_linear(snr_db):
     return 10.0 ** (np.asarray(snr_db, dtype=np.float64) / 10.0)
 
 
-def _outage_mask(
-    schedule: Schedule, g_sd, g_sr, g_rd, snr: float, rate_bits: float, gap: float
-) -> np.ndarray:
-    """Per-row outage: the schedule's bound, reduced by the gap, falls below the rate."""
+def _outage_mask(schedule: Schedule, g_sd, g_sr, g_rd, snr, rate_bits, gap: float) -> np.ndarray:
+    """Per-row outage: the schedule's bound, reduced by the gap, falls below the rate.
+    `snr` and `rate_bits` are one value for the batch or one per row."""
     if isinstance(schedule, SingleRelaySchedule):
         bound = single_relay_bound_array(g_sd, g_sr[:, 0], g_rd[:, 0], snr, schedule.t)
         return bound - gap < rate_bits
     lb = _min_cut_floor(*link_capacities(g_sd, g_sr, g_rd, snr), schedule.weights)
     rows = np.flatnonzero(lb * (1.0 - _FLOOR_TOL) - gap < rate_bits)
+    snr, rate_bits = (v if np.ndim(v) == 0 else v[rows] for v in (snr, rate_bits))
     mask = np.zeros(lb.shape, dtype=bool)
     # called on no rows too: the kernel checks the relay count
     mask[rows] = two_hop_bound_array(g_sd[rows], g_sr[rows], g_rd[rows], snr, schedule) - gap < rate_bits
@@ -147,16 +151,45 @@ def _direct_link_uniform(snr: float, rate_bits: float, gap: float) -> float:
         return float(-np.expm1(-g_star) * (1.0 + 2.0**-30))
 
 
-def _count_outages(
-    cfg: RunConfig, snr_index: int, snr: float, rate_bits: float, start: int, stop: int
-) -> int:
-    """Outage count over trials [start, stop) at one SNR point.
+Range = tuple[int, float, float, int, int]  # (point, snr, rate_bits, start, stop): trials [start, stop)
 
-    A trial whose direct uniform is at least `_direct_link_uniform` is not in outage, so
-    its gain is never transformed nor its relay gains drawn; `_outage_mask` decides the others."""
-    u_star = _direct_link_uniform(snr, rate_bits, cfg.gap_bits)
-    gains = sample_gain_arrays(cfg.schedule.n_relays, cfg.seed, snr_index, start, stop, lambda u: u < u_star)
-    return int(np.count_nonzero(_outage_mask(cfg.schedule, *gains, snr, rate_bits, cfg.gap_bits)))
+
+def _count_outages(cfg: RunConfig, ranges: list[Range]) -> list[int]:
+    """Outage counts of one task, one per range of trials.
+
+    A trial whose direct uniform is at least its point's `_direct_link_uniform` is not in
+    outage, so its gain is never transformed nor its relay gains drawn.  The trials left in
+    every range meet one `_outage_mask` pass, each at its own point's SNR and rate."""
+    points, snrs, rates, starts, stops = zip(*ranges)
+    offsets = list(accumulate((b - a for a, b in zip(starts, stops)), initial=0))
+    kept = []
+
+    def keep(u_sd):
+        masks = [
+            u_sd[a:b] < _direct_link_uniform(snr, rate_bits, cfg.gap_bits)
+            for snr, rate_bits, a, b in zip(snrs, rates, offsets, offsets[1:])
+        ]
+        kept.extend(np.count_nonzero(mask) for mask in masks)
+        return masks[0] if len(masks) == 1 else np.concatenate(masks)
+
+    gains = sample_gain_arrays(cfg.schedule.n_relays, cfg.seed, points, starts, stops, keep)
+    # one range keeps its scalars, so a task within one point makes no per-row copies
+    snr, rate_bits = (v[0] if len(ranges) == 1 else np.repeat(v, kept) for v in (snrs, rates))
+    outage = _outage_mask(cfg.schedule, *gains, snr, rate_bits, cfg.gap_bits)
+    ends = list(accumulate(kept, initial=0))
+    return [int(np.count_nonzero(outage[a:b])) for a, b in zip(ends, ends[1:])]
+
+
+def _tasks(points: list[tuple[float, float, float]], trials: int) -> Iterator[list[Range]]:
+    """The flattened (point, trial) sequence in tasks of `_CHUNK` trials (the last may hold
+    fewer); a task holds one range of each point it reaches."""
+    total = len(points) * trials
+    for first in range(0, total, _CHUNK):
+        last = min(first + _CHUNK, total)
+        yield [
+            (i, points[i][1], points[i][2], max(first - i * trials, 0), min(last - i * trials, trials))
+            for i in range(first // trials, (last - 1) // trials + 1)
+        ]
 
 
 def _schedule_metadata(schedule: Schedule) -> dict[str, Any]:
@@ -168,10 +201,12 @@ def _schedule_metadata(schedule: Schedule) -> dict[str, Any]:
 def estimate_outage(cfg: RunConfig, workers: int = 1) -> OutageTable:
     """Run the campaign and return one row per SNR point.
 
-    `workers` only parallelizes the fixed-size trial chunks over threads;
-    counts are integer sums of per-chunk counts, each a pure function of
-    (seed, snr index, trial range), so the table is identical for any value.
-    Chunks run in (point, trial range) order with at most
+    The flattened (point, trial) sequence is cut into tasks of `_CHUNK` =
+    65,536 trials, so a task may span several SNR points, and a grid of
+    fewer trials in all is one task.  `workers` only parallelizes the tasks
+    over threads; counts are integer sums of per-range counts, each a pure
+    function of (seed, snr index, trial range), so the table is identical
+    for any value.  Tasks run in order with at most
     `_IN_FLIGHT_PER_WORKER * workers` submitted but not yet summed, so
     memory does not grow with the trial count.
     """
@@ -183,23 +218,21 @@ def estimate_outage(cfg: RunConfig, workers: int = 1) -> OutageTable:
     for snr_db in cfg.snr_db_grid:
         snr = float(db_to_linear(snr_db))
         points.append((snr_db, snr, cfg.r * math.log2(snr)))
-    # generated lazily: a campaign may hold millions of chunks per point
-    tasks = (
-        (i, snr, rate_bits, start, min(start + _CHUNK, cfg.trials_per_point))
-        for i, (_, snr, rate_bits) in enumerate(points)
-        for start in range(0, cfg.trials_per_point, _CHUNK)
-    )
-
     counts = [0] * len(points)
+
+    def add(task: list[Range], future) -> None:
+        for (i, *_), count in zip(task, future.result()):
+            counts[i] += count
+
     in_flight: deque = deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for task in tasks:
+        # generated lazily: a campaign may hold millions of tasks
+        for task in _tasks(points, cfg.trials_per_point):
             if len(in_flight) == _IN_FLIGHT_PER_WORKER * workers:
-                i, future = in_flight.popleft()
-                counts[i] += future.result()
-            in_flight.append((task[0], pool.submit(_count_outages, cfg, *task)))
-        for i, future in in_flight:
-            counts[i] += future.result()
+                add(*in_flight.popleft())
+            in_flight.append((task, pool.submit(_count_outages, cfg, task)))
+        for task, future in in_flight:
+            add(task, future)
 
     rows = []
     for (snr_db, snr, rate_bits), count in zip(points, counts):

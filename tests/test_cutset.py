@@ -5,12 +5,15 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_loops as ref
 from hdrelay import cutset
 from hdrelay.cutset import (
     SingleRelaySchedule,
     TwoHopSchedule,
+    _min_cut_floor,
     cut_average_array,
     cut_flow_array,
     link_capacities,
@@ -362,3 +365,58 @@ class TestCutAverage:
             rho = float(rng.uniform(0.5, 1e3))
             flow = _flow(*g, rho, TwoHopSchedule.uniform(n).weights, omega)
             assert flow >= _average(*g, rho, omega) - 1e-12
+
+
+@st.composite
+def per_row_snr_cases(draw):
+    """Gains of 1-6 rows and 1-4 relays, a schedule whose weights may hold zeros, a listen
+    fraction, and one SNR per row picked from two grid points."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.integers(1, 6))
+    cols = 2 * n + 1
+    gains = np.array(draw(st.lists(st.floats(0.0, 30.0), min_size=rows * cols, max_size=rows * cols)))
+    raw = draw(st.lists(st.integers(0, 2), min_size=1 << n, max_size=1 << n).filter(any))
+    schedule = TwoHopSchedule(n, tuple(w / sum(raw) for w in raw))
+    t = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    grid_db = st.sampled_from([-10.0, 0.0, 10.0, 17.5, 40.0])
+    grid = draw(st.lists(grid_db, min_size=2, max_size=2, unique=True))
+    pick = draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows))
+    snr = 10.0 ** (np.array(grid)[pick] / 10.0)
+    g = gains.reshape(rows, cols)
+    return (g[:, 0], g[:, 1 : 1 + n], g[:, 1 + n :]), schedule, t, snr
+
+
+class TestPerRowSnr:
+    """Campaign tasks that span SNR points bound each row at its own SNR."""
+
+    @staticmethod
+    def _kernels(g_sd, g_sr, g_rd, snr, schedule, t):
+        return (
+            single_relay_bound_array(g_sd, g_sr[:, 0], g_rd[:, 0], snr, t),
+            two_hop_bound_array(g_sd, g_sr, g_rd, snr, schedule),
+            _min_cut_floor(*link_capacities(g_sd, g_sr, g_rd, snr), schedule.weights),
+        )
+
+    @given(per_row_snr_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_each_row_equals_the_scalar_snr_call_bit_for_bit(self, case):
+        (g_sd, g_sr, g_rd), schedule, t, snr = case
+        batched = self._kernels(g_sd, g_sr, g_rd, snr, schedule, t)
+        for i, row_snr in enumerate(snr.tolist()):
+            alone = self._kernels(g_sd[i : i + 1], g_sr[i : i + 1], g_rd[i : i + 1], row_snr, schedule, t)
+            for got, want in zip(batched, alone):
+                assert got[i : i + 1].view(np.uint64) == want.view(np.uint64)
+
+    @pytest.mark.parametrize(
+        "snr",
+        [math.nan, -math.inf, math.inf, 0.0, np.array([10.0, math.nan]), np.array([10.0, 0.0])],
+        ids=["nan", "-inf", "inf", "zero", "row-nan", "row-zero"],
+    )
+    def test_snr_must_be_finite_and_positive(self, snr):
+        g_sd, g_sr, g_rd = np.ones(2), np.ones((2, 2)), np.ones((2, 2))
+        with pytest.raises(ValueError, match="snr must be finite and > 0"):
+            single_relay_bound_array(g_sd, g_sr[:, 0], g_rd[:, 0], snr, 0.5)
+        with pytest.raises(ValueError, match="snr must be finite and > 0"):
+            two_hop_bound_array(g_sd, g_sr, g_rd, snr, TwoHopSchedule.uniform(2))
+        with pytest.raises(ValueError, match="snr must be finite and > 0"):
+            link_capacities(g_sd, g_sr, g_rd, snr)

@@ -93,7 +93,8 @@ class TestOutageEvent:
     def test_min_cut_rows_of_the_two_hop_benchmark_campaign(self, monkeypatch):
         # N=6, r=0.75, 10/20/30 dB, 8,192 trials: the direct link and the min-cut floor
         # leave at most 600 of 24,576 trials to the kernel (4,336 under the floor
-        # 2^N (n_sd + sum h) / (N+1)), so a floor that falls back to a weaker bound shows
+        # 2^N (n_sd + sum h) / (N+1)), so a floor that falls back to a weaker bound shows;
+        # the grid's 24,576 trials fit one task, so the kernel runs once
         kernel, seen = montecarlo.two_hop_bound_array, []
 
         def recording(g_sd, *args):
@@ -104,7 +105,7 @@ class TestOutageEvent:
         cfg = RunConfig(TwoHopSchedule.uniform(6), 0.75, (10.0, 20.0, 30.0), 8192, seed=1)
         table = estimate_outage(cfg, workers=1)
         assert [row.outage_count for row in table.rows] == [68, 3, 0]
-        assert len(seen) == 3 and sum(seen) <= 600
+        assert len(seen) == 1 and sum(seen) <= 600
 
 
 class TestRunConfigValidation:
@@ -274,25 +275,26 @@ class TestBoundedSubmission:
     ODD_CHUNK = 333
 
     def _traced_count(self, monkeypatch, fail_at=None):
-        """Patch a small chunk and a `_count_outages` that records each chunk's
-        start and finish by its flat (point, chunk) index; chunk 0 is slow so
-        that later chunks would overtake it if nothing held them back."""
+        """Patch a small chunk and a `_count_outages` that records each task's
+        start and finish by its flat index, the index of its first trial in the
+        flattened (point, trial) sequence over `_CHUNK`; task 0 is slow so that
+        later tasks would overtake it if nothing held them back."""
         monkeypatch.setattr(montecarlo, "_CHUNK", self.CHUNK)
         count = montecarlo._count_outages
-        per_point = self.CFG.trials_per_point // self.CHUNK
         lock = threading.Lock()
         finished = set()
         spans = []  # flat index started, oldest unfinished flat index at that moment
 
-        def traced(cfg, snr_index, snr, rate_bits, start, stop):
-            k = snr_index * per_point + start // self.CHUNK
+        def traced(cfg, ranges):
+            point, _, _, start, _ = ranges[0]
+            k = (point * cfg.trials_per_point + start) // self.CHUNK
             with lock:
                 spans.append((k, min(j for j in range(k + 1) if j not in finished)))
             if k == 0:
                 time.sleep(0.05)
             if k == fail_at:
                 raise RuntimeError(f"chunk {k} failed")
-            result = count(cfg, snr_index, snr, rate_bits, start, stop)
+            result = count(cfg, ranges)
             with lock:
                 finished.add(k)
             return result
@@ -311,15 +313,16 @@ class TestBoundedSubmission:
         # chunks from the oldest unfinished one to the newest started one
         assert max(k - oldest + 1 for k, oldest in spans) <= window
 
-    def _assert_chunk_invariant(self, monkeypatch, cfg, workers):
+    def _assert_chunk_invariant(self, monkeypatch, cfg, workers, chunk=ODD_CHUNK):
         whole = [row.outage_count for row in estimate_outage(cfg, workers=1).rows]
-        monkeypatch.setattr(montecarlo, "_CHUNK", self.ODD_CHUNK)
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
         counts = [row.outage_count for row in estimate_outage(cfg, workers=workers).rows]
         assert counts == whole and 0 < sum(whole) < cfg.trials_per_point * len(whole)
 
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_two_hop_counts_do_not_depend_on_chunks_or_workers(self, monkeypatch, workers):
-        # 10 chunks per point; the min-cut runs only on the rows its floor leaves
+        # 9,000 trials in tasks of 333 that straddle points; the min-cut runs only on the
+        # rows its floor leaves
         cfg = RunConfig(
             schedule=TwoHopSchedule.uniform(3),
             r=0.75,
@@ -330,10 +333,42 @@ class TestBoundedSubmission:
         )
         self._assert_chunk_invariant(monkeypatch, cfg, workers)
 
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_single_relay_counts_do_not_depend_on_chunks_or_workers(self, monkeypatch, workers):
         cfg = _single_cfg(snr_db_grid=(0.0, 10.0, 20.0), trials_per_point=3_000, gap_bits=0.5)
         self._assert_chunk_invariant(monkeypatch, cfg, workers)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("chunk", [1, 1 << 20], ids=["one-trial", "whole-grid"])
+    @pytest.mark.parametrize("kind", ["single", "two-hop"])
+    def test_counts_do_not_depend_on_task_packing(self, monkeypatch, kind, chunk, workers):
+        # a chunk of 1 makes each trial a task, one past 3 x 201 trials the whole grid one task
+        schedule = SingleRelaySchedule(0.5) if kind == "single" else TwoHopSchedule.uniform(3)
+        cfg = RunConfig(schedule, 0.75, (0.0, 10.0, 20.0), 201, 43, gap_bits=0.5)
+        self._assert_chunk_invariant(monkeypatch, cfg, workers, chunk)
+
+    @pytest.mark.parametrize("chunk", [1, 333, 1 << 20])
+    def test_a_task_draws_in_two_passes(self, monkeypatch, chunk):
+        """However many ranges a task holds, it makes one Philox call for the direct
+        uniforms of them all and one for the relay words of the trials it keeps."""
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        cfg = RunConfig(TwoHopSchedule.uniform(2), 0.75, (0.0, 10.0, 20.0), 201, 43, gap_bits=0.5)
+        calls, tasks = [], []
+        draw, count = channel.rng.uniforms_for_streams, montecarlo._count_outages
+
+        def counting_draw(*args):
+            calls.append(args)
+            return draw(*args)
+
+        def recording_count(cfg, ranges):
+            tasks.append(ranges)
+            return count(cfg, ranges)
+
+        monkeypatch.setattr(channel.rng, "uniforms_for_streams", counting_draw)
+        monkeypatch.setattr(montecarlo, "_count_outages", recording_count)
+        estimate_outage(cfg, workers=1)
+        assert len(tasks) == -(-603 // chunk) and len(calls) == 2 * len(tasks)
+        assert max(len(ranges) for ranges in tasks) == {1: 1, 333: 2, 1 << 20: 3}[chunk]
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_chunk_exception_surfaces(self, monkeypatch, workers):

@@ -262,7 +262,8 @@ def test_direct_link_certificate_holds_at_rates_on_the_bound(kind, n, monkeypatc
     gains = _floor_gains(rng, n, 16)
 
     def sampler(n_relays, seed, point, start, stop, keep):
-        kept = start + np.flatnonzero(keep(-np.expm1(-gains[0][start:stop])))
+        trials = np.concatenate([np.arange(a, b) for a, b in zip(start, stop)])
+        kept = trials[keep(-np.expm1(-gains[0][trials]))]
         return tuple(g[kept] for g in gains)
 
     monkeypatch.setattr(montecarlo, "sample_gain_arrays", sampler)
@@ -273,7 +274,7 @@ def test_direct_link_certificate_holds_at_rates_on_the_bound(kind, n, monkeypatc
             for i in range(16):
                 edge = bound[i] - gap_bits
                 for rate_bits in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
-                    count = _count_outages(cfg, 0, snr, float(rate_bits), i, i + 1)
+                    (count,) = _count_outages(cfg, [(0, snr, float(rate_bits), i, i + 1)])
                     assert count == (bound[i] - gap_bits < rate_bits)
 
 
@@ -331,12 +332,36 @@ def test_staged_draws_equal_drawing_and_bounding_every_trial(kind, param):
             for r in (0.0, 0.5, 1.0):
                 rate_bits = r * math.log2(snr)
                 expected = bound - gap_bits < rate_bits
-                per_trial = [_count_outages(cfg, point, snr, rate_bits, k, k + 1) for k in range(6)]
-                assert per_trial == expected[:6].tolist()
-                count = _count_outages(cfg, point, snr, rate_bits, 3, trials)
+                per_trial = [_count_outages(cfg, [(point, snr, rate_bits, k, k + 1)]) for k in range(6)]
+                assert per_trial == [[e] for e in expected[:6].tolist()]
+                (count,) = _count_outages(cfg, [(point, snr, rate_bits, 3, trials)])
                 assert count == np.count_nonzero(expected[3:])
                 mixed = mixed or 0 < count < trials - 3
     assert mixed
+
+
+@pytest.mark.parametrize("kind, param", [("single", 0.3), ("zeros", 3), ("uniform", 6)])
+def test_a_task_spanning_points_counts_each_range_at_its_own_point(kind, param):
+    """One `_count_outages` task over a range of every SNR point, the ranges starting and
+    stopping both inside blocks of direct gains and on their edges, gives each range the
+    reference count at its own SNR and rate."""
+    seed, trials, gap_bits = 17, 150, 0.7
+    if kind == "single":
+        schedule = SingleRelaySchedule(param)
+    else:
+        schedule = _floor_schedule(np.random.default_rng(500 + param), param, kind)
+    cfg = RunConfig(schedule, 0.5, STAGED_SNR_DB, trials, seed, gap_bits)
+    ranges, expected = [], []
+    for point, snr_db in enumerate(STAGED_SNR_DB):
+        snr = float(db_to_linear(snr_db))
+        rate_bits = 0.5 * math.log2(snr)
+        start, stop = 1 + point, trials - 2 - point
+        gains = ref.campaign_gains(schedule.n_relays, seed, point, range(trials))
+        bound = ref.campaign_bound(schedule, gains, snr)
+        ranges.append((point, snr, rate_bits, start, stop))
+        expected.append(int(np.count_nonzero(bound[start:stop] - gap_bits < rate_bits)))
+    assert _count_outages(cfg, ranges) == expected
+    assert 0 < sum(expected) < sum(stop - start for *_, start, stop in ranges)
 
 
 orders = st.floats(min_value=0.0, max_value=1.0)
