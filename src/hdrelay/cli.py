@@ -44,7 +44,7 @@ from .montecarlo import (
 )
 from .rng import GENERATOR_NAME
 
-MAX_GRID_POINTS = 10_001  # of one start:stop:step grid
+MAX_GRID_POINTS = 10_001  # of one grid, range or list
 
 OUTAGE_COLUMNS = [f.name for f in fields(OutageRow)]
 
@@ -69,6 +69,8 @@ def parse_grid(text: str) -> list[float]:
                 raise ValueError(f"more than {MAX_GRID_POINTS} points")
             return [round(start + k * step, 12) for k in range(math.floor(last) + 1)]
         if "," in text:
+            if text.count(",") >= MAX_GRID_POINTS:
+                raise ValueError(f"more than {MAX_GRID_POINTS} points")
             return [float(p) for p in text.split(",")]
         return [float(text)]
     except ValueError as exc:

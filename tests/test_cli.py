@@ -8,9 +8,11 @@ import re
 import shlex
 from dataclasses import asdict
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
+from hdrelay import cli
 from hdrelay.cli import (
     MAX_GRID_POINTS,
     OUTAGE_COLUMNS,
@@ -69,6 +71,16 @@ class TestGridParsing:
     def test_largest_range(self):
         grid = parse_grid("0:1:0.0001")
         assert len(grid) == MAX_GRID_POINTS and grid[-1] == 1.0
+
+    def test_lists_are_capped_like_ranges(self, capsys):
+        assert len(parse_grid(",".join(["0.5"] * MAX_GRID_POINTS))) == MAX_GRID_POINTS
+        too_long = ",".join(["0.5"] * 20_000)
+        with pytest.raises(ValueError, match=f"more than {MAX_GRID_POINTS} points"):
+            parse_grid(too_long)
+        # rejected before the first of the 20,000 oracle calls
+        with patch.object(cli, "exponent_grid_oracle", side_effect=AssertionError("oracle called")):
+            assert run(["exponent", "--relays", "1", "--r-grid", too_long]) == 2
+        assert f"more than {MAX_GRID_POINTS} points" in capsys.readouterr().err
 
     def test_counts(self):
         assert parse_count("1e6") == 1_000_000

@@ -162,6 +162,19 @@ class TestGridOracle:
             exponent_grid_oracle(counting, 3, 0.05, budget=cost - 1)
         assert rows == []
 
+    def test_coarse_cells_prune_most_of_the_staircase(self):
+        region = single_relay_outage_region(0.5, 0.5)
+        rows = []
+
+        def counting(alpha):
+            rows.append(alpha.shape[0])
+            return region(alpha)
+
+        assert exponent_grid_oracle(counting, 3, 0.005) == pytest.approx(1.0, abs=0.015)
+        # the plain staircase probes 201^2 * bit_length(201) = 323,208 rows at this step
+        assert 0 < sum(rows) <= 201**2 * (201).bit_length() // 8
+        assert exponent_grid_oracle(region, 3, 0.05) == ref.exhaustive_grid_oracle(region, 3, 0.05)
+
     def test_budget_is_checked_before_the_grid_exists(self):
         def no_grid(step):
             raise AssertionError(f"grid of step {step} built")

@@ -427,9 +427,12 @@ def test_batched_suite_equals_per_instance_reference(kind, size, instances):
 # prefixes per chunk: one, a count that splits the grid unevenly, the default
 chunks = st.sampled_from([1, 17, dmt._CHUNK])
 unit = st.floats(min_value=0.0, max_value=1.0)
+# 0.07 (L=15) and 0.03 (L=34) give grids that stop short of 1 and coarse
+# levels, every ceil(sqrt(L))-th plus the top one, that do not divide L evenly
+steps = [0.25, 0.1, 0.07, 0.05, 0.03]
 
 
-@given(unit, unit, st.sampled_from([0.25, 0.1, 0.05, 0.025]), chunks)
+@given(unit, unit, st.sampled_from(steps + [0.025]), chunks)
 @settings(max_examples=60, deadline=None)
 def test_staircase_oracle_equals_exhaustive_single_relay(r, t, step, chunk):
     region = single_relay_outage_region(r, t)
@@ -437,9 +440,11 @@ def test_staircase_oracle_equals_exhaustive_single_relay(r, t, step, chunk):
         assert exponent_grid_oracle(region, 3, step) == ref.exhaustive_grid_oracle(region, 3, step)
 
 
-@given(st.integers(min_value=1, max_value=3), unit, st.sampled_from([0.25, 0.1]), chunks)
+@given(st.integers(min_value=1, max_value=3), unit, st.sampled_from(steps), chunks)
 @settings(max_examples=40, deadline=None)
 def test_staircase_oracle_equals_exhaustive_two_hop(n, r, step, chunk):
+    if n == 3 and chunk == 1:
+        step = max(step, 0.07)  # keeps the one-prefix-chunk runs short
     crossing = crossing_links_outage_region(n, r)
     expected = ref.exhaustive_grid_oracle(crossing, n + 1, step)
     with patch.object(dmt, "_CHUNK", chunk):
@@ -468,9 +473,12 @@ def box_unions(draw):
     return dim, np.array(corners, dtype=np.float64).reshape(len(corners), dim)
 
 
-@given(box_unions(), st.sampled_from([0.25, 0.1, 0.05]), chunks)
+@given(box_unions(), st.sampled_from(steps), chunks)
 @example((3, np.empty((0, 3))), 0.1, dmt._CHUNK)  # empty: no outage at all
 @example((4, np.full((1, 4), 1.0)), 0.25, 17)  # full: the whole cube
+# the optimum (0.98, 0.91, 0.14) sits on the top prefix level 14 of L=15 and on
+# level 13, between the coarse levels 12 and 14
+@example((3, np.array([[1.0, 0.93, 0.2], [0.5, 0.5, 0.5]])), 0.07, dmt._CHUNK)
 @settings(max_examples=80, deadline=None)
 def test_staircase_oracle_equals_exhaustive_on_box_unions(dim_corners, step, chunk):
     dim, corners = dim_corners
