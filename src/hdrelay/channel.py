@@ -66,9 +66,9 @@ def sample_gain_arrays(
 
     `point`, `start` and `stop` are ints naming one range, or equal-length sequences naming
     several, whose trials follow one another in range order.  The direct uniforms of every range
-    are drawn first, in one pass; `keep` maps them to a boolean mask, and only the trials it
-    selects (all when `keep` is None) get their gains transformed and relay gains drawn, in one
-    more pass, and appear in the result, in trial order.
+    are drawn first, in one pass, and copied end to end; `keep` maps them to a boolean mask, and
+    only the trials it selects (all when `keep` is None) get their gains transformed and relay
+    gains drawn, in one more pass, and appear in the result, in trial order.
     """
     if n_relays < 0:
         raise ValueError(f"n_relays must be >= 0, got {n_relays}")
@@ -89,17 +89,14 @@ def sample_gain_arrays(
 
 def _direct_uniforms(seed: int, ranges: list[tuple[int, int, int]]) -> np.ndarray:
     """The direct uniforms of every (point, start, stop) range, end to end, from one pass over
-    their blocks: a view of the block words where the ranges meet on block edges (one range
-    always does), else a copy, so that the words are freed before the relay pass."""
+    their blocks: a view of the block words for one range (a copy doubled a single-relay
+    campaign's page faults), else a copy, so that the words are freed before the relay pass."""
     blocks = [np.arange(a // 4, (b + 3) // 4, dtype=np.uint64) + np.uint64(2 * p * SNR_STREAM_STRIDE)
               for p, a, b in ranges]
-    words = rng.uniforms_for_streams(seed, blocks[0] if len(blocks) == 1 else np.concatenate(blocks), 4)
-    words = words.reshape(-1)
+    words = rng.uniforms_for_streams(seed, np.concatenate(blocks), 4).reshape(-1)
     firsts = accumulate((4 * w.size for w in blocks), initial=0)
-    spans = [(f + a % 4, f + a % 4 + b - a) for f, (_, a, b) in zip(firsts, ranges)]
-    if all(end == begin for (_, end), (begin, _) in zip(spans, spans[1:])):
-        return words[spans[0][0] : spans[-1][1]]  # ranges that meet on block edges
-    return np.concatenate([words[begin:end] for begin, end in spans])
+    spans = [words[f + a % 4 : f + a % 4 + b - a] for f, (_, a, b) in zip(firsts, ranges)]
+    return spans[0] if len(spans) == 1 else np.concatenate(spans)
 
 
 def _ints(v) -> list[int]:

@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import math
-import os
 import shlex
 import sys
 from dataclasses import asdict, fields
@@ -372,13 +371,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=None, help="listen fraction, single-relay-ub (default 0.5)")
     p.add_argument("--weights", default=None, help="two-hop-zlb state weights, comma separated (default uniform)")
     p.add_argument("--r", type=float, required=True, help="multiplexing gain; rate = r*log2(snr)")
-    p.add_argument("--snr-db", required=True, help="SNR grid in dB, start:stop:step")
+    p.add_argument("--snr-db", required=True,
+                   help="SNR grid in dB, start:stop:step; write a negative start as --snr-db=-10:30:5")
     p.add_argument("--trials", default="100000", help="trials per SNR point (accepts 1e6)")
     p.add_argument("--seed", type=int, required=True, help="master seed in [0, 2**64) (echoed in metadata)")
     p.add_argument("--gap-bits", type=float, default=0.0, help="constant gap subtracted from the bound")
-    p.add_argument("--workers", type=int, default=min(os.cpu_count() or 1, MAX_WORKERS),
-                   help=f"worker threads in [1, {MAX_WORKERS}] (default: available parallelism,"
-                   f" at most {MAX_WORKERS}); results do not depend on it")
+    p.add_argument("--workers", type=int, default=1,
+                   help=f"worker threads in [1, {MAX_WORKERS}] (default 1); results do not depend on it")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_outage)
 

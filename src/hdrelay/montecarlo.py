@@ -9,14 +9,16 @@ differ only in rate or gap see exactly the same channel realizations (which
 makes the monotonicity checks in the test suite exact rather than
 statistical).
 
-A campaign's unit of work is a task of `_CHUNK` trials of the flattened
-(point, trial) sequence, so one task may hold ranges of several SNR points.
-Every cut of both bounds is at least the direct link's capacity, so a task
-draws the direct uniforms of all its ranges in one pass, and transforms them
-and draws relay gains, in one more pass, only for the trials the direct link
-cannot clear of outage.  A two-hop trial then meets an O(N log N) lower bound
-on its min-cut, the exact subset average; the 4^N min-cut kernel runs only on
-trials it cannot clear either.  Both read one SNR and one rate per row.
+A campaign's unit of work is a task, a slice [first, last) of `_CHUNK`
+trials of the flattened (point, trial) sequence, so one task may reach
+several SNR points; it returns one count per point (`np.bincount` of its
+outage rows' points).  Every cut of both bounds is at least the direct link's
+capacity, so a task draws the direct uniforms of all its trials in one pass,
+and transforms them and draws relay gains, in one more pass, only for the
+trials the direct link cannot clear of outage.  A two-hop trial then meets an
+O(N log N) lower bound on its min-cut, the exact subset average; the 4^N
+min-cut kernel runs only on trials it cannot clear either.  Both read the
+SNR and rate of each row's point.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import accumulate
 from statistics import NormalDist
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -151,45 +152,32 @@ def _direct_link_uniform(snr: float, rate_bits: float, gap: float) -> float:
         return float(-np.expm1(-g_star) * (1.0 + 2.0**-30))
 
 
-Range = tuple[int, float, float, int, int]  # (point, snr, rate_bits, start, stop): trials [start, stop)
-
-
-def _count_outages(cfg: RunConfig, ranges: list[Range]) -> list[int]:
-    """Outage counts of one task, one per range of trials.
+def _count_outages(cfg: RunConfig, points: list[tuple[float, float, float]], first: int, last: int) -> np.ndarray:
+    """Outage counts of trials [first, last) of the flattened (point, trial) sequence, one per
+    (snr_db, snr, rate_bits) point.
 
     A trial whose direct uniform is at least its point's `_direct_link_uniform` is not in
-    outage, so its gain is never transformed nor its relay gains drawn.  The trials left in
-    every range meet one `_outage_mask` pass, each at its own point's SNR and rate."""
-    points, snrs, rates, starts, stops = zip(*ranges)
-    offsets = list(accumulate((b - a for a, b in zip(starts, stops)), initial=0))
+    outage, so its gain is never transformed nor its relay gains drawn.  The trials left meet
+    one `_outage_mask` pass, each at its own point's SNR and rate."""
+    trials = cfg.trials_per_point
+    lo, hi = first // trials, (last - 1) // trials + 1
+    starts = [max(first - i * trials, 0) for i in range(lo, hi)]
+    stops = [min(last - i * trials, trials) for i in range(lo, hi)]
+    u_star = [_direct_link_uniform(snr, rate_bits, cfg.gap_bits) for _, snr, rate_bits in points[lo:hi]]
     kept = []
 
     def keep(u_sd):
-        masks = [
-            u_sd[a:b] < _direct_link_uniform(snr, rate_bits, cfg.gap_bits)
-            for snr, rate_bits, a, b in zip(snrs, rates, offsets, offsets[1:])
-        ]
+        # point i > lo begins at row i * trials - first
+        by_point = np.split(u_sd, [i * trials - first for i in range(lo + 1, hi)])
+        masks = [u < threshold for u, threshold in zip(by_point, u_star)]
         kept.extend(np.count_nonzero(mask) for mask in masks)
-        return masks[0] if len(masks) == 1 else np.concatenate(masks)
+        return np.concatenate(masks)
 
-    gains = sample_gain_arrays(cfg.schedule.n_relays, cfg.seed, points, starts, stops, keep)
-    # one range keeps its scalars, so a task within one point makes no per-row copies
-    snr, rate_bits = (v[0] if len(ranges) == 1 else np.repeat(v, kept) for v in (snrs, rates))
+    gains = sample_gain_arrays(cfg.schedule.n_relays, cfg.seed, range(lo, hi), starts, stops, keep)
+    point = np.repeat(np.arange(lo, hi), kept)  # of each kept row
+    _, snr, rate_bits = (np.repeat(v, kept) for v in zip(*points[lo:hi]))
     outage = _outage_mask(cfg.schedule, *gains, snr, rate_bits, cfg.gap_bits)
-    ends = list(accumulate(kept, initial=0))
-    return [int(np.count_nonzero(outage[a:b])) for a, b in zip(ends, ends[1:])]
-
-
-def _tasks(points: list[tuple[float, float, float]], trials: int) -> Iterator[list[Range]]:
-    """The flattened (point, trial) sequence in tasks of `_CHUNK` trials (the last may hold
-    fewer); a task holds one range of each point it reaches."""
-    total = len(points) * trials
-    for first in range(0, total, _CHUNK):
-        last = min(first + _CHUNK, total)
-        yield [
-            (i, points[i][1], points[i][2], max(first - i * trials, 0), min(last - i * trials, trials))
-            for i in range(first // trials, (last - 1) // trials + 1)
-        ]
+    return np.bincount(point[outage], minlength=len(points))
 
 
 def _schedule_metadata(schedule: Schedule) -> dict[str, Any]:
@@ -201,12 +189,12 @@ def _schedule_metadata(schedule: Schedule) -> dict[str, Any]:
 def estimate_outage(cfg: RunConfig, workers: int = 1) -> OutageTable:
     """Run the campaign and return one row per SNR point.
 
-    The flattened (point, trial) sequence is cut into tasks of `_CHUNK` =
+    The flattened (point, trial) sequence is cut into slices of `_CHUNK` =
     65,536 trials, so a task may span several SNR points, and a grid of
     fewer trials in all is one task.  `workers` only parallelizes the tasks
-    over threads; counts are integer sums of per-range counts, each a pure
-    function of (seed, snr index, trial range), so the table is identical
-    for any value.  Tasks run in order with at most
+    over threads; counts are integer sums of the tasks' per-point counts,
+    each a pure function of (seed, slice), so the table is identical for
+    any value.  Tasks run in order with at most
     `_IN_FLIGHT_PER_WORKER * workers` submitted but not yet summed, so
     memory does not grow with the trial count.
     """
@@ -218,24 +206,19 @@ def estimate_outage(cfg: RunConfig, workers: int = 1) -> OutageTable:
     for snr_db in cfg.snr_db_grid:
         snr = float(db_to_linear(snr_db))
         points.append((snr_db, snr, cfg.r * math.log2(snr)))
-    counts = [0] * len(points)
-
-    def add(task: list[Range], future) -> None:
-        for (i, *_), count in zip(task, future.result()):
-            counts[i] += count
-
+    counts = np.zeros(len(points), dtype=np.int64)
+    total = len(points) * cfg.trials_per_point
     in_flight: deque = deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        # generated lazily: a campaign may hold millions of tasks
-        for task in _tasks(points, cfg.trials_per_point):
+        for first in range(0, total, _CHUNK):
             if len(in_flight) == _IN_FLIGHT_PER_WORKER * workers:
-                add(*in_flight.popleft())
-            in_flight.append((task, pool.submit(_count_outages, cfg, task)))
-        for task, future in in_flight:
-            add(task, future)
+                counts += in_flight.popleft().result()
+            in_flight.append(pool.submit(_count_outages, cfg, points, first, min(first + _CHUNK, total)))
+        for future in in_flight:
+            counts += future.result()
 
     rows = []
-    for (snr_db, snr, rate_bits), count in zip(points, counts):
+    for (snr_db, snr, rate_bits), count in zip(points, counts.tolist()):
         p_hat = count / cfg.trials_per_point
         ci_low, ci_high = confidence_interval(count, cfg.trials_per_point)
         rows.append(

@@ -279,24 +279,26 @@ class TestOutageAndSlopeCommands:
         assert run(["slope", "--input", str(out)]) == 2
 
     def test_workers_env_override(self, tmp_path, capsys, monkeypatch):
-        # --workers is the one way to set the count; the environment is not read
+        # --workers is the one way to set the count; neither the environment nor the core count is read
         monkeypatch.setattr("os.cpu_count", lambda: 3)
         monkeypatch.setenv("HDRELAY_WORKERS", "x")
         assert run(["outage", "--r", "0.5", "--snr-db", "10", "--trials", "100",
                     "--seed", "2", "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out)["metadata"]["workers"] == 3
-        assert run(["outage", "--r", "0.5", "--snr-db", "10", "--trials", "100",
-                    "--seed", "2", "--workers", "1", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["metadata"]["workers"] == 1
+        assert run(["outage", "--r", "0.5", "--snr-db", "10", "--trials", "100",
+                    "--seed", "2", "--workers", "2", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["metadata"]["workers"] == 2
         assert run(["outage", "--r", "0.5", "--snr-db", "10", "--trials", "100", "--seed", "2",
                     "--workers", "257"]) == 2
         assert capsys.readouterr().err.endswith("hdrelay: error: workers must be <= 256, got 257\n")
 
-    def test_default_workers_are_capped(self, capsys, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 1000)
-        assert run(["outage", "--r", "0.5", "--snr-db", "10", "--trials", "100",
-                    "--seed", "2", "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out)["metadata"]["workers"] == 256
+    def test_negative_grid_start_takes_the_equals_form(self, capsys):
+        # argparse reads a separate "-10:0:10" as a flag, so a grid below 0 dB is one word
+        argv = ["outage", "--r", "0.5", "--trials", "100", "--seed", "2", "--format", "json"]
+        assert run([*argv, "--snr-db", "-10:0:10"]) == 2
+        assert "argument --snr-db: expected one argument" in capsys.readouterr().err
+        assert run([*argv, "--snr-db=-10:0:10"]) == 0
+        assert [row["snr_db"] for row in json.loads(capsys.readouterr().out)["rows"]] == [-10.0, 0.0]
 
     def test_two_hop_model(self, capsys):
         assert run(["outage", "--model", "two-hop-zlb", "--relays", "2", "--r", "0.5",

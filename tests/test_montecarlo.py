@@ -7,6 +7,8 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_loops as ref
 from hdrelay import channel, montecarlo
@@ -17,6 +19,7 @@ from hdrelay.montecarlo import (
     OutageRow,
     OutageTable,
     RunConfig,
+    _count_outages,
     _outage_mask,
     confidence_interval,
     db_to_linear,
@@ -285,16 +288,15 @@ class TestBoundedSubmission:
         finished = set()
         spans = []  # flat index started, oldest unfinished flat index at that moment
 
-        def traced(cfg, ranges):
-            point, _, _, start, _ = ranges[0]
-            k = (point * cfg.trials_per_point + start) // self.CHUNK
+        def traced(cfg, points, first, last):
+            k = first // self.CHUNK
             with lock:
                 spans.append((k, min(j for j in range(k + 1) if j not in finished)))
             if k == 0:
                 time.sleep(0.05)
             if k == fail_at:
                 raise RuntimeError(f"chunk {k} failed")
-            result = count(cfg, ranges)
+            result = count(cfg, points, first, last)
             with lock:
                 finished.add(k)
             return result
@@ -349,7 +351,7 @@ class TestBoundedSubmission:
 
     @pytest.mark.parametrize("chunk", [1, 333, 1 << 20])
     def test_a_task_draws_in_two_passes(self, monkeypatch, chunk):
-        """However many ranges a task holds, it makes one Philox call for the direct
+        """However many points a task spans, it makes one Philox call for the direct
         uniforms of them all and one for the relay words of the trials it keeps."""
         monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
         cfg = RunConfig(TwoHopSchedule.uniform(2), 0.75, (0.0, 10.0, 20.0), 201, 43, gap_bits=0.5)
@@ -360,21 +362,42 @@ class TestBoundedSubmission:
             calls.append(args)
             return draw(*args)
 
-        def recording_count(cfg, ranges):
-            tasks.append(ranges)
-            return count(cfg, ranges)
+        def recording_count(cfg, points, first, last):
+            tasks.append((last - 1) // cfg.trials_per_point - first // cfg.trials_per_point + 1)
+            return count(cfg, points, first, last)
 
         monkeypatch.setattr(channel.rng, "uniforms_for_streams", counting_draw)
         monkeypatch.setattr(montecarlo, "_count_outages", recording_count)
         estimate_outage(cfg, workers=1)
         assert len(tasks) == -(-603 // chunk) and len(calls) == 2 * len(tasks)
-        assert max(len(ranges) for ranges in tasks) == {1: 1, 333: 2, 1 << 20: 3}[chunk]
+        assert max(tasks) == {1: 1, 333: 2, 1 << 20: 3}[chunk]  # points spanned
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_chunk_exception_surfaces(self, monkeypatch, workers):
         self._traced_count(monkeypatch, fail_at=13)
         with pytest.raises(RuntimeError, match="chunk 13 failed"):
             estimate_outage(self.CFG, workers=workers)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["single", "two-hop"]),
+    st.integers(1, 4),
+    st.integers(1, 300).filter(lambda t: t % 4 != 0),
+    st.data(),
+)
+def test_counts_of_any_slicing_sum_to_the_whole_grid_slice(kind, n_points, trials, data):
+    """Cut the flattened (point, trial) sequence into slices at random points, so slices
+    start and stop inside blocks of direct gains and inside or across SNR points: their
+    per-point counts add up to those of one slice over the whole grid."""
+    schedule = SingleRelaySchedule(0.5) if kind == "single" else TwoHopSchedule.uniform(2)
+    cfg = RunConfig(schedule, 0.75, (0.0, 10.0, 20.0, 30.0)[:n_points], trials, 43, gap_bits=0.5)
+    snrs = [float(db_to_linear(snr_db)) for snr_db in cfg.snr_db_grid]
+    points = [(snr_db, snr, cfg.r * math.log2(snr)) for snr_db, snr in zip(cfg.snr_db_grid, snrs)]
+    total = n_points * trials
+    edges = sorted({0, total, *data.draw(st.lists(st.integers(0, total), max_size=8))})
+    pieces = sum(_count_outages(cfg, points, first, last) for first, last in zip(edges, edges[1:]))
+    assert pieces.tolist() == _count_outages(cfg, points, 0, total).tolist()
 
 
 class TestOutageRowValidation:

@@ -274,7 +274,7 @@ def test_direct_link_certificate_holds_at_rates_on_the_bound(kind, n, monkeypatc
             for i in range(16):
                 edge = bound[i] - gap_bits
                 for rate_bits in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
-                    (count,) = _count_outages(cfg, [(0, snr, float(rate_bits), i, i + 1)])
+                    (count,) = _count_outages(cfg, [(0.0, snr, float(rate_bits))], i, i + 1)
                     assert count == (bound[i] - gap_bits < rate_bits)
 
 
@@ -323,45 +323,52 @@ def test_staged_draws_equal_drawing_and_bounding_every_trial(kind, param):
     else:
         schedule = _floor_schedule(np.random.default_rng(500 + param), param, kind)
     mixed = False
-    for point, snr_db in enumerate(STAGED_SNR_DB):
-        snr = float(db_to_linear(snr_db))
+    snrs = [float(db_to_linear(snr_db)) for snr_db in STAGED_SNR_DB]
+    for point, snr in enumerate(snrs):
         gains = ref.campaign_gains(schedule.n_relays, seed, point, range(trials))
         bound = ref.campaign_bound(schedule, gains, snr)
+        base = point * trials  # of the point's trial 0 in the flattened sequence
         for gap_bits in (0.0, 0.7):
             cfg = RunConfig(schedule, 0.5, STAGED_SNR_DB, trials, seed, gap_bits)
             for r in (0.0, 0.5, 1.0):
-                rate_bits = r * math.log2(snr)
-                expected = bound - gap_bits < rate_bits
-                per_trial = [_count_outages(cfg, [(point, snr, rate_bits, k, k + 1)]) for k in range(6)]
-                assert per_trial == [[e] for e in expected[:6].tolist()]
-                (count,) = _count_outages(cfg, [(point, snr, rate_bits, 3, trials)])
-                assert count == np.count_nonzero(expected[3:])
-                mixed = mixed or 0 < count < trials - 3
+                points = [(db, s, r * math.log2(s)) for db, s in zip(STAGED_SNR_DB, snrs)]
+                expected = bound - gap_bits < points[point][2]
+                per_trial = np.array([_count_outages(cfg, points, base + k, base + k + 1) for k in range(6)])
+                assert per_trial[:, point].tolist() == expected[:6].tolist()
+                assert per_trial.sum() == np.count_nonzero(expected[:6])
+                counts = _count_outages(cfg, points, base + 3, base + trials)
+                assert counts[point] == counts.sum() == np.count_nonzero(expected[3:])
+                mixed = mixed or 0 < counts[point] < trials - 3
     assert mixed
 
 
 @pytest.mark.parametrize("kind, param", [("single", 0.3), ("zeros", 3), ("uniform", 6)])
 def test_a_task_spanning_points_counts_each_range_at_its_own_point(kind, param):
-    """One `_count_outages` task over a range of every SNR point, the ranges starting and
-    stopping both inside blocks of direct gains and on their edges, gives each range the
-    reference count at its own SNR and rate."""
+    """One `_count_outages` task over a slice of the flattened (point, trial) sequence
+    that reaches several SNR points, its ends and the point edges falling both inside
+    blocks of direct gains and on their edges, gives each point the reference count of
+    its trials in the slice at its own SNR and rate."""
     seed, trials, gap_bits = 17, 150, 0.7
     if kind == "single":
         schedule = SingleRelaySchedule(param)
     else:
         schedule = _floor_schedule(np.random.default_rng(500 + param), param, kind)
     cfg = RunConfig(schedule, 0.5, STAGED_SNR_DB, trials, seed, gap_bits)
-    ranges, expected = [], []
+    points, outage = [], []
     for point, snr_db in enumerate(STAGED_SNR_DB):
         snr = float(db_to_linear(snr_db))
-        rate_bits = 0.5 * math.log2(snr)
-        start, stop = 1 + point, trials - 2 - point
+        points.append((snr_db, snr, 0.5 * math.log2(snr)))
         gains = ref.campaign_gains(schedule.n_relays, seed, point, range(trials))
-        bound = ref.campaign_bound(schedule, gains, snr)
-        ranges.append((point, snr, rate_bits, start, stop))
-        expected.append(int(np.count_nonzero(bound[start:stop] - gap_bits < rate_bits)))
-    assert _count_outages(cfg, ranges) == expected
-    assert 0 < sum(expected) < sum(stop - start for *_, start, stop in ranges)
+        outage.append(ref.campaign_bound(schedule, gains, snr) - gap_bits < points[-1][2])
+    outage = np.concatenate(outage)  # over the flattened sequence
+    total = len(points) * trials
+    for first, last in [(1, total - 2), (4, total - 5), (trials + 3, 4 * trials + 8)]:
+        expected = [
+            int(np.count_nonzero(outage[max(first, i * trials) : min(last, (i + 1) * trials)]))
+            for i in range(len(points))
+        ]
+        assert _count_outages(cfg, points, first, last).tolist() == expected
+        assert 0 < sum(expected) < last - first
 
 
 orders = st.floats(min_value=0.0, max_value=1.0)
