@@ -180,14 +180,14 @@ def _subset_max(table: np.ndarray) -> np.ndarray:
 
 
 def cut_flow_array(n_sd, n_sr, n_rd, weights, omega_mask) -> np.ndarray:
-    """Schedule-weighted Z-channel flow across one cut or an array of cuts.
+    """Schedule-weighted Z-channel flow across cuts that broadcast against the rows.
 
     Capacities have shapes (T,), (T, N), (T, N); `weights` holds the 2^N
     state fractions.  Per state, the flow is max{n_sd, best relay->destination
     link among omega relays currently transmitting + best source->relay link
     among complement relays currently listening}; a side with no active relay
-    contributes 0, so the state degrades to the surviving terms.  One cut
-    gives shape (T,), a 1-D int array of C cuts shape (C, T).
+    contributes 0, so the state degrades to the surviving terms.  An int cut or
+    a (T,) array of one cut per row gives shape (T,), a (C, 1) array shape (C, T).
     """
     n = n_sr.shape[1]
     if len(weights) != 1 << n:
@@ -195,42 +195,52 @@ def cut_flow_array(n_sd, n_sr, n_rd, weights, omega_mask) -> np.ndarray:
     cuts = np.asarray(omega_mask)
     if np.any((cuts < 0) | (cuts >= 1 << n)):
         raise ValueError(f"omega_mask {omega_mask} out of range for {n} relays")
-    flat = cuts.reshape(-1)
+    shape = np.broadcast_shapes(cuts.shape, n_sd.shape)
+    # (C, 1) cuts shared by all rows, or (C, T) cuts, one per row
+    flat = cuts.reshape(-1, 1 if cuts.shape[-1:] in ((), (1,)) else n_sd.shape[0])
     live = [state for state, weight in enumerate(weights) if weight != 0.0]
-    states = np.array(live, dtype=np.int64)[:, None]
+    states = np.array(live, dtype=np.int64)[:, None, None]
     scale = np.array([weights[state] for state in live])[:, None, None]
-    total = np.zeros((flat.size, n_sd.shape[0]), dtype=np.float64)
+    total = np.zeros((flat.shape[0], n_sd.shape[0]), dtype=np.float64)
     step = max(1, _BLOCK >> n)
     for start in range(0, n_sd.shape[0], step):
         rows = slice(start, start + step)
         best_rd, best_sr = _subset_max(n_rd[rows]), _subset_max(n_sr[rows])
         acc = total[:, rows]
+        omega = flat if flat.shape[1] == 1 else flat[:, rows]
         # states per gather, so that one gather holds at most _BLOCK entries
         per = max(1, _BLOCK // max(1, acc.size))
         for k in range(0, len(live), per):
-            # omega relays transmitting, complement relays listening; the gather copies
-            flow = best_rd[flat & ~states[k : k + per]]
-            flow += best_sr[~flat & states[k : k + per]]
+            # omega relays transmitting, complement relays listening
+            flow = _gather(best_rd, omega & ~states[k : k + per])
+            flow += _gather(best_sr, ~omega & states[k : k + per])
             np.maximum(n_sd[rows], flow, out=flow)
             flow *= scale[k : k + per]
             for term in flow:  # a sequential sum in state order
                 acc += term
-    return total.reshape(cuts.shape + n_sd.shape)
+    return total.reshape(shape)
 
 
-def cut_average_array(n_sd, n_sr, n_rd, omega_mask: int) -> np.ndarray:
-    """Average capacity of the N+1 links crossing one cut, per row.
+def _gather(table: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Entries table[masks[s, c, r], r] of a (2^N, rows) table; (S, C, 1) masks copy whole rows."""
+    return table[masks[..., 0]] if masks.shape[2] == 1 else np.take_along_axis(table[None], masks, axis=1)
+
+
+def cut_average_array(n_sd, n_sr, n_rd, omega_mask) -> np.ndarray:
+    """Average capacity of the N+1 links crossing a cut, per row.
 
     Crossing links are source->destination, relay->destination for omega
     relays, and source->relay for complement relays.  Under the uniform
-    schedule the cut flow is never below this average.
+    schedule the cut flow is never below this average.  Cuts broadcast
+    against the rows as in `cut_flow_array`.
     """
     n = n_sr.shape[1]
-    if not 0 <= omega_mask < 1 << n:
+    cuts = np.asarray(omega_mask)
+    if np.any((cuts < 0) | (cuts >= 1 << n)):
         raise ValueError(f"omega_mask {omega_mask} out of range for {n} relays")
     total = n_sd
     for j in range(n):
-        total = total + (n_rd[:, j] if omega_mask >> j & 1 else n_sr[:, j])
+        total = total + np.where(cuts >> j & 1, n_rd[:, j], n_sr[:, j])
     return total / (n + 1)
 
 
@@ -262,5 +272,5 @@ def two_hop_bound_array(g_sd, g_sr, g_rd, snr, schedule: TwoHopSchedule) -> np.n
     step = max(1, _BLOCK >> n)
     for start in range(0, best.shape[0], step):
         rows = slice(start, start + step)
-        best[rows] = cut_flow_array(*(c[rows] for c in caps), schedule.weights, np.arange(1 << n)).min(axis=0)
+        best[rows] = cut_flow_array(*(c[rows] for c in caps), schedule.weights, np.arange(1 << n)[:, None]).min(axis=0)
     return best

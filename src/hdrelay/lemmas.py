@@ -102,8 +102,8 @@ def avg_lemma_margin_array(a, s) -> np.ndarray:
     return total / (1 << n) - rhs
 
 
-def _cut_avg_margins(n_sd, n_sr, n_rd, omega_mask: int) -> np.ndarray:
-    """Uniform-schedule cut flow minus crossing-link average, per row."""
+def _cut_avg_margins(n_sd, n_sr, n_rd, omega_mask) -> np.ndarray:
+    """Uniform-schedule cut flow minus crossing-link average, per row; cuts as in `cut_flow_array`."""
     n = n_sr.shape[1]
     if n > MAX_CUT_RELAYS:
         raise ValueError(f"at most {MAX_CUT_RELAYS} relays supported, got {n}")
@@ -120,7 +120,7 @@ def suite_margins(kind: CheckKind, uniforms: np.ndarray, max_len: int, max_relay
     subset-average rows take a = 10 u1 and s = 10 u[2:2+n].  Cut-avg rows
     instead pick N = 1 + floor(u0 * max_relays), the cut floor(u1 * 2^N),
     snr = 10^(4 u2) (0..40 dB) and Exponential(1) gains from the next 2N+1
-    uniforms.  Rows of equal size (and cut) go through the kernel together.
+    uniforms.  Rows of equal size, whatever their cut, go through the kernel together.
     """
     if kind is CheckKind.CUT_AVG:
         size = 1 + (uniforms[:, 0] * max_relays).astype(np.int64)
@@ -129,10 +129,9 @@ def suite_margins(kind: CheckKind, uniforms: np.ndarray, max_len: int, max_relay
         snr = np.array([10.0 ** (4.0 * u) for u in uniforms[:, 2].tolist()])
     else:
         size = 1 + (uniforms[:, 0] * max_len).astype(np.int64)
-        cut = np.zeros_like(size)
     margins = np.empty(uniforms.shape[0], dtype=np.float64)
-    for n, omega_mask in sorted(set(zip(size.tolist(), cut.tolist()))):
-        rows = np.flatnonzero((size == n) & (cut == omega_mask))
+    for n in sorted(set(size.tolist())):
+        rows = np.flatnonzero(size == n)
         u = uniforms[rows]
         if kind is CheckKind.TCHEBYCHEF:
             a, b = 10.0 * u[:, 1 : 1 + n], 10.0 * u[:, 1 + max_len : 1 + max_len + n]
@@ -141,7 +140,7 @@ def suite_margins(kind: CheckKind, uniforms: np.ndarray, max_len: int, max_relay
             margins[rows] = avg_lemma_margin_array(10.0 * u[:, 1], 10.0 * u[:, 2 : 2 + n])
         else:
             gains = gains_from_uniforms(u[:, 3 : 3 + 2 * n + 1], n)
-            margins[rows] = _cut_avg_margins(*link_capacities(*gains, snr[rows]), omega_mask)
+            margins[rows] = _cut_avg_margins(*link_capacities(*gains, snr[rows]), cut[rows])
     return margins
 
 
@@ -162,8 +161,8 @@ def run_randomized_suite(
     and does not change the report.
     """
     kind = CheckKind(kind)
-    if n_instances < 1:
-        raise ValueError(f"n_instances must be >= 1, got {n_instances}")
+    if not 1 <= n_instances <= 1 << 64:
+        raise ValueError(f"n_instances must lie in [1, 2^64], one 64-bit stream key each, got {n_instances}")
     check_seed(seed)
     if not 1 <= max_len <= MAX_SUBSET_LEN:
         raise ValueError(f"max_len must lie in [1, {MAX_SUBSET_LEN}], got {max_len}")

@@ -342,6 +342,14 @@ class TestVerifyCommand:
         assert run(["verify", "--kind", "tchebychef", "--instances", count, "--seed", "1"]) == 2
         assert capsys.readouterr().err.startswith("hdrelay: error: count must be a positive integer")
 
+    def test_more_instances_than_streams_is_a_usage_error_before_any_draw(self, capsys, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("instances drawn")
+
+        monkeypatch.setattr("hdrelay.lemmas.uniforms_for_streams", no_draw)
+        assert run(["verify", "--kind", "cut-avg", "--instances", "1e20", "--seed", "1"]) == 2
+        assert capsys.readouterr().err.startswith("hdrelay: error: n_instances must lie in [1, 2^64]")
+
     def test_violation_exit_code(self, capsys, monkeypatch):
         fake = VerificationReport(
             kind=CheckKind.TCHEBYCHEF, instances=5, violations=2, worst_margin=-0.5, seed=1

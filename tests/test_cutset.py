@@ -267,11 +267,44 @@ class TestCutFlow:
         caps = link_capacities(*g, 9.0)
         weights = TwoHopSchedule(3, (0.0, 0.25, 0.0, 0.125, 0.125, 0.25, 0.25, 0.0)).weights
         cuts = np.array([5, 0, 7, 5])
-        stacked = cut_flow_array(*caps, weights, cuts)
+        stacked = cut_flow_array(*caps, weights, cuts[:, None])
         assert stacked.shape == (4, 50)
         assert cut_flow_array(*caps, weights, 5).shape == (50,)
         singles = [cut_flow_array(*caps, weights, int(c)) for c in cuts]
         np.testing.assert_array_equal(stacked, np.stack(singles))
+        # a 1-D array holds one cut per row, so 4 cuts do not fit 50 rows
+        with pytest.raises(ValueError):
+            cut_flow_array(*caps, weights, cuts)
+
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=70),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_per_row_cuts_equal_single_cuts(self, n, rows, seed, data):
+        raw = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=1 << n, max_size=1 << n))
+        raw[data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))] += 1.0
+        weights = TwoHopSchedule(n, tuple(w / math.fsum(raw) for w in raw)).weights
+        rng = np.random.default_rng(seed)
+        g = (rng.exponential(size=rows), rng.exponential(size=(rows, n)), rng.exponential(size=(rows, n)))
+        caps = link_capacities(*g, 10.0 ** rng.uniform(-1.0, 4.0, size=rows))
+        cuts = rng.integers(0, 1 << n, size=rows)
+        # one row per pass, 3 rows per pass, and a block that is no power of two
+        with patch.object(cutset, "_BLOCK", data.draw(st.sampled_from([1, 3, (1 << n) - 1]))):
+            flows = cut_flow_array(*caps, weights, cuts)
+            averages = cut_average_array(*caps, cuts)
+        assert flows.shape == averages.shape == (rows,)
+        for cut in set(cuts.tolist()):
+            at = cuts == cut
+            np.testing.assert_array_equal(flows[at], cut_flow_array(*caps, weights, cut)[at])
+            np.testing.assert_array_equal(averages[at], cut_average_array(*caps, cut)[at])
+        cuts[data.draw(st.integers(min_value=0, max_value=rows - 1))] = data.draw(st.sampled_from([-1, 1 << n]))
+        with pytest.raises(ValueError, match=f"out of range for {n} relays"):
+            cut_flow_array(*caps, weights, cuts)
+        with pytest.raises(ValueError, match=f"out of range for {n} relays"):
+            cut_average_array(*caps, cuts)
 
 
 class TestMinCut:

@@ -150,6 +150,9 @@ class TestRandomizedSuites:
     def test_validation(self):
         with pytest.raises(ValueError):
             run_randomized_suite(CheckKind.CUT_AVG, 0, seed=1)
+        # instance i is stream i, and the key word holds 2^64 streams
+        with pytest.raises(ValueError, match=r"n_instances must lie in \[1, 2\^64\]"):
+            run_randomized_suite(CheckKind.CUT_AVG, 2**64 + 1, seed=1)
         with pytest.raises(ValueError):
             run_randomized_suite(CheckKind.CUT_AVG, 10, seed=1, max_relays=11)
         with pytest.raises(ValueError):
@@ -185,3 +188,18 @@ class TestBlocks:
         with patch.object(lemmas, "_BLOCK", 1000), patch.object(lemmas, "uniforms_for_streams", counting):
             assert run_randomized_suite(kind, 2500, seed=2) == expected
         assert sizes == [1000, 1000, 500]
+
+    def test_cut_avg_makes_one_kernel_call_per_relay_count_in_a_block(self):
+        relays = []
+        flow = lemmas.cut_flow_array
+
+        def recording(n_sd, n_sr, *args):
+            relays.append(n_sr.shape[1])
+            return flow(n_sd, n_sr, *args)
+
+        with patch.object(lemmas, "_BLOCK", 40), patch.object(lemmas, "cut_flow_array", recording):
+            run_randomized_suite(CheckKind.CUT_AVG, 100, seed=4, max_relays=10)
+        # row i's relay count is 1 + floor(10 u0) of stream i
+        u0 = lemmas.uniforms_for_streams(4, np.arange(100, dtype=np.uint64), 1)[:, 0]
+        sizes = (1 + (u0 * 10).astype(np.int64)).tolist()
+        assert relays == [n for start in (0, 40, 80) for n in sorted(set(sizes[start : start + 40]))]

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_loops as ref
-from hdrelay import dmt, montecarlo
+from hdrelay import cutset, dmt, montecarlo
 from hdrelay.cutset import (
     WEIGHT_SUM_TOL,
     SingleRelaySchedule,
@@ -108,7 +108,7 @@ def test_multi_row_batches_equal_loop_references(n, zeros):
     snr = 10.0 ** rng.uniform(-1.0, 4.0, size=rows)
     bound = two_hop_bound_array(g_sd, g_sr, g_rd, snr, schedule)
     cuts = rng.integers(0, 1 << n, size=3)
-    flows = cut_flow_array(*link_capacities(g_sd, g_sr, g_rd, snr), schedule.weights, cuts)
+    flows = cut_flow_array(*link_capacities(g_sd, g_sr, g_rd, snr), schedule.weights, cuts[:, None])
     for i in range(rows):
         row = (g_sd[i], g_sr[i].tolist(), g_rd[i].tolist(), float(snr[i]))
         assert bound[i] == ref.min_cut(*row, schedule.weights)
@@ -425,6 +425,10 @@ def test_batched_suite_equals_per_instance_reference(kind, size, instances):
         u = uniforms_for_streams(seed, np.arange(instances, dtype=np.uint64), draws)
         expected = np.array([instance(row, size) for row in u])
         margins = suite_margins(kind, u, sizes.get("max_len", 8), sizes.get("max_relays", 6))
+        np.testing.assert_array_equal(margins, expected)
+        # small tables split each size group over several passes
+        with patch.object(cutset, "_BLOCK", 1 << 8):
+            margins = suite_margins(kind, u, sizes.get("max_len", 8), sizes.get("max_relays", 6))
         np.testing.assert_array_equal(margins, expected)
         report = run_randomized_suite(kind, instances, seed, **sizes)
         assert report.worst_margin == expected.min()
