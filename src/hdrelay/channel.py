@@ -11,8 +11,9 @@ from word k % 4 of stream ``(seed, 2i * SNR_STREAM_STRIDE + k // 4)``, so
 one Philox block serves four trials, and its relay gains g_sr[0..N-1],
 g_rd[0..N-1] from the first 2N words of stream
 ``(seed, (2i + 1) * SNR_STREAM_STRIDE + k)``.  A trial's gains are a pure
-function of (seed, i, k), and the relay words of any set of trials can be
-drawn without drawing the others.
+function of (seed, i, k), so `sample_gain_arrays` draws any slice of the
+flattened (point, trial) sequence, where trial k of point i follows the i * T
+trials of the points before it, and the relay words of only the trials it keeps.
 """
 
 from __future__ import annotations
@@ -45,60 +46,41 @@ def _exponentials(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def gains_from_uniforms(u: np.ndarray, n_relays: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(g_sd, g_sr, g_rd) of shapes (T,), (T, N), (T, N) from (T, 2N+1) uniforms.
-
-    Columns are consumed in the fixed order g_sd, g_sr[0..N-1], g_rd[0..N-1]
-    (relay i's source-relay and relay-destination gains), each through the
-    inverse-CDF transform -ln(1 - u).  The transform runs in place: `u` is
-    overwritten and the gains are views of it.
-    """
-    _exponentials(u)
-    return u[:, 0], u[:, 1 : 1 + n_relays], u[:, 1 + n_relays :]
-
-
 def sample_gain_arrays(
-    n_relays: int, seed: int, point, start, stop,
-    keep: Callable[[np.ndarray], np.ndarray] | None = None,
+    n_relays: int, seed: int, trials: int, first: int, last: int,
+    keep: Callable[[int, np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gains (g_sd, g_sr, g_rd) of the trials in [start, stop) of SNR point
-    `point`, in the campaign stream layout.
+    """Gains (g_sd, g_sr, g_rd) of the slice [first, last) of the flattened (point, trial)
+    sequence of `trials` trials per SNR point, in the campaign stream layout.
 
-    `point`, `start` and `stop` are ints naming one range, or equal-length sequences naming
-    several, whose trials follow one another in range order.  The direct uniforms of every range
-    are drawn first, in one pass, and copied end to end; `keep` maps them to a boolean mask, and
-    only the trials it selects (all when `keep` is None) get their gains transformed and relay
-    gains drawn, in one more pass, and appear in the result, in trial order.
+    The direct uniforms of the slice are drawn in one pass.  `keep(point, u)` maps those of each
+    point the slice reaches, a view of that pass, to a boolean mask; only the trials it selects
+    (all when `keep` is None) get their gains transformed and relay gains drawn, in one more
+    pass, and appear in the result, in sequence order.
     """
     if n_relays < 0:
         raise ValueError(f"n_relays must be >= 0, got {n_relays}")
-    ranges = list(zip(*(_ints(v) for v in (point, start, stop)), strict=True))
-    for p, _, b in ranges:
-        check_stream_space(p + 1, b)
-    u_sd = _direct_uniforms(seed, ranges)
-    rows = np.arange(u_sd.size) if keep is None else np.flatnonzero(keep(u_sd))
-    # row k of range j, whose trials begin at row o_j of u_sd, is its trial start_j + k - o_j
-    offsets = list(accumulate((b - a for _, a, b in ranges), initial=0))
-    cuts = np.searchsorted(rows, offsets).tolist()
-    relays = rows.astype(np.uint64)
-    for (p, a, _), o, c, d in zip(ranges, offsets, cuts, cuts[1:]):
-        relays[c:d] += np.uint64((2 * p + 1) * SNR_STREAM_STRIDE + a - o)
-    u = _exponentials(rng.uniforms_for_streams(seed, relays, 2 * n_relays))
-    return _exponentials(u_sd[rows]), u[:, :n_relays], u[:, n_relays:]
-
-
-def _direct_uniforms(seed: int, ranges: list[tuple[int, int, int]]) -> np.ndarray:
-    """The direct uniforms of every (point, start, stop) range, end to end, from one pass over
-    their blocks: a view of the block words for one range (a copy doubled a single-relay
-    campaign's page faults), else a copy, so that the words are freed before the relay pass."""
+    trials, first, last = int(trials), int(first), int(last)  # so that the stream arithmetic cannot wrap
+    if trials < 1 or not 0 <= first <= last:
+        raise ValueError(f"need trials >= 1 and 0 <= first <= last, got {trials}, {first}, {last}")
+    # trials [a, b) of each point p the slice reaches; an empty slice reaches one, with none
+    points = range(first // trials, max(first, last - 1) // trials + 1)
+    check_stream_space(points.stop, trials)
+    spans = [(p, max(first - p * trials, 0), min(last - p * trials, trials)) for p in points]
     blocks = [np.arange(a // 4, (b + 3) // 4, dtype=np.uint64) + np.uint64(2 * p * SNR_STREAM_STRIDE)
-              for p, a, b in ranges]
+              for p, a, b in spans]
     words = rng.uniforms_for_streams(seed, np.concatenate(blocks), 4).reshape(-1)
+    # trial a of a point is word a % 4 of its first block
     firsts = accumulate((4 * w.size for w in blocks), initial=0)
-    spans = [words[f + a % 4 : f + a % 4 + b - a] for f, (_, a, b) in zip(firsts, ranges)]
-    return spans[0] if len(spans) == 1 else np.concatenate(spans)
-
-
-def _ints(v) -> list[int]:
-    """An int or a sequence of ints as a list of Python ints, whose stream arithmetic cannot wrap."""
-    return [int(x) for x in v] if np.iterable(v) else [int(v)]
+    direct = [words[f + a % 4 : f + a % 4 + b - a] for f, (_, a, b) in zip(firsts, spans)]
+    rows = [np.arange(d.size) if keep is None else np.flatnonzero(keep(p, d)) for p, d in zip(points, direct)]
+    cuts = np.cumsum([r.size for r in rows])
+    relays = np.empty(cuts[-1], dtype=np.uint64)
+    for (p, a, _), r, out in zip(spans, rows, np.split(relays, cuts[:-1])):
+        out[:] = r
+        out += np.uint64((2 * p + 1) * SNR_STREAM_STRIDE + a)
+    u = _exponentials(rng.uniforms_for_streams(seed, relays, 2 * n_relays))
+    # gathered after the relay pass: gathered before it, campaign-single took 200-7,400 page
+    # faults per pass in 5 of 5 processes, where this order takes 1 or 2 in most
+    g_sd = np.concatenate([d[r] for d, r in zip(direct, rows)])
+    return _exponentials(g_sd), u[:, :n_relays], u[:, n_relays:]

@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import gains_from_uniforms
+from .channel import _exponentials
 from . import cutset
 from .cutset import TwoHopSchedule, _subset_max, cut_average_array, cut_flow_array, link_capacities
 from .rng import check_seed, uniforms_for_streams
@@ -139,8 +139,9 @@ def suite_margins(kind: CheckKind, uniforms: np.ndarray, max_len: int, max_relay
         elif kind is CheckKind.AVG_LEMMA:
             margins[rows] = avg_lemma_margin_array(10.0 * u[:, 1], 10.0 * u[:, 2 : 2 + n])
         else:
-            gains = gains_from_uniforms(u[:, 3 : 3 + 2 * n + 1], n)
-            margins[rows] = _cut_avg_margins(*link_capacities(*gains, snr[rows]), cut[rows])
+            g = _exponentials(u[:, 3 : 4 + 2 * n])  # g_sd, g_sr[0..n-1], g_rd[0..n-1], in place
+            capacities = link_capacities(g[:, 0], g[:, 1 : 1 + n], g[:, 1 + n :], snr[rows])
+            margins[rows] = _cut_avg_margins(*capacities, cut[rows])
     return margins
 
 

@@ -159,23 +159,18 @@ def _count_outages(cfg: RunConfig, points: list[tuple[float, float, float]], fir
     A trial whose direct uniform is at least its point's `_direct_link_uniform` is not in
     outage, so its gain is never transformed nor its relay gains drawn.  The trials left meet
     one `_outage_mask` pass, each at its own point's SNR and rate."""
-    trials = cfg.trials_per_point
-    lo, hi = first // trials, (last - 1) // trials + 1
-    starts = [max(first - i * trials, 0) for i in range(lo, hi)]
-    stops = [min(last - i * trials, trials) for i in range(lo, hi)]
-    u_star = [_direct_link_uniform(snr, rate_bits, cfg.gap_bits) for _, snr, rate_bits in points[lo:hi]]
-    kept = []
+    reached, kept = [], []
 
-    def keep(u_sd):
-        # point i > lo begins at row i * trials - first
-        by_point = np.split(u_sd, [i * trials - first for i in range(lo + 1, hi)])
-        masks = [u < threshold for u, threshold in zip(by_point, u_star)]
-        kept.extend(np.count_nonzero(mask) for mask in masks)
-        return np.concatenate(masks)
+    def keep(i, u_sd):
+        _, snr, rate_bits = points[i]
+        mask = u_sd < _direct_link_uniform(snr, rate_bits, cfg.gap_bits)
+        reached.append(i)
+        kept.append(np.count_nonzero(mask))
+        return mask
 
-    gains = sample_gain_arrays(cfg.schedule.n_relays, cfg.seed, range(lo, hi), starts, stops, keep)
-    point = np.repeat(np.arange(lo, hi), kept)  # of each kept row
-    _, snr, rate_bits = (np.repeat(v, kept) for v in zip(*points[lo:hi]))
+    gains = sample_gain_arrays(cfg.schedule.n_relays, cfg.seed, cfg.trials_per_point, first, last, keep)
+    point = np.repeat(reached, kept)  # of each kept row
+    _, snr, rate_bits = (np.repeat(v, kept) for v in zip(*(points[i] for i in reached)))
     outage = _outage_mask(cfg.schedule, *gains, snr, rate_bits, cfg.gap_bits)
     return np.bincount(point[outage], minlength=len(points))
 

@@ -86,6 +86,7 @@ REMOVED = {
     "exponentials_for_streams": "rng",
     "unit_exponentials": "rng",
     "two_hop_cut_outage_region": "dmt",
+    "gains_from_uniforms": "channel",
 }
 
 

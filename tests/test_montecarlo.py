@@ -132,9 +132,9 @@ class TestRunConfigValidation:
         with pytest.raises(ValueError, match=r"at most 8388608 SNR points, got 8388609"):
             check_stream_space(2**23 + 1, 1)
         # the sampler takes the same check: a trial past the stride would alias another range
-        for point, stop in [(2**23, 1), (0, SNR_STREAM_STRIDE)]:
+        for trials, first in [(1, 2**23), (SNR_STREAM_STRIDE, SNR_STREAM_STRIDE - 1)]:
             with pytest.raises(ValueError, match="SNR points|trials_per_point"):
-                sample_gain_arrays(1, 5, point, stop - 1, stop)
+                sample_gain_arrays(1, 5, trials, first, first + 1)
         # a stride of 2^62 leaves room for 2 points, whose top stream 3 * 2^62 + k still draws
         monkeypatch.setattr(channel, "SNR_STREAM_STRIDE", 1 << 62)
         table = estimate_outage(_single_cfg(snr_db_grid=(10.0, 20.0), trials_per_point=50))

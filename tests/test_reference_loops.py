@@ -261,9 +261,9 @@ def test_direct_link_certificate_holds_at_rates_on_the_bound(kind, n, monkeypatc
         schedule = _floor_schedule(rng, n, kind)
     gains = _floor_gains(rng, n, 16)
 
-    def sampler(n_relays, seed, point, start, stop, keep):
-        trials = np.concatenate([np.arange(a, b) for a, b in zip(start, stop)])
-        kept = trials[keep(-np.expm1(-gains[0][trials]))]
+    def sampler(n_relays, seed, trials, first, last, keep):
+        rows = np.arange(first, last)  # all of point 0
+        kept = rows[keep(0, -np.expm1(-gains[0][rows]))]
         return tuple(g[kept] for g in gains)
 
     monkeypatch.setattr(montecarlo, "sample_gain_arrays", sampler)
