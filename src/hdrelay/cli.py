@@ -181,25 +181,23 @@ def _cmd_exponent(args: argparse.Namespace) -> int:
     r_values = parse_grid(args.r_grid)
     t = _mode_flag(args, "t", 0.5, args.relays == 1, "relays")
     step = args.oracle_step if args.oracle_step is not None else (0.005 if args.relays == 1 else 0.05)
-    rows = []
-    for r in r_values:
-        if args.relays == 1:
-            d_oracle = exponent_grid_oracle(single_relay_outage_region(r, t), 3, step, args.budget)
-            d_analytic = miso_dmt(2, r) if t == 0.5 else None
-        else:
-            # every cut constrains its own N+1 crossing links the same way,
-            # so the per-cut minimum equals the one reduced search
-            d_oracle = exponent_grid_oracle(
-                crossing_links_outage_region(args.relays, r), args.relays + 1, step, args.budget
-            )
-            d_analytic = miso_dmt(args.relays + 1, r)
-        rows.append(
-            {
-                "r": r,
-                "d_analytic": d_analytic,
-                "d_oracle": None if math.isinf(d_oracle) else d_oracle,
-            }
-        )
+    if args.relays == 1:
+        region, dim = single_relay_outage_region(r_values, t), 3
+        miso = 2 if t == 0.5 else None  # the closed form at the paper's t = 1/2
+    else:
+        # every cut constrains its own N+1 crossing links the same way,
+        # so the per-cut minimum equals the one reduced search
+        region, dim = crossing_links_outage_region(args.relays, r_values), args.relays + 1
+        miso = dim
+    d_oracle = exponent_grid_oracle(region, dim, step, args.budget, len(r_values)).tolist()
+    rows = [
+        {
+            "r": r,
+            "d_analytic": None if miso is None else miso_dmt(miso, r),
+            "d_oracle": None if math.isinf(d) else d,
+        }
+        for r, d in zip(r_values, d_oracle)
+    ]
     metadata = _base_metadata(args.argv)
     metadata.update(
         {"relays": args.relays, "t": t if args.relays == 1 else None, "oracle_step": step}

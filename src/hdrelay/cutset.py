@@ -150,6 +150,11 @@ def single_relay_order_array(a_sd, a_sr, a_rd, t: float):
     elementwise over order arrays (or scalars).
     """
     check_listen_fraction(t)
+    return _single_relay_order(a_sd, a_sr, a_rd, t)
+
+
+def _single_relay_order(a_sd, a_sr, a_rd, t):
+    """`single_relay_order_array` for a checked t, which may be an array of one t per row."""
     relay_in = t * np.maximum(np.subtract(a_sr, a_sd), 0.0)
     relay_out = (1.0 - t) * np.maximum(np.subtract(a_rd, a_sd), 0.0)
     return a_sd + np.minimum(relay_in, relay_out)

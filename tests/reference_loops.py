@@ -166,6 +166,12 @@ def cut_avg_instance(u: np.ndarray, max_relays: int) -> float:
     return cut_flow(*gains, snr, weights, omega_mask) - cut_average(*gains, snr, omega_mask)
 
 
+def on_region(predicate, alpha) -> np.ndarray:
+    """Mask of a `predicate(alpha, which)` on rows that all belong to region 0."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    return predicate(alpha, np.zeros(alpha.shape[0], dtype=np.int64))
+
+
 def exhaustive_grid_oracle(predicate, dim: int, step: float, chunk_size: int = 1 << 20) -> float:
     """Min of sum(1 - a_i) over every grid point in the outage set, point by point.
 
@@ -182,7 +188,7 @@ def exhaustive_grid_oracle(predicate, dim: int, step: float, chunk_size: int = 1
         alpha = np.empty((idx.shape[0], dim), dtype=np.float64)
         for k, stride in enumerate(strides):
             alpha[:, k] = coords[(idx // stride) % levels]
-        mask = predicate(alpha)
+        mask = on_region(predicate, alpha)
         if np.any(mask):
             best_sum = max(best_sum, float(alpha[mask].sum(axis=1).max()))
     if best_sum == -math.inf:

@@ -67,7 +67,7 @@ def test_criterion_1_single_relay_exponent():
     worst = 0.0
     for k in range(21):
         r = k * 0.05
-        oracle = exponent_grid_oracle(single_relay_outage_region(r, 0.5), 3, 0.005)
+        oracle = exponent_grid_oracle(single_relay_outage_region(r, 0.5), 3, 0.005).item()
         worst = max(worst, abs(oracle - hd.miso_dmt(2, r)))
     elapsed = time.perf_counter() - start
     ok = worst <= 0.045 and elapsed < 60.0
@@ -93,11 +93,13 @@ def test_criterion_2_two_hop_exponents():
                 if n <= 2:
                     # the full search: all 2N+1 link orders, the cut reading its N+1 crossing links
                     cols = crossing_columns(n, omega)
-                    d = exponent_grid_oracle(lambda alpha: crossing(alpha[:, cols]), 2 * n + 1, 0.05)
+                    d = exponent_grid_oracle(
+                        lambda alpha, which: crossing(alpha[:, cols], which), 2 * n + 1, 0.05
+                    ).item()
                 else:
                     # only the N+1 crossing links constrain the cut; the rest
                     # sit at order 1, so the reduced search is equivalent
-                    d = exponent_grid_oracle(crossing, n + 1, 0.05)
+                    d = exponent_grid_oracle(crossing, n + 1, 0.05).item()
                 per_cut.append(d)
                 worst_cut = max(worst_cut, abs(d - target))
             worst_min = max(worst_min, abs(min(per_cut) - target))
@@ -178,7 +180,7 @@ def test_criterion_4_schedule_optimality():
             t = round(k * 0.05, 12)
             if t == 0.5:
                 continue
-            d_t = exponent_grid_oracle(single_relay_outage_region(r, t), 3, 0.005)
+            d_t = exponent_grid_oracle(single_relay_outage_region(r, t), 3, 0.005).item()
             margins.append(d_star - d_t)
         margin = min(margins)
         ok = ok and t_star == 0.5 and margin > tol

@@ -182,6 +182,84 @@ class TestExponentCommand:
         assert doc["rows"][0]["d_oracle"] == pytest.approx((1 - 0.5) / (1 - 0.3), abs=0.15)
 
 
+# JSON rows (r, d_analytic, d_oracle) of `exponent` and (r, t_star, d_star) of
+# `schedule-opt` as the one-region-per-call oracle wrote them; the batched
+# search must give the same bytes
+PINNED_ROWS = {
+    "exponent --relays 1 --t 0.5": [
+        (0.0, 2.0, 2.0), (0.1, 1.8, 1.7999999999999998), (0.2, 1.6, 1.5999999999999999),
+        (0.3, 1.4, 1.4), (0.4, 1.2, 1.1999999999999997), (0.5, 1.0, 1.0), (0.6, 0.8, 0.7999999999999998),
+        (0.7, 0.6000000000000001, 0.5999999999999996), (0.8, 0.3999999999999999, 0.3999999999999999),
+        (0.9, 0.19999999999999996, 0.19999999999999973), (1.0, 0.0, 0.0),
+    ],
+    "exponent --relays 1 --t 0.3": [
+        (0.0, None, 2.0), (0.1, None, 1.67), (0.2, None, 1.335), (0.3, None, 1.0),
+        (0.4, None, 0.8599999999999999), (0.5, None, 0.7149999999999999), (0.6, None, 0.5750000000000002),
+        (0.7, None, 0.4299999999999997), (0.8, None, 0.29000000000000004), (0.9, None, 0.14500000000000002),
+        (1.0, None, 0.0),
+    ],
+    "exponent --relays 2": [
+        (0.0, 3.0, 3.0), (0.1, 2.7, 2.7), (0.2, 2.4000000000000004, 2.4), (0.3, 2.0999999999999996, 2.1),
+        (0.4, 1.7999999999999998, 1.7999999999999998), (0.5, 1.5, 1.5),
+        (0.6, 1.2000000000000002, 1.2000000000000002), (0.7, 0.9000000000000001, 0.9499999999999997),
+        (0.8, 0.5999999999999999, 0.5999999999999996), (0.9, 0.29999999999999993, 0.2999999999999998),
+        (1.0, 0.0, 0.0),
+    ],
+    "exponent --relays 3 --oracle-step 0.1": [
+        (0.0, 4.0, 4.0), (0.1, 3.6, 3.6), (0.2, 3.2, 3.2), (0.3, 2.8, 2.8), (0.4, 2.4, 2.4), (0.5, 2.0, 2.0),
+        (0.6, 1.6, 1.6), (0.7, 1.2000000000000002, 1.2000000000000002),
+        (0.8, 0.7999999999999998, 0.7999999999999998), (0.9, 0.3999999999999999, 0.3999999999999999),
+        (1.0, 0.0, 0.0),
+    ],
+    "schedule-opt --r-grid 0.25,0.5 --t-step 0.25 --oracle-step 0.05": [(0.25, 0.5, 1.5), (0.5, 0.5, 1.0)],
+}
+
+# exit code and stderr of each budget case, as the one-region-per-call oracle
+# gave them: the budget prices one r's search (exponent) or one r's t sweep
+BUDGET_OUTCOMES = [
+    ("exponent --relays 12", 2, "budget exceeded: 13 * 21^12 * bit_length(21) evaluations > 1000000000"),
+    ("exponent --relays 1 --budget -1", 2, "budget exceeded: 3 * 201^2 * bit_length(201) evaluations > -1"),
+    ("exponent --relays 1 --budget 969624", 0, ""),
+    ("exponent --relays 1 --budget 969623", 2,
+     "budget exceeded: 3 * 201^2 * bit_length(201) = 969624 evaluations > 969623"),
+    ("exponent --relays 3 --r-grid 0.5 --oracle-step 0.1 --budget 1", 2,
+     "budget exceeded: 4 * 11^3 * bit_length(11) evaluations > 1"),
+    ("schedule-opt --r-grid 0.5 --t-step 0.25 --oracle-step 0.05 --budget 33075", 0, ""),
+    ("schedule-opt --r-grid 0.5 --t-step 0.25 --oracle-step 0.05 --budget 33074", 2,
+     "budget exceeded: 5 * 3 * 21^2 * bit_length(21) = 33075 evaluations > 33074"),
+    ("schedule-opt --r-grid 0.5 --t-step 1e-6", 2,
+     "budget exceeded: 1000001 * 3 * 201^2 * bit_length(201) evaluations > 1000000000"),
+]
+
+
+class TestBatchedExponentRows:
+    @pytest.mark.parametrize("command", list(PINNED_ROWS))
+    def test_rows_are_pinned(self, command, capsys):
+        assert run([*command.split(), "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [tuple(row.values()) for row in rows] == PINNED_ROWS[command]
+
+    @pytest.mark.parametrize("command, code, message", BUDGET_OUTCOMES, ids=[c for c, *_ in BUDGET_OUTCOMES])
+    def test_budget_outcomes(self, command, code, message, capsys):
+        assert run([*command.split(), "--format", "json"]) == code
+        err = capsys.readouterr().err
+        assert err == (f"hdrelay: error: {message}\n" if message else "")
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ("--r-grid 0.2,0.4,1.5,0.6", "multiplexing gain r must lie in [0, 1], got 1.5"),
+            ("--r-grid 0.2,nan,0.6", "multiplexing gain r must lie in [0, 1], got nan"),
+            ("--relays 2 --r-grid 0.2,0.4,-0.5", "multiplexing gain r must lie in [0, 1], got -0.5"),
+            ("--t 1.5 --r-grid 0.2,0.4", "listen fraction t must lie in [0, 1], got 1.5"),
+        ],
+    )
+    def test_one_bad_value_in_the_grid_exits_2(self, flags, message, capsys):
+        with patch.object(cli, "exponent_grid_oracle", side_effect=AssertionError("oracle called")):
+            assert run(["exponent", *flags.split(), "--oracle-step", "0.05"]) == 2
+        assert capsys.readouterr().err == f"hdrelay: error: {message}\n"
+
+
 class TestCurvesCommand:
     def test_miso_three(self, capsys):
         assert run(["curves", "--miso", "3", "--r-grid", "0:1:0.25"]) == 0

@@ -169,8 +169,8 @@ class TestEnumeration:
         row = np.array([[0.0, 0.0, 1.0]])  # a_sd, a_sr, a_rd
         crossing = crossing_links_outage_region(1, 0.25)
         # mask 0 is crossed by source->relay, mask 1 by relay->destination
-        assert crossing(row[:, ref.crossing_columns(1, 0)])[0]
-        assert not crossing(row[:, ref.crossing_columns(1, 1)])[0]
+        assert ref.on_region(crossing, row[:, ref.crossing_columns(1, 0)])[0]
+        assert not ref.on_region(crossing, row[:, ref.crossing_columns(1, 1)])[0]
 
 
 class TestSchedules:

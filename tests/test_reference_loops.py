@@ -379,7 +379,7 @@ orders = st.floats(min_value=0.0, max_value=1.0)
 def test_single_relay_order_equals_loop_reference(a_sd, a_sr, a_rd, t, r):
     order = ref.highsnr_order(a_sd, a_sr, a_rd, t)
     assert single_relay_order_array(np.array([a_sd]), np.array([a_sr]), np.array([a_rd]), t)[0] == order
-    assert single_relay_outage_region(r, t)(np.array([[a_sd, a_sr, a_rd]]))[0] == (order <= r)
+    assert ref.on_region(single_relay_outage_region(r, t), [[a_sd, a_sr, a_rd]])[0] == (order <= r)
 
 
 @given(st.integers(min_value=1, max_value=4), st.data())
@@ -394,7 +394,7 @@ def test_two_hop_cut_predicate_equals_loop_reference(n, data):
     omega = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
     r = data.draw(grid)
     row = np.array([[a_sd, *a_sr, *a_rd]])
-    inside = crossing_links_outage_region(n, r)(row[:, ref.crossing_columns(n, omega)])[0]
+    inside = ref.on_region(crossing_links_outage_region(n, r), row[:, ref.crossing_columns(n, omega)])[0]
     assert inside == ref.two_hop_cut_outage(a_sd, a_sr, a_rd, r, omega)
 
 
@@ -448,7 +448,7 @@ steps = [0.25, 0.1, 0.07, 0.05, 0.03]
 def test_staircase_oracle_equals_exhaustive_single_relay(r, t, step, chunk):
     region = single_relay_outage_region(r, t)
     with patch.object(dmt, "_CHUNK", chunk):
-        assert exponent_grid_oracle(region, 3, step) == ref.exhaustive_grid_oracle(region, 3, step)
+        assert exponent_grid_oracle(region, 3, step).item() == ref.exhaustive_grid_oracle(region, 3, step)
 
 
 @given(st.integers(min_value=1, max_value=3), unit, st.sampled_from(steps), chunks)
@@ -459,19 +459,19 @@ def test_staircase_oracle_equals_exhaustive_two_hop(n, r, step, chunk):
     crossing = crossing_links_outage_region(n, r)
     expected = ref.exhaustive_grid_oracle(crossing, n + 1, step)
     with patch.object(dmt, "_CHUNK", chunk):
-        assert exponent_grid_oracle(crossing, n + 1, step) == expected
+        assert exponent_grid_oracle(crossing, n + 1, step).item() == expected
     if n <= 2:
         # the full 2N+1 coordinates cost L^(2N) prefixes, so N=2 keeps the coarse grid
         full_step = step if n == 1 else 0.25
         for omega in range(1 << n):
             cols = ref.crossing_columns(n, omega)
 
-            def region(alpha):
-                return crossing(alpha[:, cols])
+            def region(alpha, which):
+                return crossing(alpha[:, cols], which)
 
             expected = ref.exhaustive_grid_oracle(region, 2 * n + 1, full_step)
             with patch.object(dmt, "_CHUNK", chunk):
-                assert exponent_grid_oracle(region, 2 * n + 1, full_step) == expected
+                assert exponent_grid_oracle(region, 2 * n + 1, full_step).item() == expected
 
 
 @st.composite
@@ -496,8 +496,8 @@ def test_staircase_oracle_equals_exhaustive_on_box_unions(dim_corners, step, chu
     if dim == 4:
         step = max(step, 0.1)  # keeps the one-prefix-chunk runs short
 
-    def region(alpha):
+    def region(alpha, which):
         return np.any(np.all(alpha[:, None, :] <= corners[None, :, :], axis=2), axis=1)
 
     with patch.object(dmt, "_CHUNK", chunk):
-        assert exponent_grid_oracle(region, dim, step) == ref.exhaustive_grid_oracle(region, dim, step)
+        assert exponent_grid_oracle(region, dim, step).item() == ref.exhaustive_grid_oracle(region, dim, step)
