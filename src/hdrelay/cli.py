@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -339,6 +340,7 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", default=None, help="output path (default: stdout)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hdrelay",
@@ -414,7 +416,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    """Parse and execute one command; returns the process exit code."""
+    """Parse and execute one command; returns the process exit code.
+
+    The parser is built once per process and shared by every call: parsing
+    never changes it, and every default is a constant.  Handlers look up the
+    functions they call as module globals when they run, and argparse finds
+    sys.stdout and sys.stderr when it prints, so patches and redirections
+    made after the first call still take effect.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -104,6 +104,7 @@ class TwoHopSchedule:
     @classmethod
     def uniform(cls, n_relays: int) -> "TwoHopSchedule":
         """Equal time 2^-N in every state."""
+        check_relay_count(n_relays)  # before 2^N weights are built
         m = 1 << n_relays
         return cls(n_relays=n_relays, weights=(1.0 / m,) * m)
 

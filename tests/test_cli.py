@@ -6,13 +6,15 @@ import json
 import math
 import re
 import shlex
+import sys
+import threading
 from dataclasses import asdict
 from pathlib import Path
 from unittest.mock import patch
 
 import pytest
 
-from hdrelay import cli
+from hdrelay import __version__, cli
 from hdrelay.cli import (
     MAX_GRID_POINTS,
     OUTAGE_COLUMNS,
@@ -357,9 +359,13 @@ class TestOutageAndSlopeCommands:
         assert run(["slope", "--input", str(out)]) == 2
 
     def test_workers_env_override(self, tmp_path, capsys, monkeypatch):
-        # --workers is the one way to set the count; neither the environment nor the core count is read
+        # --workers is the one way to set the count; neither the environment nor the core count is
+        # read, when the shared parser is built before the patch or when a parser is built under it
+        shared = _build_parser()
         monkeypatch.setattr("os.cpu_count", lambda: 3)
         monkeypatch.setenv("HDRELAY_WORKERS", "x")
+        for parser in (shared, _build_parser.__wrapped__()):
+            assert parser.parse_args(["outage", "--r", "0.5", "--snr-db", "10", "--seed", "2"]).workers == 1
         assert run(["outage", "--r", "0.5", "--snr-db", "10", "--trials", "100",
                     "--seed", "2", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["metadata"]["workers"] == 1
@@ -650,8 +656,13 @@ class TestExitCodesAndSafety:
             ("slope --min-count 0", "min_count must be >= 1, got 0"),
             ("outage --r 0.5 --snr-db 10 --trials 10 --seed 1 --workers 0", "workers must be >= 1, got 0"),
             ("outage --r 0.5 --snr-db 10 --trials 10 --seed 1 --workers 257", "workers must be <= 256, got 257"),
+            # checked before the 2^N uniform weights are built (2^40 of them raised MemoryError)
+            ("outage --model two-hop-zlb --relays 40 --r 0.5 --snr-db 10 --trials 10 --seed 1",
+             "n_relays must lie in [1, 12], got 40"),
+            ("outage --model two-hop-zlb --relays -1 --r 0.5 --snr-db 10 --trials 10 --seed 1",
+             "n_relays must lie in [1, 12], got -1"),
         ],
-        ids=["relays-0", "min-count-0", "workers-0", "workers-257"],
+        ids=["relays-0", "min-count-0", "workers-0", "workers-257", "two-hop-relays-40", "two-hop-relays-neg"],
     )
     def test_library_checks_are_usage_errors(self, argv, message, tmp_path, capsys):
         table = tmp_path / "t.csv"
@@ -688,3 +699,72 @@ class TestExitCodesAndSafety:
         strip = lambda p: [ln for ln in p.read_text().splitlines() if not ln.startswith("# timestamp=")
                            and not ln.startswith("# command=")]
         assert strip(a) == strip(b)
+
+
+class TestSharedParser:
+    """`run` builds one parser per process; no run may leave state for the next."""
+
+    EXPONENT = ["exponent", "--r-grid", "0.2,0.7", "--format", "json"]
+
+    def test_one_parser_per_process(self):
+        assert _build_parser() is _build_parser()
+
+    def test_runs_in_sequence_leave_nothing_behind(self, capsys):
+        sequence = [
+            (self.EXPONENT, 0),
+            (["outage", "--r", "0.9", "--trials", "7", "--seed", "5", "--workers", "2", "--snr-db"], 2),
+            (["outage", "--help"], 0),
+            (["--version"], 0),
+            (["outage", "--r", "0.5", "--snr-db", "10", "--trials", "100", "--seed", "2", "--format", "json"], 0),
+            (["verify", "--kind", "cut-avg", "--instances", "100", "--seed", "3", "--format", "json"], 0),
+            (self.EXPONENT, 0),
+        ]
+        captured = []
+        for argv, code in sequence:
+            assert run(argv) == code, argv
+            captured.append(capsys.readouterr())
+        assert captured[1].out == "" and "argument --snr-db: expected one argument" in captured[1].err
+        assert captured[2].out.startswith("usage: hdrelay outage") and captured[2].err == ""
+        assert captured[3].out == f"hdrelay {__version__}\n"
+        docs = {k: json.loads(captured[k].out) for k in (0, 4, 5, 6)}
+        for k, doc in docs.items():
+            assert doc["metadata"]["command"] == "hdrelay " + shlex.join(sequence[k][0])
+        assert docs[6]["rows"] == docs[0]["rows"]
+        # nothing of the failed outage's flags reaches the next outage
+        meta = docs[4]["metadata"]
+        assert (meta["r"], meta["trials_per_point"], meta["seed"], meta["workers"]) == (0.5, 100, 2, 1)
+
+    def test_concurrent_runs_match_serial_runs(self, tmp_path):
+        commands = [
+            self.EXPONENT,
+            ["exponent", "--relays", "2", "--r-grid", "0:1:0.5", "--format", "json"],
+            ["outage", "--model", "two-hop-zlb", "--relays", "2", "--r", "0.5", "--snr-db", "0:20:10",
+             "--trials", "500", "--seed", "9", "--format", "json"],
+            ["verify", "--kind", "cut-avg", "--instances", "200", "--seed", "4", "--max-relays", "3",
+             "--format", "json"],
+            ["curves", "--miso", "3", "--r-grid", "0:1:0.25", "--format", "json"],
+        ]
+        reps = 3
+
+        def rows(argv, path):
+            return run([*argv, "--output", str(path)]), json.loads(path.read_text())["rows"]
+
+        serial = [rows(argv, tmp_path / f"serial-{i}.json") for i, argv in enumerate(commands)]
+        results = [[] for _ in commands]  # stdout is process-wide, so each run writes its own file
+
+        def worker(i):
+            for rep in range(reps):
+                results[i].append(rows(commands[i], tmp_path / f"thread-{i}-{rep}.json"))
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(commands))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[expected] * reps for expected in serial]

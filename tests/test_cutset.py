@@ -199,6 +199,12 @@ class TestSchedules:
         assert len(sched.weights) == 8
         assert all(w == 0.125 for w in sched.weights)
 
+    @pytest.mark.parametrize("n", [-1, 40, 10**6])
+    def test_uniform_checks_the_relay_count_before_building_weights(self, n):
+        # 2^40 weights raised MemoryError, 1 << -1 "negative shift count", 1.0 / 2^(10^6) OverflowError
+        with pytest.raises(ValueError, match=rf"n_relays must lie in \[1, 12\], got {n}$"):
+            TwoHopSchedule.uniform(n)
+
 
 class TestCutFlow:
     def test_single_relay_empty_omega(self):
