@@ -78,17 +78,19 @@ def parse_grid(text: str) -> list[float]:
 
 
 def parse_count(text: str) -> int:
-    """Parse a positive integer, allowing scientific notation like 1e6."""
+    """Parse a positive integer, exactly when written as one, allowing scientific notation like 1e6."""
     try:
-        value = float(text)
-    except ValueError as exc:
-        raise ValueError(f"bad count {text!r}") from exc
-    if not math.isfinite(value):
+        value = int(text)
+    except ValueError:
+        try:
+            value = float(text)
+        except ValueError as exc:
+            raise ValueError(f"bad count {text!r}") from exc
+        if math.isfinite(value) and abs(value - round(value)) <= 1e-9 * max(1.0, abs(value)):
+            value = round(value)
+    if not isinstance(value, int) or value < 1:
         raise ValueError(f"count must be a positive integer, got {text!r}")
-    rounded = round(value)
-    if rounded < 1 or abs(value - rounded) > 1e-9 * max(1.0, abs(value)):
-        raise ValueError(f"count must be a positive integer, got {text!r}")
-    return int(rounded)
+    return value
 
 
 def _format_cell(value: Any) -> str:

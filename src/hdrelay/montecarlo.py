@@ -2,23 +2,23 @@
 
 A channel is in outage when its capacity bound, minus an optional constant
 gap, falls below the target rate r * log2(snr).  A trial's gains are a pure
-function of (seed, snr point index, trial index) (the stream layout is in
-`channel`), so every count is a pure function of the configuration: reruns
-are bit identical for any worker count or task packing, and campaigns that
-differ only in rate or gap see exactly the same channel realizations (which
-makes the monotonicity checks in the test suite exact rather than
-statistical).
+function of (seed, trial index) and shared by every SNR point (the stream
+layout is in `channel`), so every count is a pure function of the
+configuration: reruns are bit identical for any worker count or task size, a
+row does not depend on the rest of its grid, and campaigns that differ only
+in rate or gap see exactly the same channel realizations (which makes the
+monotonicity checks in the test suite exact rather than statistical).
 
 A campaign's unit of work is a task, a slice [first, last) of `_CHUNK`
-trials of the flattened (point, trial) sequence, so one task may reach
-several SNR points; it returns one count per point (`np.bincount` of its
-outage rows' points).  Every cut of both bounds is at least the direct link's
-capacity, so a task draws the direct uniforms of all its trials in one pass,
-and transforms them and draws relay gains, in one more pass, only for the
-trials the direct link cannot clear of outage.  A two-hop trial then meets an
-O(N log N) lower bound on its min-cut, the exact subset average; the 4^N
-min-cut kernel runs only on trials it cannot clear either.  Both read the
-SNR and rate of each row's point.
+trials, which it counts at every SNR point.  Every cut of both bounds is at
+least the direct link's capacity, so a task draws the direct uniforms of its
+trials in one pass, and transforms them and draws relay gains, in one more
+pass, only for the trials the direct link cannot clear at some point.  Kept
+in ascending order of the direct uniform, the trials a point's own direct-link
+test keeps are a prefix of them, which its bound reads as a view.  A two-hop
+trial then meets an O(N log N) lower bound on its min-cut, the exact subset
+average, point by point; the 4^N min-cut kernel runs once per task, on the
+trials it cannot clear at any point, each at its own point's SNR and rate.
 """
 
 from __future__ import annotations
@@ -33,12 +33,12 @@ from typing import Any
 import numpy as np
 
 from ._version import __version__
-from .channel import check_stream_space, sample_gain_arrays
-from .cutset import Schedule, SingleRelaySchedule, _min_cut_floor, check_multiplexing_gain
+from .channel import MAX_TRIALS, sample_gain_arrays
+from .cutset import Schedule, SingleRelaySchedule, TwoHopSchedule, _min_cut_floor, check_multiplexing_gain
 from .cutset import link_capacities, single_relay_bound_array, two_hop_bound_array
 from .rng import GENERATOR_NAME, check_seed
 
-_CHUNK = 1 << 16  # trials per task, across SNR points; fixed so packing never shows in results
+_CHUNK = 1 << 16  # trials per task, counted at every SNR point; fixed so packing never shows in results
 
 _IN_FLIGHT_PER_WORKER = 2  # tasks submitted but not yet summed, per worker
 
@@ -67,11 +67,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "snr_db_grid", tuple(float(v) for v in self.snr_db_grid))
         check_multiplexing_gain(self.r)
-        if self.trials_per_point < 1:
-            raise ValueError(f"trials_per_point must be >= 1, got {self.trials_per_point}")
+        if not 1 <= self.trials_per_point <= MAX_TRIALS:
+            raise ValueError(f"trials_per_point must lie in [1, 2**62], got {self.trials_per_point}")
         if not self.snr_db_grid:
             raise ValueError("snr_db_grid must be non-empty")
-        check_stream_space(len(self.snr_db_grid), self.trials_per_point)
         with np.errstate(over="ignore"):
             snr = db_to_linear(self.snr_db_grid)
         # a dB value past about +-3000 over- or underflows the linear SNR
@@ -126,16 +125,19 @@ def db_to_linear(snr_db):
     return 10.0 ** (np.asarray(snr_db, dtype=np.float64) / 10.0)
 
 
+def _floor_rows(schedule: TwoHopSchedule, g_sd, g_sr, g_rd, snr, rate_bits, gap: float) -> np.ndarray:
+    """Rows whose two-hop outage `_min_cut_floor` cannot clear, so the min-cut kernel must decide it."""
+    lb = _min_cut_floor(*link_capacities(g_sd, g_sr, g_rd, snr), schedule.weights)
+    return np.flatnonzero(lb * (1.0 - _FLOOR_TOL) - gap < rate_bits)
+
+
 def _outage_mask(schedule: Schedule, g_sd, g_sr, g_rd, snr, rate_bits, gap: float) -> np.ndarray:
-    """Per-row outage: the schedule's bound, reduced by the gap, falls below the rate.
-    `snr` and `rate_bits` are one value for the batch or one per row."""
+    """Per-row outage at one SNR and rate: the schedule's bound, reduced by the gap, falls below the rate."""
     if isinstance(schedule, SingleRelaySchedule):
         bound = single_relay_bound_array(g_sd, g_sr[:, 0], g_rd[:, 0], snr, schedule.t)
         return bound - gap < rate_bits
-    lb = _min_cut_floor(*link_capacities(g_sd, g_sr, g_rd, snr), schedule.weights)
-    rows = np.flatnonzero(lb * (1.0 - _FLOOR_TOL) - gap < rate_bits)
-    snr, rate_bits = (v if np.ndim(v) == 0 else v[rows] for v in (snr, rate_bits))
-    mask = np.zeros(lb.shape, dtype=bool)
+    rows = _floor_rows(schedule, g_sd, g_sr, g_rd, snr, rate_bits, gap)
+    mask = np.zeros(g_sd.shape, dtype=bool)
     # called on no rows too: the kernel checks the relay count
     mask[rows] = two_hop_bound_array(g_sd[rows], g_sr[rows], g_rd[rows], snr, schedule) - gap < rate_bits
     return mask
@@ -153,25 +155,32 @@ def _direct_link_uniform(snr: float, rate_bits: float, gap: float) -> float:
 
 
 def _count_outages(cfg: RunConfig, points: list[tuple[float, float, float]], first: int, last: int) -> np.ndarray:
-    """Outage counts of trials [first, last) of the flattened (point, trial) sequence, one per
-    (snr_db, snr, rate_bits) point.
+    """Outage counts of trials [first, last), one per (snr_db, snr, rate_bits) point.
 
-    A trial whose direct uniform is at least its point's `_direct_link_uniform` is not in
-    outage, so its gain is never transformed nor its relay gains drawn.  The trials left meet
-    one `_outage_mask` pass, each at its own point's SNR and rate."""
-    reached, kept = [], []
+    A trial whose direct uniform is at least a point's `_direct_link_uniform` is not in
+    outage there; one at least the largest is neither transformed nor given relay gains.
+    The trials kept are sorted by direct uniform, so point i's are the first `ends[i]` rows."""
+    schedule, gap = cfg.schedule, cfg.gap_bits
+    _, snrs, rates = zip(*points)
+    limits = np.array([_direct_link_uniform(snr, rate_bits, gap) for snr, rate_bits in zip(snrs, rates)])
+    ends = []
 
-    def keep(i, u_sd):
-        _, snr, rate_bits = points[i]
-        mask = u_sd < _direct_link_uniform(snr, rate_bits, cfg.gap_bits)
-        reached.append(i)
-        kept.append(np.count_nonzero(mask))
-        return mask
+    def keep(u_sd):
+        rows = np.flatnonzero(u_sd < limits.max())
+        rows = rows[np.argsort(u_sd[rows], kind="stable")]
+        ends.extend(np.searchsorted(u_sd[rows], limits).tolist())
+        return rows
 
-    gains = sample_gain_arrays(cfg.schedule.n_relays, cfg.seed, cfg.trials_per_point, first, last, keep)
-    point = np.repeat(reached, kept)  # of each kept row
-    _, snr, rate_bits = (np.repeat(v, kept) for v in zip(*(points[i] for i in reached)))
-    outage = _outage_mask(cfg.schedule, *gains, snr, rate_bits, cfg.gap_bits)
+    g_sd, g_sr, g_rd = sample_gain_arrays(schedule.n_relays, cfg.seed, first, last, keep)
+    prefixes = [(g_sd[:e], g_sr[:e], g_rd[:e], snr, rate_bits) for e, snr, rate_bits in zip(ends, snrs, rates)]
+    if isinstance(schedule, SingleRelaySchedule):
+        return np.array([np.count_nonzero(_outage_mask(schedule, *prefix, gap)) for prefix in prefixes])
+    rows = [_floor_rows(schedule, *prefix, gap) for prefix in prefixes]
+    point = np.repeat(np.arange(len(points)), [r.size for r in rows])  # of each row the floors leave
+    rows = np.concatenate(rows)
+    snr, rate_bits = np.array(snrs)[point], np.array(rates)[point]
+    # one kernel call for all points, on no rows too: the kernel checks the relay count
+    outage = two_hop_bound_array(g_sd[rows], g_sr[rows], g_rd[rows], snr, schedule) - gap < rate_bits
     return np.bincount(point[outage], minlength=len(points))
 
 
@@ -184,12 +193,11 @@ def _schedule_metadata(schedule: Schedule) -> dict[str, Any]:
 def estimate_outage(cfg: RunConfig, workers: int = 1) -> OutageTable:
     """Run the campaign and return one row per SNR point.
 
-    The flattened (point, trial) sequence is cut into slices of `_CHUNK` =
-    65,536 trials, so a task may span several SNR points, and a grid of
-    fewer trials in all is one task.  `workers` only parallelizes the tasks
-    over threads; counts are integer sums of the tasks' per-point counts,
-    each a pure function of (seed, slice), so the table is identical for
-    any value.  Tasks run in order with at most
+    The trial range is cut into slices of `_CHUNK` = 65,536 trials, each
+    a task counted at every SNR point.  `workers` only parallelizes the
+    tasks over threads; counts are integer sums of the tasks' per-point
+    counts, each a pure function of (seed, slice), so the table is
+    identical for any value.  Tasks run in order with at most
     `_IN_FLIGHT_PER_WORKER * workers` submitted but not yet summed, so
     memory does not grow with the trial count.
     """
@@ -202,13 +210,13 @@ def estimate_outage(cfg: RunConfig, workers: int = 1) -> OutageTable:
         snr = float(db_to_linear(snr_db))
         points.append((snr_db, snr, cfg.r * math.log2(snr)))
     counts = np.zeros(len(points), dtype=np.int64)
-    total = len(points) * cfg.trials_per_point
+    trials = cfg.trials_per_point
     in_flight: deque = deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for first in range(0, total, _CHUNK):
+        for first in range(0, trials, _CHUNK):
             if len(in_flight) == _IN_FLIGHT_PER_WORKER * workers:
                 counts += in_flight.popleft().result()
-            in_flight.append(pool.submit(_count_outages, cfg, points, first, min(first + _CHUNK, total)))
+            in_flight.append(pool.submit(_count_outages, cfg, points, first, min(first + _CHUNK, trials)))
         for future in in_flight:
             counts += future.result()
 
@@ -265,7 +273,13 @@ def estimate_diversity_slope(table: OutageTable, min_count: int = 50) -> tuple[f
     Rows with fewer than `min_count` outage events are excluded (their
     p_hat is too noisy to anchor a log fit); the rest must span at least
     two SNR values.  Returns (slope, stderr); stderr is NaN when only two
-    rows qualify.
+    rows qualify.  stderr is the residual standard error of the line, not
+    an independent-rows standard error: the rows of one campaign share
+    their realizations, and the residuals hold the curvature of the
+    finite-SNR curve.  Single relay, t = 0.5, 10-40 dB in 5 dB steps, 1e6
+    trials, 60 seeds: the slope's spread over seeds was 0.0008 (r = 0.75)
+    and 0.0052 (r = 0.5), against 0.0006 and 0.0038 with independent rows
+    and a median stderr of 0.016 and 0.029.
     """
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")

@@ -105,16 +105,16 @@ def split_row(g: np.ndarray, n_relays: int) -> Row:
 
 
 # the campaign stream layout, written out here so that a change to it shows
-CAMPAIGN_STRIDE = 2**40
+RELAY_STREAMS = 2**63
 
 
-def campaign_gains(n_relays: int, seed: int, point: int, trials) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every listed trial's full gains -ln(1 - u) at SNR point `point`, each trial
-    drawing its own streams: g_sd is word k % 4 of stream 2 * point * 2**40 + k // 4,
-    and g_sr, g_rd are the first 2N words of stream (2 * point + 1) * 2**40 + k."""
+def campaign_gains(n_relays: int, seed: int, trials) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every listed trial's full gains -ln(1 - u), shared by all SNR points, each trial
+    drawing its own streams: g_sd is word k % 4 of stream k // 4, and g_sr, g_rd are the
+    first 2N words of stream 2**63 + k."""
     k = np.asarray(trials, dtype=np.uint64)
-    direct = uniforms_for_streams(seed, np.uint64(2 * point * CAMPAIGN_STRIDE) + k // np.uint64(4), 4)
-    relay = uniforms_for_streams(seed, np.uint64((2 * point + 1) * CAMPAIGN_STRIDE) + k, 2 * n_relays)
+    direct = uniforms_for_streams(seed, k // np.uint64(4), 4)
+    relay = uniforms_for_streams(seed, np.uint64(RELAY_STREAMS) + k, 2 * n_relays)
     g_sd = -np.log1p(-direct[np.arange(k.size), (k % np.uint64(4)).astype(np.int64)])
     g = -np.log1p(-relay)
     return g_sd, g[:, :n_relays], g[:, n_relays:]

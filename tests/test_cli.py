@@ -87,9 +87,23 @@ class TestGridParsing:
     def test_counts(self):
         assert parse_count("1e6") == 1_000_000
         assert parse_count("250") == 250
-        for text in ("0", "-3", "2.5", "nan", "abc"):
+        # a decimal integer is read exactly, where a float would round it to 2^53 or 2^64
+        assert parse_count("9007199254740993") == 2**53 + 1
+        assert parse_count("18446744073709551617") == 2**64 + 1
+        for text in ("0", "-3", "2.5", "nan", "inf", "abc"):
             with pytest.raises(ValueError):
                 parse_count(text)
+
+    def test_trial_counts_reach_the_campaign_exactly(self, capsys, monkeypatch):
+        # 2^53 + 1 trials per point fit the stream space, so the campaign is built with
+        # that exact count (and stubbed out here); 2^62 + 1 does not, and the error says so
+        seen = []
+        monkeypatch.setattr(cli, "estimate_outage", lambda cfg, workers: seen.append(cfg) or OutageTable(()))
+        argv = ["outage", "--r", "0.5", "--snr-db", "10", "--seed", "1", "--trials"]
+        assert run(argv + ["9007199254740993"]) == 0
+        assert [cfg.trials_per_point for cfg in seen] == [9007199254740993]
+        assert run(argv + ["4611686018427387905"]) == 2
+        assert "got 4611686018427387905" in capsys.readouterr().err
 
 
 class TestRender:
@@ -426,12 +440,14 @@ class TestVerifyCommand:
         assert run(["verify", "--kind", "tchebychef", "--instances", count, "--seed", "1"]) == 2
         assert capsys.readouterr().err.startswith("hdrelay: error: count must be a positive integer")
 
-    def test_more_instances_than_streams_is_a_usage_error_before_any_draw(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("count", ["1e20", "18446744073709551617"])
+    def test_more_instances_than_streams_is_a_usage_error_before_any_draw(self, count, capsys, monkeypatch):
+        # 2^64 + 1, read as a float, would round to 2^64 and pass
         def no_draw(*args):
             raise AssertionError("instances drawn")
 
         monkeypatch.setattr("hdrelay.lemmas.uniforms_for_streams", no_draw)
-        assert run(["verify", "--kind", "cut-avg", "--instances", "1e20", "--seed", "1"]) == 2
+        assert run(["verify", "--kind", "cut-avg", "--instances", count, "--seed", "1"]) == 2
         assert capsys.readouterr().err.startswith("hdrelay: error: n_instances must lie in [1, 2^64]")
 
     def test_violation_exit_code(self, capsys, monkeypatch):
@@ -453,10 +469,10 @@ class TestPinnedResults:
         "argv, column, expected",
         [
             ("outage --r 0.5 --snr-db 10:30:10 --trials 20000 --seed 1 --workers 1",
-             "outage_count", [1346, 439, 91]),
+             "outage_count", [1353, 407, 71]),
             ("outage --model two-hop-zlb --relays 2 --weights 0.1,0.2,0.3,0.4 --gap-bits 0.5 "
              "--r 0.5 --snr-db 10:20:10 --trials 5000 --seed 3 --workers 2",
-             "outage_count", [685, 79]),
+             "outage_count", [695, 104]),
             ("exponent --relays 1 --t 0.3 --r-grid 0.2,0.6 --oracle-step 0.05",
              "d_oracle", [1.35, 0.5999999999999996]),
             ("exponent --relays 2 --r-grid 0.1,0.3 --oracle-step 0.05",
@@ -468,7 +484,7 @@ class TestPinnedResults:
             ("verify --kind avg-lemma --instances 5 --seed 7 --max-len 16",
              "worst_margin", [1.8804357568813472]),
             ("outage --model two-hop-zlb --relays 6 --r 0.75 --snr-db 10:30:10 --trials 8192 --seed 1",
-             "outage_count", [68, 3, 0]),
+             "outage_count", [66, 5, 0]),
         ],
     )
     def test_pinned_values(self, argv, column, expected, capsys):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import reference_loops as ref
 from hdrelay import channel, montecarlo
-from hdrelay.channel import SNR_STREAM_STRIDE, check_stream_space, sample_gain_arrays
+from hdrelay.channel import MAX_TRIALS, sample_gain_arrays
 from hdrelay.cli import run
 from hdrelay.cutset import SingleRelaySchedule, TwoHopSchedule, _min_cut_floor, link_capacities
 from hdrelay.montecarlo import (
@@ -95,9 +95,9 @@ class TestOutageEvent:
 
     def test_min_cut_rows_of_the_two_hop_benchmark_campaign(self, monkeypatch):
         # N=6, r=0.75, 10/20/30 dB, 8,192 trials: the direct link and the min-cut floor
-        # leave at most 600 of 24,576 trials to the kernel (4,336 under the floor
-        # 2^N (n_sd + sum h) / (N+1)), so a floor that falls back to a weaker bound shows;
-        # the grid's 24,576 trials fit one task, so the kernel runs once
+        # leave at most 600 of 24,576 (trial, point) pairs to the kernel (395 at seed 1, and
+        # 4,238 under the floor 2^N (n_sd + sum h) / (N+1)), so a floor that falls back to a
+        # weaker bound shows; the 8,192 trials fit one task, so the kernel runs once
         kernel, seen = montecarlo.two_hop_bound_array, []
 
         def recording(g_sd, *args):
@@ -107,7 +107,7 @@ class TestOutageEvent:
         monkeypatch.setattr(montecarlo, "two_hop_bound_array", recording)
         cfg = RunConfig(TwoHopSchedule.uniform(6), 0.75, (10.0, 20.0, 30.0), 8192, seed=1)
         table = estimate_outage(cfg, workers=1)
-        assert [row.outage_count for row in table.rows] == [68, 3, 0]
+        assert [row.outage_count for row in table.rows] == [66, 5, 0]
         assert len(seen) == 1 and sum(seen) <= 600
 
 
@@ -122,26 +122,23 @@ class TestRunConfigValidation:
         with pytest.raises(ValueError):
             _single_cfg(trials_per_point=0)
         with pytest.raises(ValueError):
-            _single_cfg(trials_per_point=SNR_STREAM_STRIDE)
+            _single_cfg(trials_per_point=MAX_TRIALS + 1)
         with pytest.raises(ValueError):
             _single_cfg(gap_bits=-0.1)
 
-    def test_grid_must_fit_the_stream_space(self, monkeypatch):
-        # two stream ranges per point: 2^23 points of the 2^40 stride fill the 64-bit key word
-        check_stream_space(2**23, SNR_STREAM_STRIDE - 1)
-        with pytest.raises(ValueError, match=r"at most 8388608 SNR points, got 8388609"):
-            check_stream_space(2**23 + 1, 1)
-        # the sampler takes the same check: a trial past the stride would alias another range
-        for trials, first in [(1, 2**23), (SNR_STREAM_STRIDE, SNR_STREAM_STRIDE - 1)]:
-            with pytest.raises(ValueError, match="SNR points|trials_per_point"):
-                sample_gain_arrays(1, 5, trials, first, first + 1)
-        # a stride of 2^62 leaves room for 2 points, whose top stream 3 * 2^62 + k still draws
-        monkeypatch.setattr(channel, "SNR_STREAM_STRIDE", 1 << 62)
-        table = estimate_outage(_single_cfg(snr_db_grid=(10.0, 20.0), trials_per_point=50))
-        assert [row.trials for row in table.rows] == [50, 50]
-        with pytest.raises(ValueError, match="at most 2 SNR points, got 3"):
-            _single_cfg()
-        assert run(["outage", "--snr-db", "10:30:10", "--trials", "10", "--seed", "1"]) == 2
+    def test_trials_must_fit_the_stream_space(self):
+        # trial k < 2^62 keys relay stream 2^63 + k, so 2^62 trials per point fit and one more
+        # does not; the grid has no cap of its own, since every point shares the trials
+        assert _single_cfg(trials_per_point=MAX_TRIALS).trials_per_point == 2**62
+        with pytest.raises(ValueError, match=r"must lie in \[1, 2\*\*62\], got 4611686018427387905"):
+            _single_cfg(trials_per_point=2**62 + 1)
+        # the sampler takes the same check: a trial past it would alias a relay stream
+        with pytest.raises(ValueError, match=r"<= 2\*\*62"):
+            sample_gain_arrays(1, 5, MAX_TRIALS, MAX_TRIALS + 1)
+        grid = tuple(float(db) for db in range(-2000, 2001))  # 4,001 points
+        table = estimate_outage(_single_cfg(snr_db_grid=grid, trials_per_point=3))
+        assert [row.snr_db for row in table.rows] == list(grid)
+        assert run(["outage", "--snr-db", "10:30:10", "--trials", str(2**62 + 1), "--seed", "1"]) == 2
 
     def test_non_finite_values_rejected(self):
         for overrides in (
@@ -252,7 +249,7 @@ class TestEstimateOutage:
         snr = float(db_to_linear(12.0))
         rate = 0.5 * math.log2(snr)
         expected = 0
-        g_sd, g_sr, g_rd = ref.campaign_gains(2, 31, 0, range(300))
+        g_sd, g_sr, g_rd = ref.campaign_gains(2, 31, range(300))
         for trial in range(300):
             gains = (float(g_sd[trial]), g_sr[trial].tolist(), g_rd[trial].tolist())
             bound = ref.min_cut(*gains, snr, cfg.schedule.weights)
@@ -273,20 +270,19 @@ class TestBoundedSubmission:
     """Chunks are submitted lazily, at most a window of them in flight."""
 
     CHUNK = 500
-    CFG = _single_cfg(trials_per_point=5_000)  # 10 chunks at each of 3 points
+    CFG = _single_cfg(trials_per_point=15_000)  # 30 chunks, each counted at 3 points
     # not a multiple of 4, so chunks start and stop inside a block of direct gains
     ODD_CHUNK = 333
 
     def _traced_count(self, monkeypatch, fail_at=None):
         """Patch a small chunk and a `_count_outages` that records each task's
-        start and finish by its flat index, the index of its first trial in the
-        flattened (point, trial) sequence over `_CHUNK`; task 0 is slow so that
-        later tasks would overtake it if nothing held them back."""
+        start and finish by its index, its first trial over `_CHUNK`; task 0 is
+        slow so that later tasks would overtake it if nothing held them back."""
         monkeypatch.setattr(montecarlo, "_CHUNK", self.CHUNK)
         count = montecarlo._count_outages
         lock = threading.Lock()
         finished = set()
-        spans = []  # flat index started, oldest unfinished flat index at that moment
+        spans = []  # index started, oldest unfinished index at that moment
 
         def traced(cfg, points, first, last):
             k = first // self.CHUNK
@@ -323,8 +319,8 @@ class TestBoundedSubmission:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_two_hop_counts_do_not_depend_on_chunks_or_workers(self, monkeypatch, workers):
-        # 9,000 trials in tasks of 333 that straddle points; the min-cut runs only on the
-        # rows its floor leaves
+        # 3,000 trials in tasks of 333, each counted at 3 points; the min-cut runs only on
+        # the rows its floor leaves
         cfg = RunConfig(
             schedule=TwoHopSchedule.uniform(3),
             r=0.75,
@@ -344,15 +340,15 @@ class TestBoundedSubmission:
     @pytest.mark.parametrize("chunk", [1, 1 << 20], ids=["one-trial", "whole-grid"])
     @pytest.mark.parametrize("kind", ["single", "two-hop"])
     def test_counts_do_not_depend_on_task_packing(self, monkeypatch, kind, chunk, workers):
-        # a chunk of 1 makes each trial a task, one past 3 x 201 trials the whole grid one task
+        # a chunk of 1 makes each trial a task, one past 201 trials the whole range one task
         schedule = SingleRelaySchedule(0.5) if kind == "single" else TwoHopSchedule.uniform(3)
         cfg = RunConfig(schedule, 0.75, (0.0, 10.0, 20.0), 201, 43, gap_bits=0.5)
         self._assert_chunk_invariant(monkeypatch, cfg, workers, chunk)
 
-    @pytest.mark.parametrize("chunk", [1, 333, 1 << 20])
+    @pytest.mark.parametrize("chunk", [1, 67, 1 << 20])
     def test_a_task_draws_in_two_passes(self, monkeypatch, chunk):
-        """However many points a task spans, it makes one Philox call for the direct
-        uniforms of them all and one for the relay words of the trials it keeps."""
+        """However many SNR points it counts, a task makes one Philox call for the direct
+        uniforms of its trials and one for the relay words of the trials it keeps."""
         monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
         cfg = RunConfig(TwoHopSchedule.uniform(2), 0.75, (0.0, 10.0, 20.0), 201, 43, gap_bits=0.5)
         calls, tasks = [], []
@@ -363,14 +359,15 @@ class TestBoundedSubmission:
             return draw(*args)
 
         def recording_count(cfg, points, first, last):
-            tasks.append((last - 1) // cfg.trials_per_point - first // cfg.trials_per_point + 1)
-            return count(cfg, points, first, last)
+            counts = count(cfg, points, first, last)
+            tasks.append(len(counts))
+            return counts
 
         monkeypatch.setattr(channel.rng, "uniforms_for_streams", counting_draw)
         monkeypatch.setattr(montecarlo, "_count_outages", recording_count)
         estimate_outage(cfg, workers=1)
-        assert len(tasks) == -(-603 // chunk) and len(calls) == 2 * len(tasks)
-        assert max(tasks) == {1: 1, 333: 2, 1 << 20: 3}[chunk]  # points spanned
+        assert len(tasks) == -(-201 // chunk) and len(calls) == 2 * len(tasks)
+        assert set(tasks) == {3}  # every task counts every point
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_chunk_exception_surfaces(self, monkeypatch, workers):
@@ -386,18 +383,48 @@ class TestBoundedSubmission:
     st.integers(1, 300).filter(lambda t: t % 4 != 0),
     st.data(),
 )
-def test_counts_of_any_slicing_sum_to_the_whole_grid_slice(kind, n_points, trials, data):
-    """Cut the flattened (point, trial) sequence into slices at random points, so slices
-    start and stop inside blocks of direct gains and inside or across SNR points: their
-    per-point counts add up to those of one slice over the whole grid."""
+def test_counts_of_any_slicing_sum_to_the_whole_range_slice(kind, n_points, trials, data):
+    """Cut the trial range into slices at random points, so slices start and stop inside
+    blocks of direct gains: their per-point counts add up to those of one slice over the
+    whole range."""
     schedule = SingleRelaySchedule(0.5) if kind == "single" else TwoHopSchedule.uniform(2)
     cfg = RunConfig(schedule, 0.75, (0.0, 10.0, 20.0, 30.0)[:n_points], trials, 43, gap_bits=0.5)
     snrs = [float(db_to_linear(snr_db)) for snr_db in cfg.snr_db_grid]
     points = [(snr_db, snr, cfg.r * math.log2(snr)) for snr_db, snr in zip(cfg.snr_db_grid, snrs)]
-    total = n_points * trials
-    edges = sorted({0, total, *data.draw(st.lists(st.integers(0, total), max_size=8))})
+    edges = sorted({0, trials, *data.draw(st.lists(st.integers(0, trials), max_size=8))})
     pieces = sum(_count_outages(cfg, points, first, last) for first, last in zip(edges, edges[1:]))
-    assert pieces.tolist() == _count_outages(cfg, points, 0, total).tolist()
+    assert pieces.tolist() == _count_outages(cfg, points, 0, trials).tolist()
+
+
+db_grids = st.lists(st.integers(-20, 60), min_size=1, max_size=6, unique=True).map(sorted)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["single", "two-hop"]),
+    db_grids,
+    st.integers(1, 300),
+    st.sampled_from([1, 2]),
+    st.sampled_from([7, 64, montecarlo._CHUNK]),
+    st.data(),
+)
+def test_a_row_does_not_depend_on_the_rest_of_its_grid(kind, grid, trials, workers, chunk, data):
+    """Every SNR point counts the same realizations, so a campaign over any sub-grid, at
+    any worker count and task size, gives each of its rows exactly as the full grid
+    does at the same SNR, and a one-point campaign gives that row too."""
+    schedule = SingleRelaySchedule(0.4) if kind == "single" else TwoHopSchedule.uniform(2)
+    sub = sorted(data.draw(st.sets(st.sampled_from(grid), min_size=1)))
+    one = data.draw(st.sampled_from(grid))
+
+    def rows(snr_db_grid, chunk):
+        cfg = RunConfig(schedule, 0.6, tuple(float(db) for db in snr_db_grid), trials, 11, gap_bits=0.3)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "_CHUNK", chunk)
+            return {row.snr_db: row for row in estimate_outage(cfg, workers=workers).rows}
+
+    full = rows(grid, montecarlo._CHUNK)
+    for snr_db, row in {**rows(sub, chunk), **rows([one], chunk)}.items():
+        assert row == full[snr_db]
 
 
 class TestOutageRowValidation:

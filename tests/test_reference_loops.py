@@ -261,9 +261,9 @@ def test_direct_link_certificate_holds_at_rates_on_the_bound(kind, n, monkeypatc
         schedule = _floor_schedule(rng, n, kind)
     gains = _floor_gains(rng, n, 16)
 
-    def sampler(n_relays, seed, trials, first, last, keep):
-        rows = np.arange(first, last)  # all of point 0
-        kept = rows[keep(0, -np.expm1(-gains[0][rows]))]
+    def sampler(n_relays, seed, first, last, keep):
+        rows = np.arange(first, last)
+        kept = rows[keep(-np.expm1(-gains[0][rows]))]
         return tuple(g[kept] for g in gains)
 
     monkeypatch.setattr(montecarlo, "sample_gain_arrays", sampler)
@@ -314,9 +314,10 @@ STAGED_SCHEDULES = [("single", t) for t in (0.0, 0.3, 0.5, 1.0)] + [
 @pytest.mark.parametrize("kind, param", STAGED_SCHEDULES, ids=[f"{k}-{p}" for k, p in STAGED_SCHEDULES])
 def test_staged_draws_equal_drawing_and_bounding_every_trial(kind, param):
     """`_count_outages` draws relay gains only for the trials whose direct link
-    cannot clear the rate.  Trial by trial, and over a range that starts inside a
-    block of direct gains, its outage must equal the reference that draws every
-    trial's full gains and bounds them all, at negative rates (below 0 dB) too."""
+    cannot clear the rate at some SNR point.  Trial by trial, and over a range that
+    starts inside a block of direct gains, its outage at every point must equal the
+    reference that draws every trial's full gains and bounds them all at every
+    point, at negative rates (below 0 dB) too."""
     seed, trials = 17, 150
     if kind == "single":
         schedule = SingleRelaySchedule(param)
@@ -324,51 +325,49 @@ def test_staged_draws_equal_drawing_and_bounding_every_trial(kind, param):
         schedule = _floor_schedule(np.random.default_rng(500 + param), param, kind)
     mixed = False
     snrs = [float(db_to_linear(snr_db)) for snr_db in STAGED_SNR_DB]
-    for point, snr in enumerate(snrs):
-        gains = ref.campaign_gains(schedule.n_relays, seed, point, range(trials))
-        bound = ref.campaign_bound(schedule, gains, snr)
-        base = point * trials  # of the point's trial 0 in the flattened sequence
-        for gap_bits in (0.0, 0.7):
-            cfg = RunConfig(schedule, 0.5, STAGED_SNR_DB, trials, seed, gap_bits)
-            for r in (0.0, 0.5, 1.0):
-                points = [(db, s, r * math.log2(s)) for db, s in zip(STAGED_SNR_DB, snrs)]
-                expected = bound - gap_bits < points[point][2]
-                per_trial = np.array([_count_outages(cfg, points, base + k, base + k + 1) for k in range(6)])
-                assert per_trial[:, point].tolist() == expected[:6].tolist()
-                assert per_trial.sum() == np.count_nonzero(expected[:6])
-                counts = _count_outages(cfg, points, base + 3, base + trials)
-                assert counts[point] == counts.sum() == np.count_nonzero(expected[3:])
-                mixed = mixed or 0 < counts[point] < trials - 3
+    gains = ref.campaign_gains(schedule.n_relays, seed, range(trials))  # shared by every point
+    bounds = [ref.campaign_bound(schedule, gains, snr) for snr in snrs]
+    for gap_bits in (0.0, 0.7):
+        cfg = RunConfig(schedule, 0.5, STAGED_SNR_DB, trials, seed, gap_bits)
+        for r in (0.0, 0.5, 1.0):
+            points = [(db, s, r * math.log2(s)) for db, s in zip(STAGED_SNR_DB, snrs)]
+            expected = np.array([bound - gap_bits < rate for bound, (_, _, rate) in zip(bounds, points)])
+            per_trial = np.array([_count_outages(cfg, points, k, k + 1) for k in range(6)])
+            assert per_trial.T.tolist() == expected[:, :6].tolist()
+            counts = _count_outages(cfg, points, 3, trials)
+            assert counts.tolist() == np.count_nonzero(expected[:, 3:], axis=1).tolist()
+            mixed = mixed or any(0 < c < trials - 3 for c in counts)
     assert mixed
 
 
 @pytest.mark.parametrize("kind, param", [("single", 0.3), ("zeros", 3), ("uniform", 6)])
-def test_a_task_spanning_points_counts_each_range_at_its_own_point(kind, param):
-    """One `_count_outages` task over a slice of the flattened (point, trial) sequence
-    that reaches several SNR points, its ends and the point edges falling both inside
-    blocks of direct gains and on their edges, gives each point the reference count of
-    its trials in the slice at its own SNR and rate."""
-    seed, trials, gap_bits = 17, 150, 0.7
+def test_a_task_counts_every_point_on_the_same_trials(kind, param):
+    """One `_count_outages` task over a slice of the trial range, its ends falling both
+    inside blocks of direct gains and on their edges, and one at the top of the range,
+    gives each SNR point the reference count of the slice's trials at its own SNR and
+    rate, on a grid whose direct-link thresholds fall and then rise (a gap of 0.7 bits
+    at r = 0.5 makes the lowest SNR points keep fewer trials than the middle ones)."""
+    seed, gap_bits = 17, 0.7
     if kind == "single":
         schedule = SingleRelaySchedule(param)
     else:
         schedule = _floor_schedule(np.random.default_rng(500 + param), param, kind)
-    cfg = RunConfig(schedule, 0.5, STAGED_SNR_DB, trials, seed, gap_bits)
-    points, outage = [], []
-    for point, snr_db in enumerate(STAGED_SNR_DB):
+    cfg = RunConfig(schedule, 0.5, STAGED_SNR_DB, 2**62, seed, gap_bits)
+    points = []
+    for snr_db in STAGED_SNR_DB:
         snr = float(db_to_linear(snr_db))
         points.append((snr_db, snr, 0.5 * math.log2(snr)))
-        gains = ref.campaign_gains(schedule.n_relays, seed, point, range(trials))
-        outage.append(ref.campaign_bound(schedule, gains, snr) - gap_bits < points[-1][2])
-    outage = np.concatenate(outage)  # over the flattened sequence
-    total = len(points) * trials
-    for first, last in [(1, total - 2), (4, total - 5), (trials + 3, 4 * trials + 8)]:
+    limits = [_direct_link_uniform(snr, rate, gap_bits) for _, snr, rate in points]
+    assert limits[0] < max(limits) and limits[-1] < max(limits)
+    for first, last in [(1, 148), (4, 145), (3, 11), (2**62 - 150, 2**62)]:
+        gains = ref.campaign_gains(schedule.n_relays, seed, range(first, last))
         expected = [
-            int(np.count_nonzero(outage[max(first, i * trials) : min(last, (i + 1) * trials)]))
-            for i in range(len(points))
+            int(np.count_nonzero(ref.campaign_bound(schedule, gains, snr) - gap_bits < rate))
+            for _, snr, rate in points
         ]
         assert _count_outages(cfg, points, first, last).tolist() == expected
-        assert 0 < sum(expected) < last - first
+        assert sum(expected) < len(points) * (last - first)
+        assert sum(expected) > 0 or last - first < 10
 
 
 orders = st.floats(min_value=0.0, max_value=1.0)

@@ -135,14 +135,14 @@ def test_seeds_outside_64_bits_are_rejected_not_aliased():
         with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
             uniforms_for_streams(seed, idx, 3)
         with pytest.raises(ValueError, match="seed must lie"):
-            sample_gain_arrays(1, seed, 1, 0, 1)
+            sample_gain_arrays(1, seed, 0, 1)
     assert not np.array_equal(_stream(0, 1, 3), _stream(2**64 - 1, 1, 3))
 
 
 def test_exponentials_match_inverse_cdf_of_uniforms():
-    # trial 6 of point 0: word 2 of direct stream 1, the first 4 words of relay stream 2**40 + 6
-    u = np.concatenate([_stream(3, 1, 4)[2:3], _stream(3, 2**40 + 6, 4)])
-    g_sd, g_sr, g_rd = sample_gain_arrays(2, 3, 7, 6, 7)
+    # trial 6: word 2 of direct stream 1, the first 4 words of relay stream 2**63 + 6
+    u = np.concatenate([_stream(3, 1, 4)[2:3], _stream(3, 2**63 + 6, 4)])
+    g_sd, g_sr, g_rd = sample_gain_arrays(2, 3, 6, 7)
     np.testing.assert_array_equal(np.concatenate([g_sd, g_sr[0], g_rd[0]]), -np.log1p(-u))
 
 
@@ -157,23 +157,22 @@ def _numpy_philox_uniforms(seed, stream, n):
 
 
 @pytest.mark.parametrize(
-    "seed, trials, first, last",
+    "seed, first, last",
     [
-        (0, 4, 0, 4),  # one whole direct block
-        (29, 1000, 1333, 1338),  # starts at k % 4 = 1, ends past a block edge, point > 0
-        (29, 6, 9, 20),  # points 1 to 3 of 6 trials each, whose blocks straddle the point edges
-        # the last trials of a chunk
-        (2**64 - 1, montecarlo._CHUNK, 7 * montecarlo._CHUNK - 2, 7 * montecarlo._CHUNK),
-        # the last point's last trials but one; its top stream is 2**64 - 2
-        (2**64 - 1, 2**40 - 1, 2**23 * (2**40 - 1) - 4, 2**23 * (2**40 - 1)),
+        (0, 0, 4),  # one whole direct block
+        (29, 1333, 1338),  # starts at k % 4 = 1, ends past a block edge
+        # the last trials of a chunk and the first of the next
+        (2**64 - 1, 7 * montecarlo._CHUNK - 2, 7 * montecarlo._CHUNK + 3),
+        # the top of the trial range: direct stream 2**60 - 1, relay streams up to 2**63 + 2**62 - 1
+        (2**64 - 1, 2**62 - 6, 2**62),
     ],
 )
-def test_campaign_gains_are_numpy_philox_words(seed, trials, first, last):
+def test_campaign_gains_are_numpy_philox_words(seed, first, last):
     n_relays = 3
-    g_sd, g_sr, g_rd = sample_gain_arrays(n_relays, seed, trials, first, last)
-    for row, (point, k) in enumerate(divmod(j, trials) for j in range(first, last)):
-        direct = _numpy_philox_uniforms(seed, 2 * point * 2**40 + k // 4, 4)[k % 4 : k % 4 + 1]
-        relay = _numpy_philox_uniforms(seed, (2 * point + 1) * 2**40 + k, 2 * n_relays)
+    g_sd, g_sr, g_rd = sample_gain_arrays(n_relays, seed, first, last)
+    for row, k in enumerate(range(first, last)):
+        direct = _numpy_philox_uniforms(seed, k // 4, 4)[k % 4 : k % 4 + 1]
+        relay = _numpy_philox_uniforms(seed, 2**63 + k, 2 * n_relays)
         expected = -np.log1p(-np.concatenate([direct, relay]))
         np.testing.assert_array_equal(np.concatenate([g_sd[row : row + 1], g_sr[row], g_rd[row]]), expected)
     assert g_sd.shape == (last - first,)
