@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import functools
 import io
 import json
@@ -78,19 +79,18 @@ def parse_grid(text: str) -> list[float]:
 
 
 def parse_count(text: str) -> int:
-    """Parse a positive integer, exactly when written as one, allowing scientific notation like 1e6."""
+    """Parse a positive integer, read exactly, in decimal or scientific notation like 1e6 or 7.0."""
     try:
-        value = int(text)
-    except ValueError:
-        try:
-            value = float(text)
-        except ValueError as exc:
-            raise ValueError(f"bad count {text!r}") from exc
-        if math.isfinite(value) and abs(value - round(value)) <= 1e-9 * max(1.0, abs(value)):
-            value = round(value)
-    if not isinstance(value, int) or value < 1:
+        value = decimal.Decimal(text)
+    except decimal.InvalidOperation as exc:
+        raise ValueError(f"bad count {text!r}") from exc
+    # past 4,300 digits Python will not print the integer back; an exponent
+    # like 1e999999999 is rejected here, before its integer is formed
+    if value.is_finite() and value.adjusted() >= 4300:
+        raise ValueError(f"count {text!r} has more than 4300 digits")
+    if not value.is_finite() or value < 1 or value != int(value):
         raise ValueError(f"count must be a positive integer, got {text!r}")
-    return value
+    return int(value)
 
 
 def _format_cell(value: Any) -> str:
@@ -241,6 +241,15 @@ def _cmd_outage(args: argparse.Namespace) -> int:
     return 0
 
 
+def _json_count(value: Any) -> int:
+    """A JSON count read exactly: an integer that is not a bool, or an integral finite float."""
+    if type(value) is float and value.is_integer():
+        return int(value)
+    if type(value) is not int:
+        raise ValueError(f"count {value!r} is not an integer")
+    return value
+
+
 def _read_table(path: str) -> OutageTable:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -256,6 +265,7 @@ def _read_table(path: str) -> OutageTable:
             raise ValueError(f"{path!r} is not valid JSON: {exc}") from exc
         metadata = doc.get("metadata", {})
         raw_rows = doc.get("rows", [])
+        count = _json_count
     else:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         data_lines = []
@@ -270,11 +280,12 @@ def _read_table(path: str) -> OutageTable:
                 data_lines.append(ln)
         reader = csv.DictReader(data_lines)
         raw_rows = list(reader)
+        count = int  # of integer text, exactly
     rows = []
     try:
         for raw in raw_rows:
             rows.append(OutageRow(**{
-                col: (int if col in ("trials", "outage_count") else float)(raw[col])
+                col: (count if col in ("trials", "outage_count") else float)(raw[col])
                 for col in OUTAGE_COLUMNS
             }))
     except (KeyError, TypeError, ValueError) as exc:

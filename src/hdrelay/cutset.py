@@ -21,7 +21,7 @@ the rest of the package extracts from them.
 Each formula is written once, as a kernel over arrays of gains, capacities
 or orders; the two-hop flow reads subset-max tables of at most `_BLOCK` entries.
 Campaigns run the min-cut only on trials that a cheap lower bound on it
-cannot clear of outage (`montecarlo._outage_mask`).
+cannot clear of outage (`montecarlo._counts_per_point`).
 """
 
 from __future__ import annotations

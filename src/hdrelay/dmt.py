@@ -182,21 +182,10 @@ def _search(
     probes the midpoints of all points in one predicate call, with points[-1]
     overwritten in place, and narrows every point; a point whose gap is
     closed has its lo as midpoint, so it stays as it is, and an open one takes
-    at most bit_length(L) probes.  Once fewer than half the points are open
-    the search goes on over a copy of the open ones.  On return lo holds each
-    point's last level in outage, or -1.
+    at most bit_length(L) probes.  On return lo holds each point's last level
+    in outage, or -1.
     """
-    while True:
-        open_ = hi - lo > 1
-        n_open = np.count_nonzero(open_)
-        if n_open == 0:
-            return
-        if 2 * n_open < lo.size:
-            keep = np.flatnonzero(open_)
-            part = lo[keep]
-            _search(predicate, points.take(keep, axis=1), which[keep], coords, part, hi[keep])
-            lo[keep] = part
-            return
+    while (hi - lo > 1).any():
         mid = (lo + hi) >> 1
         points[-1] = coords[mid]
         inside = predicate(points.T, which)

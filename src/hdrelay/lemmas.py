@@ -102,16 +102,6 @@ def avg_lemma_margin_array(a, s) -> np.ndarray:
     return total / (1 << n) - rhs
 
 
-def _cut_avg_margins(n_sd, n_sr, n_rd, omega_mask) -> np.ndarray:
-    """Uniform-schedule cut flow minus crossing-link average, per row; cuts as in `cut_flow_array`."""
-    n = n_sr.shape[1]
-    if n > MAX_CUT_RELAYS:
-        raise ValueError(f"at most {MAX_CUT_RELAYS} relays supported, got {n}")
-    weights = TwoHopSchedule.uniform(n).weights
-    flow = cut_flow_array(n_sd, n_sr, n_rd, weights, omega_mask)
-    return flow - cut_average_array(n_sd, n_sr, n_rd, omega_mask)
-
-
 def suite_margins(kind: CheckKind, uniforms: np.ndarray, max_len: int, max_relays: int) -> np.ndarray:
     """Margins of the `kind` instances drawn from rows of `uniforms`.
 
@@ -120,7 +110,8 @@ def suite_margins(kind: CheckKind, uniforms: np.ndarray, max_len: int, max_relay
     subset-average rows take a = 10 u1 and s = 10 u[2:2+n].  Cut-avg rows
     instead pick N = 1 + floor(u0 * max_relays), the cut floor(u1 * 2^N),
     snr = 10^(4 u2) (0..40 dB) and Exponential(1) gains from the next 2N+1
-    uniforms.  Rows of equal size, whatever their cut, go through the kernel together.
+    uniforms; their margin is the uniform-schedule cut flow minus the crossing-link
+    average.  Rows of equal size, whatever their cut, go through the kernels together.
     """
     if kind is CheckKind.CUT_AVG:
         size = 1 + (uniforms[:, 0] * max_relays).astype(np.int64)
@@ -141,7 +132,8 @@ def suite_margins(kind: CheckKind, uniforms: np.ndarray, max_len: int, max_relay
         else:
             g = _exponentials(u[:, 3 : 4 + 2 * n])  # g_sd, g_sr[0..n-1], g_rd[0..n-1], in place
             capacities = link_capacities(g[:, 0], g[:, 1 : 1 + n], g[:, 1 + n :], snr[rows])
-            margins[rows] = _cut_avg_margins(*capacities, cut[rows])
+            flow = cut_flow_array(*capacities, TwoHopSchedule.uniform(n).weights, cut[rows])
+            margins[rows] = flow - cut_average_array(*capacities, cut[rows])
     return margins
 
 

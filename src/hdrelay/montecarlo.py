@@ -34,7 +34,7 @@ import numpy as np
 
 from ._version import __version__
 from .channel import MAX_TRIALS, sample_gain_arrays
-from .cutset import Schedule, SingleRelaySchedule, TwoHopSchedule, _min_cut_floor, check_multiplexing_gain
+from .cutset import Schedule, SingleRelaySchedule, _min_cut_floor, check_multiplexing_gain
 from .cutset import link_capacities, single_relay_bound_array, two_hop_bound_array
 from .rng import GENERATOR_NAME, check_seed
 
@@ -125,24 +125,6 @@ def db_to_linear(snr_db):
     return 10.0 ** (np.asarray(snr_db, dtype=np.float64) / 10.0)
 
 
-def _floor_rows(schedule: TwoHopSchedule, g_sd, g_sr, g_rd, snr, rate_bits, gap: float) -> np.ndarray:
-    """Rows whose two-hop outage `_min_cut_floor` cannot clear, so the min-cut kernel must decide it."""
-    lb = _min_cut_floor(*link_capacities(g_sd, g_sr, g_rd, snr), schedule.weights)
-    return np.flatnonzero(lb * (1.0 - _FLOOR_TOL) - gap < rate_bits)
-
-
-def _outage_mask(schedule: Schedule, g_sd, g_sr, g_rd, snr, rate_bits, gap: float) -> np.ndarray:
-    """Per-row outage at one SNR and rate: the schedule's bound, reduced by the gap, falls below the rate."""
-    if isinstance(schedule, SingleRelaySchedule):
-        bound = single_relay_bound_array(g_sd, g_sr[:, 0], g_rd[:, 0], snr, schedule.t)
-        return bound - gap < rate_bits
-    rows = _floor_rows(schedule, g_sd, g_sr, g_rd, snr, rate_bits, gap)
-    mask = np.zeros(g_sd.shape, dtype=bool)
-    # called on no rows too: the kernel checks the relay count
-    mask[rows] = two_hop_bound_array(g_sd[rows], g_sr[rows], g_rd[rows], snr, schedule) - gap < rate_bits
-    return mask
-
-
 def _direct_link_uniform(snr: float, rate_bits: float, gap: float) -> float:
     """u* = -expm1(-g*), g* = expm1(ln2 (rate + gap) / (1 - _FLOOR_TOL)) / snr: every direct uniform u
     whose gain -ln(1 - u) fails n_sd * (1 - _FLOOR_TOL) - gap >= rate has u < u*.  The slack covers
@@ -172,16 +154,28 @@ def _count_outages(cfg: RunConfig, points: list[tuple[float, float, float]], fir
         return rows
 
     g_sd, g_sr, g_rd = sample_gain_arrays(schedule.n_relays, cfg.seed, first, last, keep)
-    prefixes = [(g_sd[:e], g_sr[:e], g_rd[:e], snr, rate_bits) for e, snr, rate_bits in zip(ends, snrs, rates)]
+    return _counts_per_point(schedule, g_sd, g_sr, g_rd, ends, snrs, rates, gap)
+
+
+def _counts_per_point(schedule: Schedule, g_sd, g_sr, g_rd, ends, snrs, rates, gap: float) -> np.ndarray:
+    """Outage counts of rows [0, ends[i]) at snrs[i] and rates[i], one per point i: the
+    schedule's bound, reduced by the gap, falls below the rate.  A two-hop row that
+    `_min_cut_floor` clears at its point skips the min-cut kernel, which runs once, on
+    the rows of every point the floors leave, each at its own point's SNR and rate."""
+    prefixes = [(g_sd[:e], g_sr[:e], g_rd[:e], snr) for e, snr in zip(ends, snrs)]
     if isinstance(schedule, SingleRelaySchedule):
-        return np.array([np.count_nonzero(_outage_mask(schedule, *prefix, gap)) for prefix in prefixes])
-    rows = [_floor_rows(schedule, *prefix, gap) for prefix in prefixes]
-    point = np.repeat(np.arange(len(points)), [r.size for r in rows])  # of each row the floors leave
+        return np.array([
+            np.count_nonzero(single_relay_bound_array(sd, sr[:, 0], rd[:, 0], snr, schedule.t) - gap < rate_bits)
+            for (sd, sr, rd, snr), rate_bits in zip(prefixes, rates)
+        ])
+    floors = (_min_cut_floor(*link_capacities(*prefix), schedule.weights) for prefix in prefixes)
+    rows = [np.flatnonzero(lb * (1.0 - _FLOOR_TOL) - gap < rate_bits) for lb, rate_bits in zip(floors, rates)]
+    point = np.repeat(np.arange(len(rows)), [r.size for r in rows])  # of each row the floors leave
     rows = np.concatenate(rows)
     snr, rate_bits = np.array(snrs)[point], np.array(rates)[point]
-    # one kernel call for all points, on no rows too: the kernel checks the relay count
+    # on no rows too: the kernel checks the relay count
     outage = two_hop_bound_array(g_sd[rows], g_sr[rows], g_rd[rows], snr, schedule) - gap < rate_bits
-    return np.bincount(point[outage], minlength=len(points))
+    return np.bincount(point[outage], minlength=len(ends))
 
 
 def _schedule_metadata(schedule: Schedule) -> dict[str, Any]:

@@ -85,13 +85,21 @@ class TestGridParsing:
         assert f"more than {MAX_GRID_POINTS} points" in capsys.readouterr().err
 
     def test_counts(self):
-        assert parse_count("1e6") == 1_000_000
-        assert parse_count("250") == 250
-        # a decimal integer is read exactly, where a float would round it to 2^53 or 2^64
-        assert parse_count("9007199254740993") == 2**53 + 1
-        assert parse_count("18446744073709551617") == 2**64 + 1
-        for text in ("0", "-3", "2.5", "nan", "inf", "abc"):
+        # read exactly: a float rounds 9007199254740993 and 9.007199254740993e15 to 2^53, and
+        # 18446744073709551617 to 2^64
+        for text, expected in [
+            ("1e6", 10**6), ("250", 250), ("7.0", 7), ("1e20", 10**20), ("9007199254740993", 2**53 + 1),
+            ("9.007199254740993e15", 2**53 + 1), ("18446744073709551617", 2**64 + 1), ("1e4299", 10**4299),
+        ]:
+            assert parse_count(text) == expected
+        # within 1e-9 relative of an integer is not one: 999999.9995 is not 10^6 trials
+        for text in ("0", "-3", "2.5", "nan", "inf", "abc", "999999.9995", "2.0000000001", "1e-999999999",
+                     "-inf", "Infinity", "sNaN"):
             with pytest.raises(ValueError):
+                parse_count(text)
+        # as an integer 1e999999999 would take minutes and 400 MB to form
+        for text in ("1e999999999", "1e4300", "1" * 4301):
+            with pytest.raises(ValueError, match="has more than 4300 digits"):
                 parse_count(text)
 
     def test_trial_counts_reach_the_campaign_exactly(self, capsys, monkeypatch):
@@ -104,6 +112,10 @@ class TestGridParsing:
         assert [cfg.trials_per_point for cfg in seen] == [9007199254740993]
         assert run(argv + ["4611686018427387905"]) == 2
         assert "got 4611686018427387905" in capsys.readouterr().err
+        for trials in ("999999.9995", "2.0000000001"):
+            assert run(argv + [trials]) == 2
+            assert capsys.readouterr().err.startswith("hdrelay: error: count must be a positive integer")
+        assert len(seen) == 1
 
 
 class TestRender:
@@ -435,7 +447,7 @@ class TestVerifyCommand:
         assert run(["verify", "--kind", "tchebychef", "--instances", "1e4", "--seed", "1"]) == 0
         assert int(_read_csv(capsys.readouterr().out)[0]["instances"]) == 10_000
 
-    @pytest.mark.parametrize("count", ["2.5", "0", "inf"])
+    @pytest.mark.parametrize("count", ["2.5", "0", "inf", "999999.9995"])
     def test_bad_instance_counts_are_usage_errors(self, count, capsys):
         assert run(["verify", "--kind", "tchebychef", "--instances", count, "--seed", "1"]) == 2
         assert capsys.readouterr().err.startswith("hdrelay: error: count must be a positive integer")
@@ -591,6 +603,39 @@ class TestExitCodesAndSafety:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "p_hat must equal outage_count / trials, got 0.0" in captured.err
+
+    @pytest.mark.parametrize(
+        "column, cell",
+        [("trials", "1000.7"), ("outage_count", "true"), ("trials", "Infinity"), ("trials", "1e400"),
+         ("trials", "NaN"), ("trials", '"1000"'), ("outage_count", "null")],
+    )
+    def test_inexact_json_counts_are_usage_errors(self, column, cell, tmp_path, capsys):
+        # a JSON count is an integer, not a bool, or an integral finite float: int() would read 1000.7
+        # as 1000 and true as 1, and raise OverflowError (exit 1) on Infinity and 1e400
+        rows = [
+            {"snr_db": 10.0 * k, "snr_linear": 10.0 ** k, "rate_bits": 1.0, "trials": 1000,
+             "outage_count": 10 ** (3 - k), "p_hat": 10 ** (3 - k) / 1000, "ci_low": 0.0, "ci_high": 1.0}
+            for k in (1, 2)
+        ]
+        path = tmp_path / "table.json"
+        text = json.dumps({"metadata": {}, "rows": rows})
+        path.write_text(text.replace(f'"{column}": {rows[0][column]}', f'"{column}": {cell}', 1), encoding="utf-8")
+        assert run(["slope", "--input", str(path), "--min-count", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is not an outage table" in captured.err and "is not an integer" in captured.err
+        path.write_text(text.replace('"trials": 1000', '"trials": 1e3'), encoding="utf-8")
+        assert run(["slope", "--input", str(path), "--min-count", "1"]) == 0  # integral floats are counts
+
+    @pytest.mark.parametrize("cell", ["1000.7", "1000.0", "1e3", "inf", "true", ""])
+    def test_non_integer_csv_counts_are_usage_errors(self, cell, tmp_path, capsys):
+        path = tmp_path / "table.csv"
+        path.write_text(",".join(OUTAGE_COLUMNS) + "\n"
+                        f"10.0,10.0,1.0,{cell},10,0.01,0.0,1.0\n"
+                        "20.0,100.0,1.0,1000,1,0.001,0.0,1.0\n", encoding="utf-8")
+        assert run(["slope", "--input", str(path), "--min-count", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "is not an outage table" in captured.err
 
     def test_malformed_inputs_are_usage_errors(self, tmp_path, capsys):
         bad_json = tmp_path / "bad.json"

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdrelay import cutset, lemmas
-from hdrelay.cutset import link_capacities
+from hdrelay.cutset import TwoHopSchedule, cut_average_array, cut_flow_array, link_capacities
 from hdrelay.lemmas import (
+    MAX_CUT_RELAYS,
     SIGN_TOL,
     CheckKind,
-    _cut_avg_margins,
     avg_lemma_margin_array,
     run_randomized_suite,
     tchebychef_margin_array,
@@ -30,9 +30,11 @@ def _avg_lemma(a, s):
 
 
 def _margin(g_sd, g_sr, g_rd, snr, omega_mask):
-    """Cut-avg margin of one realization: the kernel on a batch of one row."""
+    """Cut-avg margin of one realization, as `suite_margins` takes it: the uniform-schedule
+    cut flow less the crossing-link average, each kernel on a batch of one row."""
     caps = link_capacities(np.array([g_sd]), np.array([g_sr]), np.array([g_rd]), snr)
-    return float(_cut_avg_margins(*caps, omega_mask)[0])
+    weights = TwoHopSchedule.uniform(len(g_sr)).weights
+    return float(cut_flow_array(*caps, weights, omega_mask)[0] - cut_average_array(*caps, omega_mask)[0])
 
 values = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
 
@@ -123,9 +125,14 @@ class TestCutAvgConsistency:
             omega = int(rng.integers(0, 8))
             assert _margin(*g, 50.0, omega) >= -SIGN_TOL
 
-    def test_size_limit(self):
-        with pytest.raises(ValueError):
-            _margin(1.0, [1.0] * 11, [1.0] * 11, 1.0, 0)
+    def test_size_limit(self, monkeypatch):
+        # the suite's max_relays check is the one relay cap, and it fires before any draw
+        def no_draw(*args):
+            raise AssertionError("instances drawn")
+
+        monkeypatch.setattr(lemmas, "uniforms_for_streams", no_draw)
+        with pytest.raises(ValueError, match=rf"max_relays must lie in \[1, {MAX_CUT_RELAYS}\], got 11"):
+            run_randomized_suite(CheckKind.CUT_AVG, 10, seed=1, max_relays=MAX_CUT_RELAYS + 1)
 
 
 class TestRandomizedSuites:

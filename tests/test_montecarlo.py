@@ -20,7 +20,7 @@ from hdrelay.montecarlo import (
     OutageTable,
     RunConfig,
     _count_outages,
-    _outage_mask,
+    _counts_per_point,
     confidence_interval,
     db_to_linear,
     estimate_diversity_slope,
@@ -43,9 +43,9 @@ def _single_cfg(**overrides):
 
 
 def in_outage(g_sd, g_sr, g_rd, snr, rate_bits, schedule, gap_bits=0.0):
-    """The campaign's outage test on one realization: `_outage_mask` on a batch of one row."""
+    """The campaign's outage test on one realization: `_counts_per_point` on a batch of one row."""
     batch = (np.array([g_sd]), np.array([g_sr]), np.array([g_rd]))
-    return bool(_outage_mask(schedule, *batch, snr, rate_bits, gap_bits)[0])
+    return bool(_counts_per_point(schedule, *batch, [1], [snr], [rate_bits], gap_bits)[0])
 
 
 class TestOutageEvent:
@@ -73,8 +73,9 @@ class TestOutageEvent:
             in_outage(1.0, [1.0, 1.0], [1.0, 1.0], 1.0, 1.0, TwoHopSchedule.uniform(3))
 
     def test_cleared_rows_skip_the_min_cut(self, monkeypatch):
-        # the kernel sees only the rows `_min_cut_floor` leaves below the rate,
-        # and is still called when none are left, so it checks the relay count
+        # the kernel sees only the rows `_min_cut_floor` leaves below each point's
+        # rate, in one call for all points, and is still called when none are left,
+        # so it checks the relay count
         kernel, seen = montecarlo.two_hop_bound_array, []
 
         def recording(g_sd, *args):
@@ -87,9 +88,11 @@ class TestOutageEvent:
         schedule = TwoHopSchedule.uniform(2)
         floor = _min_cut_floor(*link_capacities(*gains, 100.0), schedule.weights)
         rate = float(np.median(floor))
-        _outage_mask(schedule, *gains, 100.0, rate, 0.0)
-        _outage_mask(schedule, *gains, 100.0, 0.0, 0.0)
-        assert seen == [np.count_nonzero(floor < rate), 0]
+        counts = _counts_per_point(schedule, *gains, [64, 40], [100.0, 100.0], [rate, 2.0 * rate], 0.0)
+        _counts_per_point(schedule, *gains, [64], [100.0], [0.0], 0.0)
+        assert seen == [np.count_nonzero(floor < rate) + np.count_nonzero(floor[:40] < 2.0 * rate), 0]
+        bound = kernel(*gains, 100.0, schedule)
+        assert counts.tolist() == [np.count_nonzero(bound < rate), np.count_nonzero(bound[:40] < 2.0 * rate)]
         with pytest.raises(ValueError, match="gain arrays have 1 relays"):
             in_outage(1.0, [1.0], [1.0], 1.0, 0.0, schedule)
 

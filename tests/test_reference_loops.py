@@ -38,7 +38,6 @@ from hdrelay.dmt import (
 )
 from hdrelay.lemmas import (
     CheckKind,
-    _cut_avg_margins,
     run_randomized_suite,
     suite_margins,
 )
@@ -46,8 +45,8 @@ from hdrelay.montecarlo import (
     _FLOOR_TOL,
     RunConfig,
     _count_outages,
+    _counts_per_point,
     _direct_link_uniform,
-    _outage_mask,
     db_to_linear,
 )
 from hdrelay.rng import uniforms_for_streams
@@ -87,9 +86,9 @@ def test_two_hop_wrappers_equal_loop_references(instance, rate_bits, gap_bits):
     assert cut_average_array(*caps, omega)[0] == average
     uniform = TwoHopSchedule.uniform(schedule.n_relays)
     margin = ref.cut_flow(g_sd, g_sr, g_rd, snr, uniform.weights, omega) - average
-    assert _cut_avg_margins(*caps, omega)[0] == margin
-    event = _outage_mask(schedule, *batch, snr, rate_bits, gap_bits)[0]
-    assert event == (min_cut - gap_bits < rate_bits)
+    assert cut_flow_array(*caps, uniform.weights, omega)[0] - cut_average_array(*caps, omega)[0] == margin
+    (count,) = _counts_per_point(schedule, *batch, [1], [snr], [rate_bits], gap_bits)
+    assert count == (min_cut - gap_bits < rate_bits)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -160,9 +159,12 @@ FLOOR_KINDS = ["uniform", "zeros", "short", "near", "dirichlet"]
 @pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("weights", FLOOR_KINDS)
 def test_pruned_outage_equals_the_unpruned_min_cut(n, weights):
-    """`_outage_mask` clears rows by `_min_cut_floor` before the kernel; every
-    row must still read `two_hop_bound_array(...) - gap < rate_bits`, also at
-    rates on the computed bound and one ulp either side of it."""
+    """`_counts_per_point` clears rows by `_min_cut_floor` before the kernel; at
+    every point the count must still be that of `two_hop_bound_array(...) - gap <
+    rate_bits`, also at rates on the computed bound and one ulp either side of it.
+    A floor can only clear a row wrongly if the row is in outage, so equal counts
+    mean equal rows.  One call per (SNR, gap) takes one point per rate, so the
+    kernel sees the rows of all of them at once, each at its own rate."""
     rng = np.random.default_rng(300 + n)
     schedule = _floor_schedule(rng, n, weights)
     g_sd, g_sr, g_rd = _floor_gains(rng, n, max(12, 512 >> n))
@@ -173,9 +175,10 @@ def test_pruned_outage_equals_the_unpruned_min_cut(n, weights):
             for i in range(8):  # every kind of row `_floor_gains` makes
                 edge = bound[i] - gap_bits
                 rates += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
-            for rate_bits in rates:
-                mask = _outage_mask(schedule, g_sd, g_sr, g_rd, snr, float(rate_bits), gap_bits)
-                assert (mask == (bound - gap_bits < rate_bits)).all()
+            ends, snrs = [g_sd.size] * len(rates), [snr] * len(rates)
+            counts = _counts_per_point(schedule, g_sd, g_sr, g_rd, ends, snrs, rates, gap_bits)
+            expected = [np.count_nonzero(bound - gap_bits < rate_bits) for rate_bits in rates]
+            assert counts.tolist() == expected
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -214,7 +217,7 @@ def test_min_cut_floor_is_the_cut_average_lemma(n, weights):
 @example(((0.5, [0.0, 3.0], [2.0, 4.0]), 10.0, TwoHopSchedule(2, (0.1, 0.2, 0.3, 0.4)), 0))
 @example(((1.0, [0.0] * 5, [0.0] * 5), 1e3, TwoHopSchedule.uniform(5), 0))
 def test_min_cut_floor_never_exceeds_the_loop_min_cut(instance):
-    """The floor, less `_FLOOR_TOL` relative as `_outage_mask` reads it, is at
+    """The floor, less `_FLOOR_TOL` relative as `_counts_per_point` reads it, is at
     most the loop reference's min-cut: weights with zeros, dead links, N = 1..5."""
     (g_sd, g_sr, g_rd), snr, schedule, _ = instance
     caps = link_capacities(np.array([g_sd]), np.array([g_sr]), np.array([g_rd]), snr)
