@@ -22,7 +22,7 @@ import sys
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Sequence, get_type_hints
 
 from ._version import __version__
 from .cutset import SingleRelaySchedule, TwoHopSchedule
@@ -48,6 +48,9 @@ from .rng import GENERATOR_NAME
 MAX_GRID_POINTS = 10_001  # of one grid, range or list
 
 OUTAGE_COLUMNS = [f.name for f in fields(OutageRow)]
+
+# what a command handler returns: columns, rows, and its own metadata keys
+_Table = tuple[list[str], list[dict[str, Any]], dict[str, Any]]
 
 
 def parse_grid(text: str) -> list[float]:
@@ -180,7 +183,7 @@ def _mode_flag(args: argparse.Namespace, name: str, default: Any, applies: bool,
     return value
 
 
-def _cmd_exponent(args: argparse.Namespace) -> int:
+def _cmd_exponent(args: argparse.Namespace) -> _Table:
     r_values = parse_grid(args.r_grid)
     t = _mode_flag(args, "t", 0.5, args.relays == 1, "relays")
     step = args.oracle_step if args.oracle_step is not None else (0.005 if args.relays == 1 else 0.05)
@@ -201,15 +204,11 @@ def _cmd_exponent(args: argparse.Namespace) -> int:
         }
         for r, d in zip(r_values, d_oracle)
     ]
-    metadata = _base_metadata(args.argv)
-    metadata.update(
-        {"relays": args.relays, "t": t if args.relays == 1 else None, "oracle_step": step}
-    )
-    emit(["r", "d_analytic", "d_oracle"], rows, metadata, args.format, args.output)
-    return 0
+    metadata = {"relays": args.relays, "t": t if args.relays == 1 else None, "oracle_step": step}
+    return ["r", "d_analytic", "d_oracle"], rows, metadata
 
 
-def _cmd_outage(args: argparse.Namespace) -> int:
+def _cmd_outage(args: argparse.Namespace) -> _Table:
     trials = parse_count(args.trials)
     single = args.model == SingleRelaySchedule.model
     t = _mode_flag(args, "t", 0.5, single, "model")
@@ -235,10 +234,7 @@ def _cmd_outage(args: argparse.Namespace) -> int:
         gap_bits=args.gap_bits,
     )
     table = estimate_outage(cfg, workers=args.workers)
-    rows = [asdict(row) for row in table.rows]
-    metadata = {**table.metadata, **_base_metadata(args.argv), "workers": args.workers}
-    emit(OUTAGE_COLUMNS, rows, metadata, args.format, args.output)
-    return 0
+    return OUTAGE_COLUMNS, [asdict(row) for row in table.rows], {**table.metadata, "workers": args.workers}
 
 
 def _json_count(value: Any) -> int:
@@ -248,6 +244,13 @@ def _json_count(value: Any) -> int:
     if type(value) is not int:
         raise ValueError(f"count {value!r} is not an integer")
     return value
+
+
+def _json_float(value: Any) -> float:
+    """A JSON float column read as a number: an int or a float, not a bool, a string or null."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
 
 
 def _read_table(path: str) -> OutageTable:
@@ -265,7 +268,7 @@ def _read_table(path: str) -> OutageTable:
             raise ValueError(f"{path!r} is not valid JSON: {exc}") from exc
         metadata = doc.get("metadata", {})
         raw_rows = doc.get("rows", [])
-        count = _json_count
+        read = {int: _json_count, float: _json_float}
     else:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         data_lines = []
@@ -280,56 +283,44 @@ def _read_table(path: str) -> OutageTable:
                 data_lines.append(ln)
         reader = csv.DictReader(data_lines)
         raw_rows = list(reader)
-        count = int  # of integer text, exactly
-    rows = []
+        read = {int: int, float: float}  # each type parses its own text, a count exactly
+    types = get_type_hints(OutageRow)
     try:
-        for raw in raw_rows:
-            rows.append(OutageRow(**{
-                col: (count if col in ("trials", "outage_count") else float)(raw[col])
-                for col in OUTAGE_COLUMNS
-            }))
-    except (KeyError, TypeError, ValueError) as exc:
+        rows = [OutageRow(**{col: read[types[col]](raw[col]) for col in OUTAGE_COLUMNS}) for raw in raw_rows]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path!r} is not an outage table: {exc}") from exc
     return OutageTable(rows=tuple(rows), metadata=metadata)
 
 
-def _cmd_slope(args: argparse.Namespace) -> int:
+def _cmd_slope(args: argparse.Namespace) -> _Table:
     table = _read_table(args.input)
     slope, stderr = estimate_diversity_slope(table, min_count=args.min_count)
     used = sum(1 for row in table.rows if row.outage_count >= args.min_count)
-    metadata = _base_metadata(args.argv)
-    metadata.update({"input": args.input, "min_count": args.min_count})
+    metadata: dict[str, Any] = {"input": args.input, "min_count": args.min_count}
     if table.metadata:
         metadata["source"] = table.metadata
     rows = [{"slope": slope, "stderr": stderr, "points_used": used}]
-    emit(["slope", "stderr", "points_used"], rows, metadata, args.format, args.output)
-    return 0
+    return ["slope", "stderr", "points_used"], rows, metadata
 
 
-def _cmd_schedule_opt(args: argparse.Namespace) -> int:
+def _cmd_schedule_opt(args: argparse.Namespace) -> _Table:
     r_values = parse_grid(args.r_grid)
     rows = []
     for r in r_values:
         t_star, d_star = optimize_schedule_single(r, args.t_step, args.oracle_step, args.budget)
         rows.append({"r": r, "t_star": t_star, "d_star": d_star})
-    metadata = _base_metadata(args.argv)
-    metadata.update({"t_step": args.t_step, "oracle_step": args.oracle_step})
-    emit(["r", "t_star", "d_star"], rows, metadata, args.format, args.output)
-    return 0
+    return ["r", "t_star", "d_star"], rows, {"t_step": args.t_step, "oracle_step": args.oracle_step}
 
 
-def _cmd_curves(args: argparse.Namespace) -> int:
+def _cmd_curves(args: argparse.Namespace) -> _Table:
     r_values = parse_grid(args.r_grid)
     rows = [{"r": r, "d": miso_dmt(args.miso, r)} for r in r_values]
     if any(b <= a for a, b in zip(r_values, r_values[1:])):
         raise ValueError("multiplexing gains must be strictly increasing")
-    metadata = _base_metadata(args.argv)
-    metadata["curve"] = f"miso-{args.miso}x1"
-    emit(["r", "d"], rows, metadata, args.format, args.output)
-    return 0
+    return ["r", "d"], rows, {"curve": f"miso-{args.miso}x1"}
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> _Table:
     cut_avg = args.kind == CheckKind.CUT_AVG.value
     report = run_randomized_suite(
         CheckKind(args.kind),
@@ -338,14 +329,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         max_len=_mode_flag(args, "max_len", 8, not cut_avg, "kind"),
         max_relays=_mode_flag(args, "max_relays", 6, cut_avg, "kind"),
     )
-    metadata = _base_metadata(args.argv)
-    metadata.update({"seed": args.seed, "generator": GENERATOR_NAME})
     row = {**asdict(report), "kind": report.kind.value}
-    emit(list(row), [row], metadata, args.format, args.output)
-    if report.violations > 0:
-        print(f"verification failed: {report.violations} violations", file=sys.stderr)
-        return 3
-    return 0
+    return list(row), [row], {"seed": args.seed, "generator": GENERATOR_NAME}
 
 
 def _add_output_flags(sub: argparse.ArgumentParser) -> None:
@@ -431,6 +416,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str]) -> int:
     """Parse and execute one command; returns the process exit code.
 
+    A handler returns its columns, rows and own metadata keys; `run` puts
+    the tool, version, command and timestamp keys first, writes the table,
+    and returns 3 when a row reports violations.
+
     The parser is built once per process and shared by every call: parsing
     never changes it, and every default is a constant.  Handlers look up the
     functions they call as module globals when they run, and argparse finds
@@ -445,15 +434,20 @@ def run(argv: list[str]) -> int:
     if not getattr(args, "subcommand", None):
         parser.print_usage(sys.stderr)
         return 2
-    args.argv = list(argv)
     try:
-        return args.handler(args)
+        columns, rows, metadata = args.handler(args)
+        emit(columns, rows, {**_base_metadata(argv), **metadata}, args.format, args.output)
     except ValueError as exc:  # every input check raises one
         print(f"hdrelay: error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - boundary of the process
         print(f"hdrelay: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    violations = sum(row.get("violations", 0) for row in rows)
+    if violations > 0:
+        print(f"verification failed: {violations} violations", file=sys.stderr)
+        return 3
+    return 0
 
 
 def main() -> None:

@@ -173,8 +173,10 @@ def _search(
     coords: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
+    best: np.ndarray,
 ) -> None:
-    """Binary-search each point's last outage level between lo and hi, in place.
+    """Binary-search each point's last outage level between lo and hi, in place,
+    and raise its region's best sum to its staircase top's (none where lo = -1).
 
     `points` holds one grid prefix per column, (dim, k), and the predicate
     sees its rows, points.T.  For each point, last-coordinate levels <= lo
@@ -191,6 +193,8 @@ def _search(
         inside = predicate(points.T, which)
         np.putmask(lo, inside, mid)
         hi = np.where(inside, hi, mid)
+    points[-1] = coords[lo]
+    _raise_best(best, which, np.where(lo >= 0, _row_sums(points.T), -math.inf))
 
 
 def _raise_best(best: np.ndarray, which: np.ndarray, sums: np.ndarray) -> None:
@@ -200,12 +204,6 @@ def _raise_best(best: np.ndarray, which: np.ndarray, sums: np.ndarray) -> None:
     starts = np.concatenate(([0], np.flatnonzero(which[1:] != which[:-1]) + 1))
     regions = which[starts]
     best[regions] = np.maximum(best[regions], np.maximum.reduceat(sums, starts))
-
-
-def _top_sums(points: np.ndarray, coords: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Order sums of the staircase tops (p, lo(p)), -inf where lo(p) = -1."""
-    points[-1] = coords[lo]
-    return np.where(lo >= 0, _row_sums(points.T), -math.inf)
 
 
 def _staircase(
@@ -234,8 +232,7 @@ def _staircase(
         for a, digit in enumerate(_digits(pair % n_prefixes, n_coarse, axes)):
             points[a] = coords[coarse[digit]]
         lo = np.full(pair.shape[0], -1, dtype=np.int64)
-        _search(predicate, points, which, coords, lo, np.full_like(lo, levels))
-        _raise_best(best, which, _top_sums(points, coords, lo))
+        _search(predicate, points, which, coords, lo, np.full_like(lo, levels), best)
         coarse_lo[start : start + lo.size] = lo
 
     # a piece of an axis is one coarse level, or the levels strictly between two
@@ -293,8 +290,7 @@ def _staircase(
             _raise_best(best, which, np.where(hi - lo == 1, bound, -math.inf))
             need = np.flatnonzero(bound > best[which])
             points, which, lo = points.take(need, axis=1), which[need], lo[need]
-            _search(predicate, points, which, coords, lo, hi[need])
-            _raise_best(best, which, _top_sums(points, coords, lo))
+            _search(predicate, points, which, coords, lo, hi[need], best)
 
 
 def exponent_grid_oracle(

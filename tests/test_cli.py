@@ -209,6 +209,11 @@ class TestExponentCommand:
         assert doc["rows"][0]["d_analytic"] is None
         assert doc["rows"][0]["d_oracle"] == pytest.approx((1 - 0.5) / (1 - 0.3), abs=0.15)
 
+    def test_analytic_cell_is_empty_in_csv_off_half_listen(self, capsys):
+        assert run(["exponent", "--relays", "1", "--t", "0.3", "--r-grid", "0.5", "--oracle-step", "0.05"]) == 0
+        row = _read_csv(capsys.readouterr().out)[0]
+        assert row["d_analytic"] == "" and float(row["d_oracle"]) > 0
+
 
 # JSON rows (r, d_analytic, d_oracle) of `exponent` and (r, t_star, d_star) of
 # `schedule-opt` as the one-region-per-call oracle wrote them; the batched
@@ -375,6 +380,21 @@ class TestOutageAndSlopeCommands:
         assert doc["rows"][0]["points_used"] == 2
         assert doc["metadata"]["source"]["seed"] == 5
         assert doc["rows"][0]["stderr"] is None  # two-point fit has no residual dof
+
+    def test_slope_keeps_csv_metadata_that_is_not_json_as_text(self, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        assert run(["outage", "--r", "0.5", "--snr-db", "10:20:10", "--trials", "1e4",
+                    "--seed", "5", "--output", str(out)]) == 0
+        out.write_text("# note=edited by hand\n" + out.read_text(), encoding="utf-8")
+        assert run(["slope", "--input", str(out), "--min-count", "1", "--format", "json"]) == 0
+        source = json.loads(capsys.readouterr().out)["metadata"]["source"]
+        assert source["note"] == "edited by hand" and source["seed"] == 5
+
+    def test_slope_of_a_missing_file_is_a_usage_error(self, tmp_path, capsys):
+        assert run(["slope", "--input", str(tmp_path / "no-such-table.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hdrelay: error: cannot read ") and captured.err.count("\n") == 1
 
     def test_slope_insufficient_data(self, tmp_path, capsys):
         out = tmp_path / "table.csv"
@@ -627,6 +647,30 @@ class TestExitCodesAndSafety:
         path.write_text(text.replace('"trials": 1000', '"trials": 1e3'), encoding="utf-8")
         assert run(["slope", "--input", str(path), "--min-count", "1"]) == 0  # integral floats are counts
 
+    @pytest.mark.parametrize("column, cell", [("snr_db", "true"), ("snr_linear", '"1e2"'), ("rate_bits", "null")])
+    def test_non_number_json_floats_are_usage_errors(self, column, cell, tmp_path, capsys):
+        # a JSON float column takes an int or a float: float() would read true as 1.0 and "1e2" as 100.0
+        rows = [
+            {"snr_db": 10 * k, "snr_linear": 10.0 ** k, "rate_bits": 1.0, "trials": 1000,
+             "outage_count": 10 ** (3 - k), "p_hat": 10 ** (3 - k) / 1000, "ci_low": 0.0, "ci_high": 1.0}
+            for k in (1, 2)
+        ]
+        path = tmp_path / "table.json"
+        text = json.dumps({"metadata": {}, "rows": rows})
+        path.write_text(text.replace(f'"{column}": {rows[1][column]}', f'"{column}": {cell}', 1), encoding="utf-8")
+        assert run(["slope", "--input", str(path), "--min-count", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is not an outage table" in captured.err and "is not a number" in captured.err
+        path.write_text(text, encoding="utf-8")  # snr_db is the JSON integer 20
+        snr_db = [row.snr_db for row in cli._read_table(str(path)).rows]
+        assert snr_db == [10.0, 20.0] and all(type(v) is float for v in snr_db)
+        assert run(["slope", "--input", str(path), "--min-count", "1"]) == 0
+        # an integer beyond the float range raised OverflowError (exit 1)
+        path.write_text(text.replace('"snr_db": 20', '"snr_db": 1' + "0" * 400), encoding="utf-8")
+        assert run(["slope", "--input", str(path), "--min-count", "1"]) == 2
+        assert "is not an outage table: int too large to convert to float" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cell", ["1000.7", "1000.0", "1e3", "inf", "true", ""])
     def test_non_integer_csv_counts_are_usage_errors(self, cell, tmp_path, capsys):
         path = tmp_path / "table.csv"
@@ -686,6 +730,12 @@ class TestExitCodesAndSafety:
         err = capsys.readouterr().err
         assert err.startswith("hdrelay: error: --") and "does not apply to" in err
         assert err.count("\n") == 1
+
+    def test_single_relay_model_takes_one_relay(self, capsys):
+        assert run(["outage", "--relays", "2", "--r", "0.5", "--snr-db", "10", "--trials", "10", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "hdrelay: error: --model single-relay-ub requires --relays 1\n"
 
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     def test_seed_outside_64_bits_is_usage_error(self, seed, capsys):
@@ -829,3 +879,56 @@ class TestSharedParser:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == [[expected] * reps for expected in serial]
+
+
+class TestCommandTables:
+    """Handlers return (columns, rows, metadata); `run` adds the base keys, writes the
+    table once and picks the exit code."""
+
+    COMMANDS = [
+        "exponent --relays 2 --r-grid 0.5 --oracle-step 0.1",
+        "outage --r 0.5 --snr-db 10:20:10 --trials 1000 --seed 3",
+        "slope --min-count 1",
+        "schedule-opt --r-grid 0.5 --t-step 0.25 --oracle-step 0.05",
+        "curves --miso 2 --r-grid 0:1:0.5",
+        "verify --kind avg-lemma --instances 100 --seed 2",
+    ]
+    BASE = ["tool", "version", "command", "timestamp"]
+
+    @pytest.fixture
+    def argvs(self, tmp_path):
+        table = tmp_path / "table.csv"
+        assert run(["outage", "--r", "0.5", "--snr-db", "10:30:10", "--trials", "2000", "--seed", "1",
+                    "--output", str(table)]) == 0
+        return [c.split() + (["--input", str(table)] if c.startswith("slope") else []) for c in self.COMMANDS]
+
+    def test_handlers_return_tables_and_write_nothing(self, argvs, capsys):
+        capsys.readouterr()
+        for argv in argvs:
+            args = _build_parser().parse_args(argv)
+            columns, rows, metadata = args.handler(args)
+            assert capsys.readouterr() == ("", "")
+            assert rows and all(list(row) == columns for row in rows), argv
+            assert not {"tool", "command", "timestamp"} & set(metadata), argv
+
+    def test_metadata_starts_with_the_base_keys(self, argvs, capsys):
+        keys = []
+        for argv in argvs:
+            assert run(argv + ["--format", "json"]) == 0
+            meta = json.loads(capsys.readouterr().out)["metadata"]
+            assert meta["command"] == "hdrelay " + shlex.join(argv + ["--format", "json"])
+            keys.append(list(meta))
+        assert all(k[:4] == self.BASE for k in keys)
+        # outage's own keys follow in the campaign's order, then workers
+        assert keys[1][4:7] == ["generator", "seed", "model"] and keys[1][-1] == "workers"
+
+    def test_rows_that_report_violations_exit_3_after_the_table_is_written(self, tmp_path, capsys, monkeypatch):
+        fake = VerificationReport(kind=CheckKind.CUT_AVG, instances=9, violations=4, worst_margin=-1.0, seed=5)
+        monkeypatch.setattr("hdrelay.cli.run_randomized_suite", lambda *a, **k: fake)
+        out = tmp_path / "report.json"
+        assert run(["verify", "--kind", "cut-avg", "--instances", "9", "--seed", "5",
+                    "--format", "json", "--output", str(out)]) == 3
+        assert capsys.readouterr() == ("", "verification failed: 4 violations\n")
+        assert json.loads(out.read_text())["rows"] == [
+            {"kind": "cut-avg", "instances": 9, "violations": 4, "worst_margin": -1.0, "seed": 5}
+        ]

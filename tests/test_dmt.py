@@ -200,6 +200,11 @@ class TestGridOracle:
         with pytest.raises(ValueError):
             exponent_grid_oracle(pred, 3, 0.3)
 
+    def test_dim_validation(self):
+        pred = lambda a, which: np.ones(len(a), dtype=bool)
+        with pytest.raises(ValueError, match="dim must be >= 1, got 0"):
+            exponent_grid_oracle(pred, 0, 0.05)
+
     def test_chunking_does_not_change_result(self):
         pred = single_relay_outage_region(0.6, 0.5)
         full = exponent_grid_oracle(pred, 3, 0.05).item()

@@ -128,6 +128,14 @@ def test_distinct_streams_and_seeds_differ():
     assert not np.array_equal(a, c)
 
 
+def test_stream_indices_and_lengths_are_checked():
+    with pytest.raises(ValueError, match="stream_indices must be one-dimensional"):
+        uniforms_for_streams(1, np.zeros((2, 2), dtype=np.uint64), 3)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        uniforms_for_streams(1, np.array([1], dtype=np.uint64), -1)
+    assert uniforms_for_streams(1, np.array([1, 2], dtype=np.uint64), 0).shape == (2, 0)
+
+
 def test_seeds_outside_64_bits_are_rejected_not_aliased():
     # reduced mod 2**64, -1 would replay seed 2**64 - 1 and 2**64 seed 0
     idx = np.array([1], dtype=np.uint64)
