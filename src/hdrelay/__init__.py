@@ -31,7 +31,6 @@ from .lemmas import (
 )
 from .montecarlo import (
     OutageRow,
-    OutageTable,
     RunConfig,
     confidence_interval,
     db_to_linear,
@@ -65,7 +64,6 @@ __all__ = [
     "tchebychef_margin_array",
     "run_randomized_suite",
     "OutageRow",
-    "OutageTable",
     "RunConfig",
     "confidence_interval",
     "db_to_linear",

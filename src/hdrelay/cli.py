@@ -38,7 +38,6 @@ from .lemmas import CheckKind, run_randomized_suite
 from .montecarlo import (
     MAX_WORKERS,
     OutageRow,
-    OutageTable,
     RunConfig,
     estimate_diversity_slope,
     estimate_outage,
@@ -233,8 +232,8 @@ def _cmd_outage(args: argparse.Namespace) -> _Table:
         seed=args.seed,
         gap_bits=args.gap_bits,
     )
-    table = estimate_outage(cfg, workers=args.workers)
-    return OUTAGE_COLUMNS, [asdict(row) for row in table.rows], {**table.metadata, "workers": args.workers}
+    rows, metadata = estimate_outage(cfg, workers=args.workers)
+    return OUTAGE_COLUMNS, [asdict(row) for row in rows], {**metadata, "workers": args.workers}
 
 
 def _json_count(value: Any) -> int:
@@ -253,7 +252,7 @@ def _json_float(value: Any) -> float:
     return float(value)
 
 
-def _read_table(path: str) -> OutageTable:
+def _read_table(path: str) -> tuple[tuple[OutageRow, ...], dict[str, Any]]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -289,16 +288,16 @@ def _read_table(path: str) -> OutageTable:
         rows = [OutageRow(**{col: read[types[col]](raw[col]) for col in OUTAGE_COLUMNS}) for raw in raw_rows]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path!r} is not an outage table: {exc}") from exc
-    return OutageTable(rows=tuple(rows), metadata=metadata)
+    return tuple(rows), metadata
 
 
 def _cmd_slope(args: argparse.Namespace) -> _Table:
-    table = _read_table(args.input)
-    slope, stderr = estimate_diversity_slope(table, min_count=args.min_count)
-    used = sum(1 for row in table.rows if row.outage_count >= args.min_count)
+    source_rows, source = _read_table(args.input)
+    slope, stderr = estimate_diversity_slope(source_rows, min_count=args.min_count)
+    used = sum(1 for row in source_rows if row.outage_count >= args.min_count)
     metadata: dict[str, Any] = {"input": args.input, "min_count": args.min_count}
-    if table.metadata:
-        metadata["source"] = table.metadata
+    if source:
+        metadata["source"] = source
     rows = [{"slope": slope, "stderr": stderr, "points_used": used}]
     return ["slope", "stderr", "points_used"], rows, metadata
 

@@ -32,11 +32,12 @@ the float its one-region search returns.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 import numpy as np
 
-from .cutset import _single_relay_order, check_listen_fraction, check_multiplexing_gain
+from .cutset import _single_relay_order, check_listen_fraction, check_multiplexing_gain, check_relay_count
 
 DEFAULT_ORACLE_BUDGET = 1_000_000_000
 
@@ -55,6 +56,8 @@ def miso_dmt(m_antennas: int, r: float) -> float:
     """Diversity order m*(1-r) of the fully cooperative m x 1 channel."""
     if m_antennas < 1:
         raise ValueError(f"m_antennas must be >= 1, got {m_antennas}")
+    if m_antennas > sys.float_info.max:
+        raise ValueError(f"m_antennas must be <= {sys.float_info.max!r}, got {m_antennas}")
     check_multiplexing_gain(r)
     return m_antennas * (1.0 - r)
 
@@ -124,8 +127,7 @@ def crossing_links_outage_region(n_relays: int, r) -> RegionPredicate:
     minimizing over these N+1 coordinates gives the same exponent as the
     full-dimensional search.
     """
-    if n_relays < 1:
-        raise ValueError(f"n_relays must be >= 1, got {n_relays}")
+    check_relay_count(n_relays)
     threshold = (n_relays + 1) * _shared(_per_region(r, check_multiplexing_gain))
 
     def predicate(alpha: np.ndarray, which: np.ndarray) -> np.ndarray:
@@ -138,6 +140,8 @@ def _grid_levels(step: float, name: str = "step") -> int:
     """Number of points of the grid {0, step, 2*step, ...} capped at 1."""
     if not 0.0 < step <= 0.25:
         raise ValueError(f"{name} must lie in (0, 0.25], got {step!r}")
+    if math.isinf(1.0 / step):
+        raise ValueError(f"{name} {step!r} has no finite level count: 1/{name} overflows")
     return int(math.floor(1.0 / step + 1e-9)) + 1
 
 

@@ -26,9 +26,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from statistics import NormalDist
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -100,8 +100,6 @@ class OutageRow:
     ci_high: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.snr_linear) and self.snr_linear > 0):
-            raise ValueError(f"snr_linear must be finite and > 0, got {self.snr_linear!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.outage_count <= self.trials:
@@ -109,16 +107,14 @@ class OutageRow:
         # exact: writers compute it so, and repr round-trips through CSV and JSON
         if self.p_hat != self.outage_count / self.trials:
             raise ValueError(f"p_hat must equal outage_count / trials, got {self.p_hat!r}")
+        for f in fields(self):  # annotations are postponed, so f.type is the text "float"
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if self.snr_linear <= 0:
+            raise ValueError(f"snr_linear must be > 0, got {self.snr_linear!r}")
         if not self.ci_low <= self.p_hat <= self.ci_high:
             raise ValueError("confidence interval must bracket p_hat")
-
-
-@dataclass(frozen=True)
-class OutageTable:
-    """Rows per SNR point plus the metadata needed to reproduce them."""
-
-    rows: tuple[OutageRow, ...]
-    metadata: dict[str, Any] = field(default_factory=dict)
 
 
 def db_to_linear(snr_db):
@@ -184,8 +180,9 @@ def _schedule_metadata(schedule: Schedule) -> dict[str, Any]:
     return {"kind": "two-hop", "weights": list(schedule.weights)}
 
 
-def estimate_outage(cfg: RunConfig, workers: int = 1) -> OutageTable:
-    """Run the campaign and return one row per SNR point.
+def estimate_outage(cfg: RunConfig, workers: int = 1) -> tuple[tuple[OutageRow, ...], dict[str, Any]]:
+    """Run the campaign and return (rows, metadata): one row per SNR point,
+    and what is needed to reproduce them.
 
     The trial range is cut into slices of `_CHUNK` = 65,536 trials, each
     a task counted at every SNR point.  `workers` only parallelizes the
@@ -242,7 +239,7 @@ def estimate_outage(cfg: RunConfig, workers: int = 1) -> OutageTable:
         "gap_bits": cfg.gap_bits,
         "confidence_level": CONFIDENCE_LEVEL,
     }
-    return OutageTable(rows=tuple(rows), metadata=metadata)
+    return tuple(rows), metadata
 
 
 def confidence_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -261,7 +258,7 @@ def confidence_interval(successes: int, trials: int) -> tuple[float, float]:
     return low, high
 
 
-def estimate_diversity_slope(table: OutageTable, min_count: int = 50) -> tuple[float, float]:
+def estimate_diversity_slope(rows: Sequence[OutageRow], min_count: int = 50) -> tuple[float, float]:
     """Least-squares slope of -log10(p_hat) against log10(snr).
 
     Rows with fewer than `min_count` outage events are excluded (their
@@ -277,7 +274,7 @@ def estimate_diversity_slope(table: OutageTable, min_count: int = 50) -> tuple[f
     """
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
-    qualifying = [row for row in table.rows if row.outage_count >= min_count]
+    qualifying = [row for row in rows if row.outage_count >= min_count]
     if len(qualifying) < 2:
         raise ValueError(
             f"insufficient data: need >= 2 rows with outage_count >= {min_count}, "

@@ -48,7 +48,7 @@ def _campaign(r: float, gap_bits: float = 0.0, workers: int = 2):
         gap_bits=gap_bits,
     )
     start = time.perf_counter()
-    table = hd.estimate_outage(cfg, workers=workers)
+    table, _ = hd.estimate_outage(cfg, workers=workers)
     return table, time.perf_counter() - start
 
 
@@ -121,7 +121,7 @@ def _exact_outage(r: float, snr_db) -> np.ndarray:
 def _check_diversity(r: float, band: tuple[float, float], table) -> tuple[bool, str]:
     """Monte Carlo against the exact outage, and the exact outage against 2(1-r)."""
     slope_mc, _ = hd.estimate_diversity_slope(table, min_count=50)
-    rows = [row for row in table.rows if row.outage_count >= 50]
+    rows = [row for row in table if row.outage_count >= 50]
     snr_db = np.array([row.snr_db for row in rows])
     x = snr_db / 10.0  # log10(snr)
     counts = np.array([row.outage_count for row in rows], dtype=np.float64)
@@ -208,10 +208,10 @@ def test_criterion_5_inequality_suites():
 
 def test_criterion_6_worker_count_determinism(table_r075_w1):
     table_w1, _ = table_r075_w1
-    counts = {1: [row.outage_count for row in table_w1.rows]}
+    counts = {1: [row.outage_count for row in table_w1]}
     for workers in (4, 8):
         table, _ = _campaign(0.75, workers=workers)
-        counts[workers] = [row.outage_count for row in table.rows]
+        counts[workers] = [row.outage_count for row in table]
     ok = counts[1] == counts[4] == counts[8]
     _report(6, "worker-count determinism", ok,
             f"counts w1 == w4 == w8: {ok}; w1 = {counts[1]}")

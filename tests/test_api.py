@@ -7,7 +7,9 @@ that existed only for them (removed in 0.2.0), and the named aliases of
 `miso_dmt`, the `DmtCurve` container and the `Cut` dataclass (removed in
 0.3.0), and the scalar lemma checks and per-instance suite helpers (removed
 in 0.4.0), and the per-cut outage region over all 2N+1 link orders (removed
-after 0.4.0) must not come back under their old names.
+after 0.4.0), and the `OutageTable` pair of rows and metadata (removed
+after 0.7.0, the campaign and the table reader now return the pair itself)
+must not come back under their old names.
 """
 
 import importlib
@@ -18,7 +20,6 @@ PUBLIC = [
     "CheckKind",
     "GENERATOR_NAME",
     "OutageRow",
-    "OutageTable",
     "RunConfig",
     "Schedule",
     "SingleRelaySchedule",
@@ -87,6 +88,7 @@ REMOVED = {
     "unit_exponentials": "rng",
     "two_hop_cut_outage_region": "dmt",
     "gains_from_uniforms": "channel",
+    "OutageTable": "montecarlo",
 }
 
 

@@ -26,7 +26,7 @@ from hdrelay.cli import (
     run,
 )
 from hdrelay.lemmas import CheckKind, VerificationReport
-from hdrelay.montecarlo import OutageRow, OutageTable
+from hdrelay.montecarlo import OutageRow
 
 
 def _data_lines(text):
@@ -106,7 +106,7 @@ class TestGridParsing:
         # 2^53 + 1 trials per point fit the stream space, so the campaign is built with
         # that exact count (and stubbed out here); 2^62 + 1 does not, and the error says so
         seen = []
-        monkeypatch.setattr(cli, "estimate_outage", lambda cfg, workers: seen.append(cfg) or OutageTable(()))
+        monkeypatch.setattr(cli, "estimate_outage", lambda cfg, workers: seen.append(cfg) or ((), {}))
         argv = ["outage", "--r", "0.5", "--snr-db", "10", "--seed", "1", "--trials"]
         assert run(argv + ["9007199254740993"]) == 0
         assert [cfg.trials_per_point for cfg in seen] == [9007199254740993]
@@ -142,9 +142,8 @@ class TestRender:
 
     def test_emit_outage_table_and_curve(self, tmp_path):
         row = OutageRow(10.0, 10.0, 2.0, 100, 5, 0.05, 0.02, 0.11)
-        table = OutageTable(rows=(row,), metadata={"seed": 9})
         path = tmp_path / "t.csv"
-        emit(OUTAGE_COLUMNS, [asdict(r) for r in table.rows], table.metadata, "csv", str(path))
+        emit(OUTAGE_COLUMNS, [asdict(row)], {"seed": 9}, "csv", str(path))
         text = path.read_text()
         assert "# seed=9" in text
         parsed = _read_csv(text)
@@ -157,9 +156,8 @@ class TestRender:
 
     def test_emit_is_byte_stable(self):
         row = OutageRow(10.0, 10.0, 2.0, 100, 5, 0.05, 0.02, 0.11)
-        table = OutageTable(rows=(row,), metadata={"seed": 9})
-        buf = [render(["snr_db"], [{"snr_db": r.snr_db} for r in table.rows], table.metadata, f) for f in ("csv", "json")]
-        again = [render(["snr_db"], [{"snr_db": r.snr_db} for r in table.rows], table.metadata, f) for f in ("csv", "json")]
+        buf = [render(["snr_db"], [{"snr_db": row.snr_db}], {"seed": 9}, f) for f in ("csv", "json")]
+        again = [render(["snr_db"], [{"snr_db": row.snr_db}], {"seed": 9}, f) for f in ("csv", "json")]
         assert buf == again
 
 
@@ -197,9 +195,9 @@ class TestExponentCommand:
         assert run(argv + ["--budget", "202956029"]) == 2
         assert "5 * 51^4 * bit_length(51) = 202956030" in capsys.readouterr().err
 
-    def test_huge_relay_count_is_a_budget_error(self, capsys):
-        # 5001 * 21^5000 * bit_length(21) is over budget without being formed or printed
-        assert run(["exponent", "--relays", "5000", "--r-grid", "0.5"]) == 2
+    def test_huge_level_count_is_a_budget_error(self, capsys):
+        # 3 * (1e300 + 1)^2 * bit_length(1e300 + 1) is over budget without being formed
+        assert run(["exponent", "--relays", "1", "--oracle-step", "1e-300"]) == 2
         assert capsys.readouterr().err.startswith("hdrelay: error: budget exceeded")
 
     def test_analytic_blank_off_half_listen(self, capsys):
@@ -325,8 +323,9 @@ class TestCurvesCommand:
             ("--miso 2 --r-grid 0.5,0.5", "multiplexing gains must be strictly increasing"),
             ("--miso 2 --r-grid 1.5", "multiplexing gain r must lie in [0, 1], got 1.5"),
             ("--miso 0", "m_antennas must be >= 1, got 0"),
+            (f"--miso {'9' * 400}", f"m_antennas must be <= 1.7976931348623157e+308, got {'9' * 400}"),
         ],
-        ids=["decreasing-r", "repeated-r", "r-above-1", "miso-0"],
+        ids=["decreasing-r", "repeated-r", "r-above-1", "miso-0", "miso-400-digits"],
     )
     def test_bad_curves_are_usage_errors(self, argv, message, capsys):
         assert run(["curves", *argv.split()]) == 2
@@ -595,8 +594,8 @@ class TestExitCodesAndSafety:
         [
             ([10.0, 10.0, 10.0], "need >= 2 distinct snr_linear values, got 1"),
             ([10.0, 10.0], "need >= 2 distinct snr_linear values, got 1"),
-            ([0.0, 100.0], "snr_linear must be finite and > 0, got 0.0"),
-            ([10.0, math.inf], "snr_linear must be finite and > 0, got inf"),
+            ([0.0, 100.0], "snr_linear must be > 0, got 0.0"),
+            ([10.0, math.inf], "snr_linear must be finite, got inf"),
         ],
         ids=["one-snr-three-rows", "one-snr-two-rows", "zero-snr", "infinite-snr"],
     )
@@ -623,6 +622,33 @@ class TestExitCodesAndSafety:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "p_hat must equal outage_count / trials, got 0.0" in captured.err
+
+    @pytest.mark.parametrize(
+        "fmt, column, cell",
+        [("json", "snr_db", "NaN"), ("json", "rate_bits", "NaN"), ("json", "ci_high", "Infinity"),
+         ("json", "ci_low", "-Infinity"), ("csv", "snr_db", "nan"), ("csv", "rate_bits", "inf")],
+    )
+    def test_non_finite_float_cells_are_usage_errors(self, fmt, column, cell, tmp_path, capsys):
+        # Python's json reads NaN and Infinity, and float() reads nan and inf: a fit took them
+        path = tmp_path / f"table.{fmt}"
+        assert run(["outage", "--r", "0.5", "--snr-db", "0:20:10", "--trials", "20000", "--seed", "1",
+                    "--format", fmt, "--output", str(path)]) == 0
+        text = path.read_text(encoding="utf-8")
+        if fmt == "json":
+            doc = json.loads(text)
+            doc["rows"][1][column] = float(cell)
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        else:
+            lines = text.splitlines()
+            header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+            cells = lines[header + 2].split(",")
+            cells[OUTAGE_COLUMNS.index(column)] = cell
+            lines[header + 2] = ",".join(cells)
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run(["slope", "--input", str(path), "--min-count", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"hdrelay: error: {str(path)!r} is not an outage table: {column} must be finite")
 
     @pytest.mark.parametrize(
         "column, cell",
@@ -663,7 +689,7 @@ class TestExitCodesAndSafety:
         assert captured.out == ""
         assert "is not an outage table" in captured.err and "is not a number" in captured.err
         path.write_text(text, encoding="utf-8")  # snr_db is the JSON integer 20
-        snr_db = [row.snr_db for row in cli._read_table(str(path)).rows]
+        snr_db = [row.snr_db for row in cli._read_table(str(path))[0]]
         assert snr_db == [10.0, 20.0] and all(type(v) is float for v in snr_db)
         assert run(["slope", "--input", str(path), "--min-count", "1"]) == 0
         # an integer beyond the float range raised OverflowError (exit 1)
@@ -763,7 +789,8 @@ class TestExitCodesAndSafety:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            ("exponent --relays 0 --r-grid 0.5", "n_relays must be >= 1, got 0"),
+            ("exponent --relays 0 --r-grid 0.5", "n_relays must lie in [1, 12], got 0"),
+            ("exponent --relays 5000 --r-grid 0.5", "n_relays must lie in [1, 12], got 5000"),
             ("slope --min-count 0", "min_count must be >= 1, got 0"),
             ("outage --r 0.5 --snr-db 10 --trials 10 --seed 1 --workers 0", "workers must be >= 1, got 0"),
             ("outage --r 0.5 --snr-db 10 --trials 10 --seed 1 --workers 257", "workers must be <= 256, got 257"),
@@ -773,7 +800,7 @@ class TestExitCodesAndSafety:
             ("outage --model two-hop-zlb --relays -1 --r 0.5 --snr-db 10 --trials 10 --seed 1",
              "n_relays must lie in [1, 12], got -1"),
         ],
-        ids=["relays-0", "min-count-0", "workers-0", "workers-257", "two-hop-relays-40", "two-hop-relays-neg"],
+        ids=["relays-0", "relays-5000", "min-count-0", "workers-0", "workers-257", "two-hop-relays-40", "two-hop-relays-neg"],
     )
     def test_library_checks_are_usage_errors(self, argv, message, tmp_path, capsys):
         table = tmp_path / "t.csv"
@@ -784,6 +811,44 @@ class TestExitCodesAndSafety:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"hdrelay: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["exponent --oracle-step 5e-324", "exponent --oracle-step 1e-310", "schedule-opt --t-step 5e-324",
+         "schedule-opt --r-grid 0.5 --oracle-step 1e-320"],
+    )
+    def test_subnormal_grid_steps_are_usage_errors(self, argv, capsys):
+        # 1 / step is inf, which math.floor turned into OverflowError (exit 1)
+        assert run(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hdrelay: error: ") and "has no finite level count" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "exponent --r-grid 0.5 --relays N",
+            "exponent --r-grid 0.5 --budget N",
+            "schedule-opt --r-grid 0.5 --t-step 0.25 --oracle-step 0.05 --budget N",
+            "outage --r 0.5 --snr-db 10 --trials 10 --seed 1 --relays N",
+            "outage --model two-hop-zlb --r 0.5 --snr-db 10 --trials 10 --seed 1 --relays N",
+            "outage --r 0.5 --snr-db 10 --trials 10 --seed N",
+            "outage --r 0.5 --snr-db 10 --trials 10 --seed 1 --workers N",
+            "slope --min-count N",
+            "curves --miso N",
+            "verify --kind cut-avg --instances 10 --seed N",
+            "verify --kind avg-lemma --instances 10 --seed 1 --max-len N",
+            "verify --kind cut-avg --instances 10 --seed 1 --max-relays N",
+        ],
+    )
+    def test_huge_integer_flags_never_exit_1(self, argv, tmp_path):
+        # a 400-digit int has no float value: a check that converts it raised OverflowError
+        words = argv.replace("N", "9" * 400).split()
+        if argv.startswith("slope"):
+            words += ["--input", str(tmp_path / "t.csv")]
+            assert run(["outage", "--r", "0.5", "--snr-db", "10:20:10", "--trials", "100",
+                        "--seed", "1", "--output", words[-1]]) == 0
+        assert run(words) in (0, 2)
 
     def test_any_value_error_is_usage_error(self, capsys, monkeypatch):
         def reject(*args, **kwargs):

@@ -51,6 +51,10 @@ class TestAnalyticCurves:
             miso_dmt(2, 1.2)
         with pytest.raises(ValueError):
             miso_dmt(0, 0.5)
+        # an int past the float range: m * (1 - r) raised OverflowError
+        with pytest.raises(ValueError, match="m_antennas must be <= "):
+            miso_dmt(10**400, 0.5)
+        assert miso_dmt(2**1023, 0.5) == 2.0**1022
 
     def test_parallel(self):
         # two links each carrying rate r are in outage when both are: the
@@ -76,8 +80,9 @@ class TestAnalyticCurves:
         for n in (1, 2, 3):
             d = exponent_grid_oracle(crossing_links_outage_region(n, 0.4), n + 1, 0.05).item()
             assert d == pytest.approx(miso_dmt(n + 1, 0.4), abs=(n + 1) * 0.05 + 1e-12)
-        with pytest.raises(ValueError):
-            crossing_links_outage_region(0, 0.5)
+        for n in (0, 13, 10**400):
+            with pytest.raises(ValueError, match=r"n_relays must lie in \[1, 12\]"):
+                crossing_links_outage_region(n, 0.5)
 
 
 class TestPredicates:
@@ -199,6 +204,10 @@ class TestGridOracle:
             exponent_grid_oracle(pred, 3, 0.0)
         with pytest.raises(ValueError):
             exponent_grid_oracle(pred, 3, 0.3)
+        # 1 / step overflows to inf below about 5.6e-309
+        for step in (5e-324, 1e-310):
+            with pytest.raises(ValueError, match="has no finite level count"):
+                exponent_grid_oracle(pred, 3, step)
 
     def test_dim_validation(self):
         pred = lambda a, which: np.ones(len(a), dtype=bool)

@@ -17,7 +17,6 @@ from hdrelay.cli import run
 from hdrelay.cutset import SingleRelaySchedule, TwoHopSchedule, _min_cut_floor, link_capacities
 from hdrelay.montecarlo import (
     OutageRow,
-    OutageTable,
     RunConfig,
     _count_outages,
     _counts_per_point,
@@ -109,8 +108,8 @@ class TestOutageEvent:
 
         monkeypatch.setattr(montecarlo, "two_hop_bound_array", recording)
         cfg = RunConfig(TwoHopSchedule.uniform(6), 0.75, (10.0, 20.0, 30.0), 8192, seed=1)
-        table = estimate_outage(cfg, workers=1)
-        assert [row.outage_count for row in table.rows] == [66, 5, 0]
+        table, _ = estimate_outage(cfg, workers=1)
+        assert [row.outage_count for row in table] == [66, 5, 0]
         assert len(seen) == 1 and sum(seen) <= 600
 
 
@@ -139,8 +138,8 @@ class TestRunConfigValidation:
         with pytest.raises(ValueError, match=r"<= 2\*\*62"):
             sample_gain_arrays(1, 5, MAX_TRIALS, MAX_TRIALS + 1)
         grid = tuple(float(db) for db in range(-2000, 2001))  # 4,001 points
-        table = estimate_outage(_single_cfg(snr_db_grid=grid, trials_per_point=3))
-        assert [row.snr_db for row in table.rows] == list(grid)
+        table, _ = estimate_outage(_single_cfg(snr_db_grid=grid, trials_per_point=3))
+        assert [row.snr_db for row in table] == list(grid)
         assert run(["outage", "--snr-db", "10:30:10", "--trials", str(2**62 + 1), "--seed", "1"]) == 2
 
     def test_non_finite_values_rejected(self):
@@ -169,7 +168,7 @@ class TestRunConfigValidation:
             (TwoHopSchedule.uniform(1), "two-hop-zlb", 1),
             (TwoHopSchedule.uniform(3), "two-hop-zlb", 3),
         ]:
-            meta = estimate_outage(_single_cfg(schedule=schedule, trials_per_point=10)).metadata
+            _, meta = estimate_outage(_single_cfg(schedule=schedule, trials_per_point=10))
             assert (meta["model"], meta["n_relays"]) == (model, n_relays)
 
 
@@ -178,57 +177,57 @@ class TestEstimateOutage:
         # at -3000 dB the rate is below -gap, so no trial is in outage, and with a gap of
         # 1e308 every trial is; math.expm1 would raise OverflowError on either threshold
         for schedule in (SingleRelaySchedule(0.5), TwoHopSchedule.uniform(3)):
-            low = estimate_outage(RunConfig(schedule, 0.5, (-3000.0,), 100, 1))
-            high = estimate_outage(RunConfig(schedule, 0.5, (10.0,), 100, 1, 1e308))
-            assert (low.rows[0].outage_count, high.rows[0].outage_count) == (0, 100)
+            low, _ = estimate_outage(RunConfig(schedule, 0.5, (-3000.0,), 100, 1))
+            high, _ = estimate_outage(RunConfig(schedule, 0.5, (10.0,), 100, 1, 1e308))
+            assert (low[0].outage_count, high[0].outage_count) == (0, 100)
 
     def test_zero_rate_gives_zero_outage(self):
-        table = estimate_outage(_single_cfg(r=0.0, trials_per_point=5_000))
-        assert all(row.outage_count == 0 for row in table.rows)
-        assert all(row.p_hat == 0.0 for row in table.rows)
+        table, _ = estimate_outage(_single_cfg(r=0.0, trials_per_point=5_000))
+        assert all(row.outage_count == 0 for row in table)
+        assert all(row.p_hat == 0.0 for row in table)
 
     def test_deterministic_rerun(self):
-        a = estimate_outage(_single_cfg(trials_per_point=1), workers=1)
-        b = estimate_outage(_single_cfg(trials_per_point=1), workers=1)
-        assert a.rows == b.rows
+        a, _ = estimate_outage(_single_cfg(trials_per_point=1), workers=1)
+        b, _ = estimate_outage(_single_cfg(trials_per_point=1), workers=1)
+        assert a == b
 
     def test_worker_count_invariance_across_chunks(self):
         # trials span several fixed chunks so the partition is exercised
         cfg = _single_cfg(trials_per_point=150_000, snr_db_grid=(10.0, 25.0))
         counts = {
-            w: [row.outage_count for row in estimate_outage(cfg, workers=w).rows]
+            w: [row.outage_count for row in estimate_outage(cfg, workers=w)[0]]
             for w in (1, 3, 8)
         }
         assert counts[1] == counts[3] == counts[8]
 
     def test_rate_monotonicity_with_shared_realizations(self):
-        low = estimate_outage(_single_cfg(r=0.3))
-        high = estimate_outage(_single_cfg(r=0.6))
-        for a, b in zip(low.rows, high.rows):
+        low, _ = estimate_outage(_single_cfg(r=0.3))
+        high, _ = estimate_outage(_single_cfg(r=0.6))
+        for a, b in zip(low, high):
             assert b.outage_count >= a.outage_count
 
     def test_gap_monotonicity_with_shared_realizations(self):
-        base = estimate_outage(_single_cfg())
-        gapped = estimate_outage(_single_cfg(gap_bits=0.5))
-        for a, b in zip(base.rows, gapped.rows):
+        base, _ = estimate_outage(_single_cfg())
+        gapped, _ = estimate_outage(_single_cfg(gap_bits=0.5))
+        for a, b in zip(base, gapped):
             assert b.outage_count >= a.outage_count
 
     def test_rate_column_and_metadata(self):
         cfg = _single_cfg(trials_per_point=100)
-        table = estimate_outage(cfg)
-        for row, snr_db in zip(table.rows, cfg.snr_db_grid):
+        table, metadata = estimate_outage(cfg)
+        for row, snr_db in zip(table, cfg.snr_db_grid):
             snr = float(db_to_linear(snr_db))
             assert row.snr_linear == pytest.approx(snr)
             assert row.rate_bits == pytest.approx(cfg.r * math.log2(snr))
-        assert table.metadata["seed"] == cfg.seed
-        assert table.metadata["generator"] == GENERATOR_NAME
-        assert table.metadata["model"] == "single-relay-ub"
+        assert metadata["seed"] == cfg.seed
+        assert metadata["generator"] == GENERATOR_NAME
+        assert metadata["model"] == "single-relay-ub"
 
     def test_matches_independent_simulation(self):
         # same bound evaluated with numpy's own generator; agreement is
         # statistical, not bitwise
         cfg = _single_cfg(trials_per_point=100_000, snr_db_grid=(15.0,), r=0.6, seed=5)
-        mine = estimate_outage(cfg).rows[0].p_hat
+        mine = estimate_outage(cfg)[0][0].p_hat
         rng = np.random.default_rng(999)
         rho = 10 ** 1.5
         rate = 0.6 * math.log2(rho)
@@ -248,7 +247,7 @@ class TestEstimateOutage:
             trials_per_point=300,
             seed=31,
         )
-        table = estimate_outage(cfg)
+        table, _ = estimate_outage(cfg)
         snr = float(db_to_linear(12.0))
         rate = 0.5 * math.log2(snr)
         expected = 0
@@ -257,7 +256,7 @@ class TestEstimateOutage:
             gains = (float(g_sd[trial]), g_sr[trial].tolist(), g_rd[trial].tolist())
             bound = ref.min_cut(*gains, snr, cfg.schedule.weights)
             expected += bound < rate
-        assert table.rows[0].outage_count == expected
+        assert table[0].outage_count == expected
 
     def test_invalid_workers(self, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -305,9 +304,9 @@ class TestBoundedSubmission:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_in_flight_chunks_stay_within_the_window(self, monkeypatch, workers):
-        whole = [row.outage_count for row in estimate_outage(self.CFG, workers=1).rows]
+        whole = [row.outage_count for row in estimate_outage(self.CFG, workers=1)[0]]
         spans = self._traced_count(monkeypatch)
-        counts = [row.outage_count for row in estimate_outage(self.CFG, workers=workers).rows]
+        counts = [row.outage_count for row in estimate_outage(self.CFG, workers=workers)[0]]
         assert counts == whole
         assert sorted(k for k, _ in spans) == list(range(30))
         window = montecarlo._IN_FLIGHT_PER_WORKER * workers
@@ -315,9 +314,9 @@ class TestBoundedSubmission:
         assert max(k - oldest + 1 for k, oldest in spans) <= window
 
     def _assert_chunk_invariant(self, monkeypatch, cfg, workers, chunk=ODD_CHUNK):
-        whole = [row.outage_count for row in estimate_outage(cfg, workers=1).rows]
+        whole = [row.outage_count for row in estimate_outage(cfg, workers=1)[0]]
         monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-        counts = [row.outage_count for row in estimate_outage(cfg, workers=workers).rows]
+        counts = [row.outage_count for row in estimate_outage(cfg, workers=workers)[0]]
         assert counts == whole and 0 < sum(whole) < cfg.trials_per_point * len(whole)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -423,7 +422,7 @@ def test_a_row_does_not_depend_on_the_rest_of_its_grid(kind, grid, trials, worke
         cfg = RunConfig(schedule, 0.6, tuple(float(db) for db in snr_db_grid), trials, 11, gap_bits=0.3)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(montecarlo, "_CHUNK", chunk)
-            return {row.snr_db: row for row in estimate_outage(cfg, workers=workers).rows}
+            return {row.snr_db: row for row in estimate_outage(cfg, workers=workers)[0]}
 
     full = rows(grid, montecarlo._CHUNK)
     for snr_db, row in {**rows(sub, chunk), **rows([one], chunk)}.items():
@@ -438,6 +437,15 @@ class TestOutageRowValidation:
             OutageRow(10.0, 10.0, 1.0, 100, 50, 0.5, 0.6, 0.7)  # ci does not bracket
         with pytest.raises(ValueError):
             OutageRow(10.0, 10.0, 1.0, 100, -1, 0.0, 0.0, 0.1)
+
+    # p_hat is finite already, as a count ratio
+    @pytest.mark.parametrize("field", ["snr_db", "snr_linear", "rate_bits", "ci_low", "ci_high"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_float_fields_must_be_finite(self, field, value):
+        row = dict(snr_db=10.0, snr_linear=10.0, rate_bits=1.0, trials=100, outage_count=50, p_hat=0.5,
+                   ci_low=0.0, ci_high=1.0)
+        with pytest.raises(ValueError, match=f"{field} must be finite, got {value!r}"):
+            OutageRow(**{**row, field: value})
 
     @pytest.mark.parametrize(
         "trials, count, p_hat, message",
@@ -505,7 +513,7 @@ def _synthetic_table(ps, trials=10**6, snrs=(10.0, 100.0, 1000.0)):
                 ci_high=p_hat,
             )
         )
-    return OutageTable(rows=tuple(rows))
+    return tuple(rows)
 
 
 class TestDiversitySlope:
