@@ -250,16 +250,23 @@ def cut_average_array(n_sd, n_sr, n_rd, omega_mask) -> np.ndarray:
     return total / (n + 1)
 
 
+def _subset_average(a, s) -> np.ndarray:
+    """Mean over all 2^n subsets V of max(a, max of s over V), per row, for a of shape (T,) and
+    s of shape (T, n), in O(n log n): a tops the empty subset, and the k-th largest
+    s' = max(s, a) tops 2^(n-k) subsets."""
+    h = np.sort(np.maximum(s, a[:, None]), axis=1)
+    mean = np.ldexp(a, -h.shape[1])  # a / 2^n for any n, summed in a fixed order
+    for k, top in enumerate(h.T[::-1], 1):
+        mean = mean + np.ldexp(top, -k)
+    return mean
+
+
 def _min_cut_floor(n_sd, n_sr, n_rd, weights) -> np.ndarray:
     """A lower bound on the min-cut per row, for any schedule, in O(N log N).  In state m the
     relays crossing cut omega are omega ^ m, so its flow is at least H(omega ^ m) = max(n_sd, their
-    best weaker hop h); omega ^ m meets every subset once, so each cut is at least min(weights) *
-    the sum of H over all 2^N subsets: n_sd, and each h' = max(h, n_sd) once per subset it tops."""
-    h = np.sort(np.maximum(np.minimum(n_sr, n_rd), n_sd[:, None]), axis=1)
-    mean = n_sd / (1 << h.shape[1])  # the mean of H, summed in a fixed order
-    for k, top in enumerate(h.T[::-1], 1):  # the k-th largest tops 2^(N-k) subsets
-        mean = mean + top / (1 << k)
-    return np.maximum(n_sd, len(weights) * min(weights) * mean)
+    best weaker hop h); omega ^ m meets every subset once, so each cut is at least 2^N min(weights)
+    times the mean of H over all 2^N subsets."""
+    return np.maximum(n_sd, len(weights) * min(weights) * _subset_average(n_sd, np.minimum(n_sr, n_rd)))
 
 
 def two_hop_bound_array(g_sd, g_sr, g_rd, snr, schedule: TwoHopSchedule) -> np.ndarray:

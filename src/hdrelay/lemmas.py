@@ -27,13 +27,12 @@ from enum import Enum
 import numpy as np
 
 from .channel import _exponentials
-from . import cutset
-from .cutset import TwoHopSchedule, _subset_max, cut_average_array, cut_flow_array, link_capacities
+from .cutset import TwoHopSchedule, _subset_average, cut_average_array, cut_flow_array, link_capacities
 from .rng import check_seed, uniforms_for_streams
 
 SIGN_TOL = 1e-12  # floating tolerance for margin >= 0 assertions
 
-MAX_SUBSET_LEN = 16
+MAX_SUBSET_LEN = 16  # bounds each block's 2 + n (tchebychef 1 + 2n) draws and tchebychef's (T, n, n) pair arrays
 MAX_CUT_RELAYS = 10
 
 # instances per suite block; a memory bound only
@@ -75,31 +74,16 @@ def tchebychef_margin_array(a, b) -> np.ndarray:
 
 
 def avg_lemma_margin_array(a, s) -> np.ndarray:
-    """Margins of the subset-average inequality at its tight instantiation,
-    f(V) = max(a, max_{i in V} s_i), for a of shape (T,) and s of shape (T, n).
-
-    f is max(a, `_subset_max`), the subset-max table `cut_flow_array` reads
-    (its empty-mask row is 0 <= a), for `cutset._BLOCK >> n` rows (at least
-    one) per pass, and summed in mask order.
-    """
+    """Margins of the subset-average inequality at its tight instantiation, f(V) = max(a, max_{i in V}
+    s_i), for a of shape (T,) and s of shape (T, n): the two-hop floor's `cutset._subset_average` - rhs."""
     a = np.asarray(a, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
     if a.ndim != 1 or s.ndim != 2 or s.shape[0] != a.shape[0]:
         raise ValueError("a must have shape (T,) and s shape (T, n)")
-    n = s.shape[1]
-    if n > MAX_SUBSET_LEN:
-        raise ValueError(f"at most {MAX_SUBSET_LEN} elements supported, got {n}")
     if np.any(a < 0) or np.any(s < 0):
         raise ValueError("a and all s_i must be >= 0")
-    total = np.empty(a.shape[0], dtype=np.float64)
-    rows_per_pass = max(1, cutset._BLOCK >> n)
-    for start in range(0, a.shape[0], rows_per_pass):
-        rows = slice(start, start + rows_per_pass)
-        f = np.maximum(_subset_max(s[rows]).T, a[rows, None], order="C")
-        # a sequential sum in mask order
-        total[rows] = np.add.accumulate(f, axis=1, out=f)[:, -1]
-    rhs = (a + np.array([math.fsum(row) for row in s.tolist()])) / (n + 1)
-    return total / (1 << n) - rhs
+    rhs = (a + np.array([math.fsum(row) for row in s.tolist()])) / (s.shape[1] + 1)
+    return _subset_average(a, s) - rhs
 
 
 def suite_margins(kind: CheckKind, uniforms: np.ndarray, max_len: int, max_relays: int) -> np.ndarray:

@@ -113,6 +113,12 @@ class OutageRow:
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.snr_linear <= 0:
             raise ValueError(f"snr_linear must be > 0, got {self.snr_linear!r}")
+        with np.errstate(over="ignore"):  # past about 3080 dB the linear SNR is inf
+            if not math.isclose(self.snr_linear, float(db_to_linear(self.snr_db)), rel_tol=1e-12):
+                raise ValueError(f"snr_linear must be 10^(snr_db/10), got {self.snr_linear!r} at {self.snr_db!r} dB")
+        bits = math.log2(self.snr_linear)  # writers' rate r * bits, r in [0, 1], rounds to no more than bits
+        if not min(0.0, bits) <= self.rate_bits <= max(0.0, bits):
+            raise ValueError(f"rate_bits must be r * log2(snr_linear) for an r in [0, 1], got {self.rate_bits!r}")
         if not self.ci_low <= self.p_hat <= self.ci_high:
             raise ValueError("confidence interval must bracket p_hat")
 

@@ -65,11 +65,14 @@ def cut_average(g_sd, g_sr, g_rd, snr: float, omega_mask: int) -> float:
 
 
 def subset_max_sum(n_sd: float, h) -> float:
-    """Sum over the 2^N relay subsets x of max(n_sd, max of h over x), subset by subset."""
-    total = 0.0
-    for mask in range(1 << len(h)):
-        total += max([n_sd] + [h[j] for j in range(len(h)) if mask >> j & 1])
-    return total
+    """Sum over the 2^N relay subsets x of max(n_sd, max of h over x), subset by subset and
+    exactly rounded (`math.fsum`); each mask's max is that of the mask without its lowest bit,
+    taken with that bit's h."""
+    maxima = [n_sd] * (1 << len(h))
+    for mask in range(1, 1 << len(h)):
+        low = mask & -mask
+        maxima[mask] = max(maxima[mask ^ low], h[low.bit_length() - 1])
+    return math.fsum(maxima)
 
 
 def highsnr_order(a_sd: float, a_sr: float, a_rd: float, t: float) -> float:
@@ -138,22 +141,17 @@ def tchebychef_instance(u: np.ndarray, max_len: int) -> float:
     return float((a * b).mean() - a.mean() * b.mean())
 
 
-def avg_lemma_instance(u: np.ndarray, max_len: int) -> float:
-    """One subset-average suite instance from its uniforms, subset by subset:
-    the average of max(a, max of s over V) over the 2^n bitmasks V, minus
-    (a + sum(s)) / (n + 1)."""
+def avg_lemma_row(u: np.ndarray, max_len: int) -> tuple[float, list[float]]:
+    """The (a, s) of one subset-average suite instance from its uniforms."""
     n = 1 + int(u[0] * max_len)
-    a = float(10.0 * u[1])
-    s = (10.0 * u[2 : 2 + n]).tolist()
-    # max of s over each subset bitmask, built from the mask without its lowest bit
-    maxima = [-math.inf] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        maxima[mask] = max(maxima[mask ^ low], s[low.bit_length() - 1])
-    total = 0.0
-    for mask in range(1 << n):
-        total += max(a, maxima[mask])
-    return total / (1 << n) - (a + math.fsum(s)) / (n + 1)
+    return float(10.0 * u[1]), (10.0 * u[2 : 2 + n]).tolist()
+
+
+def avg_lemma_instance(u: np.ndarray, max_len: int) -> float:
+    """One subset-average suite instance from its uniforms, subset by subset: the exact
+    average of max(a, max of s over V) over the 2^n bitmasks V, minus (a + sum(s)) / (n + 1)."""
+    a, s = avg_lemma_row(u, max_len)
+    return subset_max_sum(a, s) / (1 << len(s)) - (a + math.fsum(s)) / (len(s) + 1)
 
 
 def cut_avg_instance(u: np.ndarray, max_relays: int) -> float:

@@ -513,7 +513,7 @@ class TestPinnedResults:
             ("curves --miso 3 --r-grid 0.1,0.3,0.9", "d",
              [2.7, 2.0999999999999996, 0.29999999999999993]),
             ("verify --kind avg-lemma --instances 5 --seed 7 --max-len 16",
-             "worst_margin", [1.8804357568813472]),
+             "worst_margin", [1.8804357568813437]),
             ("outage --model two-hop-zlb --relays 6 --r 0.75 --snr-db 10:30:10 --trials 8192 --seed 1",
              "outage_count", [66, 5, 0]),
         ],
@@ -600,8 +600,10 @@ class TestExitCodesAndSafety:
         ids=["one-snr-three-rows", "one-snr-two-rows", "zero-snr", "infinite-snr"],
     )
     def test_degenerate_slope_tables_are_usage_errors(self, snr_linear, expected, tmp_path, capsys):
+        # each finite, positive row's snr_db matches its snr_linear, so only the named check fires
         rows = [
-            {"snr_db": 10.0 * k, "snr_linear": snr, "rate_bits": 1.0, "trials": 1000,
+            {"snr_db": 10.0 * math.log10(snr) if 0.0 < snr < math.inf else 10.0 * k,
+             "snr_linear": snr, "rate_bits": 1.0, "trials": 1000,
              "outage_count": 100 - 10 * k, "p_hat": (100 - 10 * k) / 1000,
              "ci_low": 0.0, "ci_high": 1.0}
             for k, snr in enumerate(snr_linear)
@@ -612,6 +614,26 @@ class TestExitCodesAndSafety:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert expected in captured.err
+
+    @pytest.mark.parametrize(
+        "row, column, value, expected",
+        [
+            (1, "snr_db", 55.0, "snr_linear must be 10^(snr_db/10), got 10.0 at 55.0 dB"),
+            (2, "rate_bits", -3.0, "rate_bits must be r * log2(snr_linear) for an r in [0, 1], got -3.0"),
+        ],
+        ids=["snr-db-off-snr-linear", "rate-below-zero"],
+    )
+    def test_row_that_contradicts_itself_is_usage_error(self, row, column, value, expected, tmp_path, capsys):
+        path = tmp_path / "table.json"
+        assert run(["outage", "--r", "0.5", "--snr-db", "0:20:10", "--trials", "20000", "--seed", "1",
+                    "--format", "json", "--output", str(path)]) == 0
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["rows"][row][column] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(["slope", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hdrelay: error: ") and expected in captured.err
 
     def test_p_hat_that_contradicts_the_counts_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "table.csv"

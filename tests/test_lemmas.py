@@ -11,6 +11,7 @@ from hdrelay import cutset, lemmas
 from hdrelay.cutset import TwoHopSchedule, cut_average_array, cut_flow_array, link_capacities
 from hdrelay.lemmas import (
     MAX_CUT_RELAYS,
+    MAX_SUBSET_LEN,
     SIGN_TOL,
     CheckKind,
     avg_lemma_margin_array,
@@ -78,9 +79,11 @@ class TestAvgLemma:
         # subsets {}, {1}, {2}, {1,2} -> f values 0, 0, 1, 1
         assert _avg_lemma(0.0, [0.0, 1.0]) == pytest.approx(1.0 / 6.0, abs=1e-15)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 5])
-    def test_equality_for_constant_inputs(self, n):
-        assert _avg_lemma(2.5, [2.5] * n) == pytest.approx(0.0, abs=1e-12)
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 16])
+    @pytest.mark.parametrize("value", [2.5, 6.1, 10.0 / 3.0])
+    def test_equality_for_constant_inputs(self, n, value):
+        # 6.1 and 10/3 are not dyadic, so a 2^n-term sum of them rounds at every step
+        assert abs(_avg_lemma(value, [value] * n)) <= 1e-13
 
     def test_scale_covariance(self):
         a, s = 1.3, [0.2, 4.0, 2.2]
@@ -90,8 +93,10 @@ class TestAvgLemma:
             assert scaled == pytest.approx(lam * base, rel=1e-9)
 
     def test_size_limit(self):
-        with pytest.raises(ValueError):
-            _avg_lemma(1.0, [1.0] * 17)
+        # the kernel is O(n log n) and takes any n; the suite keeps its max_len cap
+        assert abs(_avg_lemma(1.0, [1.0] * (MAX_SUBSET_LEN + 1))) <= 1e-13
+        with pytest.raises(ValueError, match=rf"max_len must lie in \[1, {MAX_SUBSET_LEN}\], got 17"):
+            run_randomized_suite(CheckKind.AVG_LEMMA, 10, seed=1, max_len=MAX_SUBSET_LEN + 1)
 
     def test_shape_errors(self):
         with pytest.raises(ValueError, match="shape"):
@@ -105,7 +110,7 @@ class TestAvgLemma:
         with pytest.raises(ValueError):
             _avg_lemma(1.0, [-0.5])
 
-    @given(values, st.lists(values, min_size=1, max_size=6))
+    @given(values, st.lists(values, min_size=1, max_size=MAX_SUBSET_LEN))
     @settings(max_examples=200, deadline=None)
     def test_never_violates(self, a, s):
         assert _avg_lemma(a, s) >= -SIGN_TOL
@@ -178,7 +183,7 @@ class TestBlocks:
     @pytest.mark.parametrize("block", [1, 17])
     def test_block_size_does_not_change_the_report(self, kind, block):
         expected = run_randomized_suite(kind, 300, seed=5, max_len=16, max_relays=4)
-        # lemmas._BLOCK sizes the instance blocks, cutset._BLOCK the table passes
+        # lemmas._BLOCK sizes the instance blocks, cutset._BLOCK the cut-avg table passes
         with patch.object(lemmas, "_BLOCK", block), patch.object(cutset, "_BLOCK", block):
             assert run_randomized_suite(kind, 300, seed=5, max_len=16, max_relays=4) == expected
 

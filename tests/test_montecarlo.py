@@ -460,6 +460,29 @@ class TestOutageRowValidation:
         with pytest.raises(ValueError, match=message):
             OutageRow(10.0, 10.0, 1.0, trials, count, p_hat, 0.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "snr_db, snr_linear, rate_bits, message",
+        [
+            (55.0, 10.0, 1.0, "snr_linear must be 10"),
+            (10.0, 10.0 * (1.0 + 1e-11), 1.0, "snr_linear must be 10"),
+            (4000.0, 1e300, 1.0, "snr_linear must be 10"),  # 10^400 overflows to inf
+            (10.0, 10.0, -3.0, "rate_bits must be r"),
+            (10.0, 10.0, 3.33, "rate_bits must be r"),  # log2(10) = 3.32
+            (-10.0, 0.1, 0.5, "rate_bits must be r"),  # below 0 dB the rate is <= 0
+        ],
+    )
+    def test_columns_agree_with_snr_linear(self, snr_db, snr_linear, rate_bits, message):
+        with pytest.raises(ValueError, match=message):
+            OutageRow(snr_db, snr_linear, rate_bits, 100, 50, 0.5, 0.0, 1.0)
+
+    @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 10.0 * math.log10(2.0), 10.0, 55.0])
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
+    def test_writer_columns_are_accepted(self, snr_db, r):
+        # a writer may compute the linear SNR with another power, a few ulps away
+        snr = float(db_to_linear(snr_db)) * (1.0 + 5e-13)
+        row = OutageRow(snr_db, snr, r * math.log2(snr), 100, 50, 0.5, 0.0, 1.0)
+        assert row.rate_bits == r * math.log2(snr)
+
 
 class TestConfidenceInterval:
     def test_boundary_cases(self):
