@@ -20,6 +20,7 @@ from .dmt import (
     exponent_grid_oracle,
     miso_dmt,
     optimize_schedule_single,
+    single_relay_dmt,
     single_relay_outage_region,
 )
 from .lemmas import (
@@ -57,6 +58,7 @@ __all__ = [
     "exponent_grid_oracle",
     "miso_dmt",
     "optimize_schedule_single",
+    "single_relay_dmt",
     "single_relay_outage_region",
     "CheckKind",
     "VerificationReport",

@@ -28,10 +28,12 @@ from ._version import __version__
 from .cutset import SingleRelaySchedule, TwoHopSchedule
 from .dmt import (
     DEFAULT_ORACLE_BUDGET,
+    MAX_GRID_POINTS,
     crossing_links_outage_region,
     exponent_grid_oracle,
     miso_dmt,
     optimize_schedule_single,
+    single_relay_dmt,
     single_relay_outage_region,
 )
 from .lemmas import CheckKind, run_randomized_suite
@@ -43,8 +45,6 @@ from .montecarlo import (
     estimate_outage,
 )
 from .rng import GENERATOR_NAME
-
-MAX_GRID_POINTS = 10_001  # of one grid, range or list
 
 OUTAGE_COLUMNS = [f.name for f in fields(OutageRow)]
 
@@ -188,20 +188,16 @@ def _cmd_exponent(args: argparse.Namespace) -> _Table:
     step = args.oracle_step if args.oracle_step is not None else (0.005 if args.relays == 1 else 0.05)
     if args.relays == 1:
         region, dim = single_relay_outage_region(r_values, t), 3
-        miso = 2 if t == 0.5 else None  # the closed form at the paper's t = 1/2
+        d_analytic = [single_relay_dmt(r, t) for r in r_values]
     else:
         # every cut constrains its own N+1 crossing links the same way,
         # so the per-cut minimum equals the one reduced search
         region, dim = crossing_links_outage_region(args.relays, r_values), args.relays + 1
-        miso = dim
+        d_analytic = [miso_dmt(dim, r) for r in r_values]
     d_oracle = exponent_grid_oracle(region, dim, step, args.budget, len(r_values)).tolist()
     rows = [
-        {
-            "r": r,
-            "d_analytic": None if miso is None else miso_dmt(miso, r),
-            "d_oracle": None if math.isinf(d) else d,
-        }
-        for r, d in zip(r_values, d_oracle)
+        {"r": r, "d_analytic": a, "d_oracle": None if math.isinf(d) else d}
+        for r, a, d in zip(r_values, d_analytic, d_oracle)
     ]
     metadata = {"relays": args.relays, "t": t if args.relays == 1 else None, "oracle_step": step}
     return ["r", "d_analytic", "d_oracle"], rows, metadata
@@ -260,11 +256,13 @@ def _read_table(path: str) -> tuple[tuple[OutageRow, ...], dict[str, Any]]:
     metadata: dict[str, Any] = {}
     raw_rows: list[dict[str, Any]] = []
     stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if stripped.startswith(("{", "[")):
         try:
             doc = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path!r} is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ValueError(f"{path!r} is not an outage table: expected an object with 'rows', got a JSON array")
         metadata = doc.get("metadata", {})
         raw_rows = doc.get("rows", [])
         read = {int: _json_count, float: _json_float}
@@ -306,9 +304,9 @@ def _cmd_schedule_opt(args: argparse.Namespace) -> _Table:
     r_values = parse_grid(args.r_grid)
     rows = []
     for r in r_values:
-        t_star, d_star = optimize_schedule_single(r, args.t_step, args.oracle_step, args.budget)
+        t_star, d_star = optimize_schedule_single(r, args.t_step)
         rows.append({"r": r, "t_star": t_star, "d_star": d_star})
-    return ["r", "t_star", "d_star"], rows, {"t_step": args.t_step, "oracle_step": args.oracle_step}
+    return ["r", "t_star", "d_star"], rows, {"t_step": args.t_step}
 
 
 def _cmd_curves(args: argparse.Namespace) -> _Table:
@@ -386,9 +384,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("schedule-opt", help="optimize the single-relay listen fraction")
     p.add_argument("--r-grid", default="0:1:0.1", help="multiplexing gains, start:stop:step")
-    p.add_argument("--t-step", type=float, default=0.05, help="listen-fraction grid step")
-    p.add_argument("--oracle-step", type=float, default=0.005, help="grid step of the exponent oracle")
-    p.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET, help="evaluation budget of one r's t sweep")
+    p.add_argument("--t-step", type=float, default=0.05,
+                   help=f"listen-fraction grid step (at most {MAX_GRID_POINTS} fractions)")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_schedule_opt)
 

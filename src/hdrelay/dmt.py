@@ -1,12 +1,13 @@
-"""Diversity-multiplexing exponents: a closed form and a grid oracle.
+"""Diversity-multiplexing exponents: two closed forms and a grid oracle.
 
 The outage exponent d(r) is the infimum of sum(1 - a_i) over per-link
 exponential orders a in [0, 1]^dim that put the channel in outage at
-multiplexing gain r.  The one closed form is the m x 1 MISO curve
-m*(1 - r): the single relay at listen fraction 1/2 and the two-path
-parallel channel follow it with m = 2, and the two-hop N-relay network
-under the uniform schedule with m = N+1.  A grid minimizer over each
-outage region provides an independent check of it.
+multiplexing gain r.  There are two closed forms.  The m x 1 MISO curve
+m*(1 - r) holds for the two-path parallel channel with m = 2 and for the
+two-hop N-relay network under the uniform schedule with m = N+1.  The
+single-relay curve at listen fraction t, `single_relay_dmt`, meets the
+2 x 1 MISO curve at t = 1/2.  A grid minimizer over each outage region
+provides an independent check of both.
 
 Every outage region here is a down-set: lowering any order keeps a point in
 outage.  The minimizer relies on that three times.  Rounding every coordinate
@@ -37,15 +38,17 @@ from typing import Callable
 
 import numpy as np
 
-from .cutset import _single_relay_order, check_listen_fraction, check_multiplexing_gain, check_relay_count
+from .cutset import check_listen_fraction, check_multiplexing_gain, check_relay_count, single_relay_order_array
 
 DEFAULT_ORACLE_BUDGET = 1_000_000_000
+
+MAX_GRID_POINTS = 10_001  # of one grid of rates, SNRs or listen fractions
 
 # (grid prefix, region) pairs, or pairs of a cell and a region, the oracle
 # handles together; a memory bound only
 _CHUNK = 1 << 14
 
-# predicate values within this of each other are treated as exact ties
+# exponents within this of each other are treated as exact ties
 _TIE_TOL = 1e-9
 
 # predicate(alpha, which): rows of order vectors and the region of each row
@@ -62,6 +65,19 @@ def miso_dmt(m_antennas: int, r: float) -> float:
     return m_antennas * (1.0 - r)
 
 
+def single_relay_dmt(r: float, t: float) -> float:
+    """Diversity order of the single-relay cut-set bound at listen fraction t.
+
+    With u = min(t, 1-t), it is 2 - r/u for r < u and (1-r)/(1-u) otherwise,
+    so 1 - r at t = 0 or 1.  At t = 1/2 both branches are `miso_dmt(2, r)` bit
+    for bit: dividing by 1/2 and doubling are exact, and rounding commutes with them.
+    """
+    check_multiplexing_gain(r)
+    check_listen_fraction(t)
+    u = min(t, 1.0 - t)
+    return 2.0 - r / u if r < u else (1.0 - r) / (1.0 - u)
+
+
 def _per_region(values, check: Callable[[float], None]) -> np.ndarray:
     """A scalar or 1-D array of one value per region, each value checked."""
     array = np.asarray(values)
@@ -72,17 +88,6 @@ def _per_region(values, check: Callable[[float], None]) -> np.ndarray:
     if array.size == 0:
         raise ValueError("expected at least one region")
     return array.astype(np.float64).reshape(-1)
-
-
-def _shared(values: np.ndarray) -> float | np.ndarray:
-    """The one value of a batch whose regions all share it, so a predicate
-    needs no gather, else the array itself."""
-    return float(values[0]) if (values == values[0]).all() else values
-
-
-def _per_row(value: float | np.ndarray, which: np.ndarray) -> float | np.ndarray:
-    """A `_shared` value for each row of regions `which`."""
-    return value if isinstance(value, float) else value[which]
 
 
 def _row_sums(alpha: np.ndarray) -> np.ndarray:
@@ -97,24 +102,22 @@ def _row_sums(alpha: np.ndarray) -> np.ndarray:
     return total
 
 
-def single_relay_outage_region(r, t) -> RegionPredicate:
+def single_relay_outage_region(r, t: float) -> RegionPredicate:
     """Vectorized single-relay outage predicate over (k, 3) arrays.
 
-    r and t are scalars or 1-D arrays, one per region (a scalar or a
-    one-entry array is shared by every region; two longer arrays must have
-    the same length).  Columns are (a_sd, a_sr,
-    a_rd); returns a boolean row mask, true where `single_relay_order_array`
-    at the row's region's t is at most its r (the outage set is taken closed,
-    so boundary points count as outage).
+    r is a scalar or a 1-D array of one rate per region, and t the one listen
+    fraction of every region.  Columns are (a_sd, a_sr, a_rd); returns a
+    boolean row mask, true where `single_relay_order_array` at t is at most
+    the row's region's r (the outage set is taken closed, so boundary points
+    count as outage).
     """
-    r, t = _per_region(r, check_multiplexing_gain), _per_region(t, check_listen_fraction)
-    if min(r.size, t.size) > 1 and r.size != t.size:
-        raise ValueError(f"r and t give {r.size} and {t.size} regions")
-    r, t = _shared(r), _shared(t)
+    r = _per_region(r, check_multiplexing_gain)
+    if np.ndim(t):
+        raise ValueError(f"expected one listen fraction t for every region, got shape {np.shape(t)}")
+    check_listen_fraction(t)
 
     def predicate(alpha: np.ndarray, which: np.ndarray) -> np.ndarray:
-        order = _single_relay_order(alpha[:, 0], alpha[:, 1], alpha[:, 2], _per_row(t, which))
-        return order <= _per_row(r, which)
+        return single_relay_order_array(alpha[:, 0], alpha[:, 1], alpha[:, 2], t) <= r[which]
 
     return predicate
 
@@ -128,10 +131,10 @@ def crossing_links_outage_region(n_relays: int, r) -> RegionPredicate:
     full-dimensional search.
     """
     check_relay_count(n_relays)
-    threshold = (n_relays + 1) * _shared(_per_region(r, check_multiplexing_gain))
+    threshold = (n_relays + 1) * _per_region(r, check_multiplexing_gain)
 
     def predicate(alpha: np.ndarray, which: np.ndarray) -> np.ndarray:
-        return _row_sums(alpha) <= _per_row(threshold, which)
+        return _row_sums(alpha) <= threshold[which]
 
     return predicate
 
@@ -145,14 +148,14 @@ def _grid_levels(step: float, name: str = "step") -> int:
     return int(math.floor(1.0 / step + 1e-9)) + 1
 
 
-def _check_budget(calls: int, dim: int, levels: int, budget: int) -> None:
-    """Raise unless `calls` searches of dim * L^(dim-1) * bit_length(L) evaluations
-    fit the budget; a cost over it by a factor e or more is decided on logs, never formed."""
+def _check_budget(dim: int, levels: int, budget: int) -> None:
+    """Raise unless dim * L^(dim-1) * bit_length(L) evaluations fit the budget;
+    a cost over it by a factor e or more is decided on logs, never formed."""
     probes = levels.bit_length()
-    terms = (f"{calls} * " if calls > 1 else "") + f"{dim} * {levels}^{dim - 1} * bit_length({levels})"
-    if math.log(calls * dim * probes) + (dim - 1) * math.log(levels) > math.log(max(budget, 1)) + 1:
+    terms = f"{dim} * {levels}^{dim - 1} * bit_length({levels})"
+    if math.log(dim * probes) + (dim - 1) * math.log(levels) > math.log(max(budget, 1)) + 1:
         raise ValueError(f"budget exceeded: {terms} evaluations > {budget}")
-    cost = calls * dim * levels ** (dim - 1) * probes
+    cost = dim * levels ** (dim - 1) * probes
     if cost > budget:
         raise ValueError(f"budget exceeded: {terms} = {cost} evaluations > {budget}")
 
@@ -347,7 +350,7 @@ def exponent_grid_oracle(
     if problems < 1:
         raise ValueError(f"problems must be >= 1, got {problems}")
     levels = _grid_levels(step)
-    _check_budget(1, dim, levels, budget)
+    _check_budget(dim, levels, budget)
     coords = _unit_grid(step)
     coarse = np.unique(np.append(np.arange(0, levels, math.isqrt(levels - 1) + 1), levels - 1))
     best = np.full(problems, -math.inf)
@@ -357,25 +360,19 @@ def exponent_grid_oracle(
     return dim - best
 
 
-def optimize_schedule_single(
-    r: float,
-    t_step: float,
-    oracle_step: float = 0.005,
-    budget: int = DEFAULT_ORACLE_BUDGET,
-) -> tuple[float, float]:
-    """Best listen fraction on the grid {0, t_step, ..., 1} by oracle exponent.
+def optimize_schedule_single(r: float, t_step: float) -> tuple[float, float]:
+    """Best listen fraction on the grid {0, t_step, 2*t_step, ...} by `single_relay_dmt`.
 
-    Evaluates the grid oracle of the single-relay outage region at every t,
-    in one batched search priced as one search per t, all of them within
-    `budget`, and returns (t_star, d_star).  Exponent ties
-    (within 1e-9) are broken toward the t closest to 0.5, then toward the smaller t.
+    The grid ends at 1 when t_step divides it, else at the last multiple below
+    1 (0.07 gives 0, 0.07, ..., 0.98), and may hold at most MAX_GRID_POINTS
+    levels, checked before it is built.  Returns (t_star, d_star), d_star the
+    exponent at t_star.  Exponent ties (within 1e-9) are broken toward the t
+    closest to 0.5, then toward the smaller t.
     """
-    check_multiplexing_gain(r)
-    _check_budget(_grid_levels(t_step, "t_step"), 3, _grid_levels(oracle_step), budget)
-    t_grid = _unit_grid(t_step)
-    region = single_relay_outage_region(r, t_grid)
-    exponents = exponent_grid_oracle(region, 3, oracle_step, budget, len(t_grid)).tolist()
-    d_star = max(exponents)
-    tied = [float(t) for t, d in zip(t_grid, exponents) if d >= d_star - _TIE_TOL]
-    t_star = min(tied, key=lambda t: (abs(t - 0.5), t))
-    return t_star, d_star
+    levels = _grid_levels(t_step, "t_step")
+    if levels > MAX_GRID_POINTS:
+        raise ValueError(f"t_step {t_step!r} gives {levels} listen fractions, more than {MAX_GRID_POINTS}")
+    exponents = {t: single_relay_dmt(r, t) for t in _unit_grid(t_step).tolist()}
+    best = max(exponents.values())
+    t_star = min((t for t, d in exponents.items() if d >= best - _TIE_TOL), key=lambda t: (abs(t - 0.5), t))
+    return t_star, exponents[t_star]

@@ -1,14 +1,17 @@
 """The package's public names: array kernels, schedules, campaigns and checks.
 
 Every formula is exported once, as an array kernel; a single realization is
-a batch of one row, a cut is its integer `omega_mask`, and every closed-form
-exponent is `miso_dmt(m, r)`.  The batch-of-one wrappers and the dataclasses
-that existed only for them (removed in 0.2.0), and the named aliases of
-`miso_dmt`, the `DmtCurve` container and the `Cut` dataclass (removed in
-0.3.0), and the scalar lemma checks and per-instance suite helpers (removed
-in 0.4.0), and the per-cut outage region over all 2N+1 link orders (removed
-after 0.4.0), and the `OutageTable` pair of rows and metadata (removed
-after 0.7.0, the campaign and the table reader now return the pair itself)
+a batch of one row, a cut is its integer `omega_mask`, and the closed-form
+exponents are `miso_dmt(m, r)` and the single relay's
+`single_relay_dmt(r, t)`. The batch-of-one wrappers and the dataclasses that existed only for
+them (removed in 0.2.0), and the named aliases of `miso_dmt`, the
+`DmtCurve` container and the `Cut` dataclass (removed in 0.3.0), and the
+scalar lemma checks and per-instance suite helpers (removed in 0.4.0), and
+the per-cut outage region over all 2N+1 link orders (removed after 0.4.0),
+and the `OutageTable` pair of rows and metadata (removed after 0.7.0, the
+campaign and the table reader now return the pair itself), and the per-row
+gathers of the oracle regions and the unchecked copy of the single-relay
+order (removed in 0.8.0, every region takes one t)
 must not come back under their old names.
 """
 
@@ -42,6 +45,7 @@ PUBLIC = [
     "run_randomized_suite",
     "sample_gain_arrays",
     "single_relay_bound_array",
+    "single_relay_dmt",
     "single_relay_order_array",
     "single_relay_outage_region",
     "tchebychef_margin_array",
@@ -89,6 +93,9 @@ REMOVED = {
     "two_hop_cut_outage_region": "dmt",
     "gains_from_uniforms": "channel",
     "OutageTable": "montecarlo",
+    "_shared": "dmt",
+    "_per_row": "dmt",
+    "_single_relay_order": "cutset",
 }
 
 

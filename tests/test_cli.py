@@ -25,6 +25,7 @@ from hdrelay.cli import (
     render,
     run,
 )
+from hdrelay.dmt import miso_dmt, single_relay_dmt
 from hdrelay.lemmas import CheckKind, VerificationReport
 from hdrelay.montecarlo import OutageRow
 
@@ -200,22 +201,23 @@ class TestExponentCommand:
         assert run(["exponent", "--relays", "1", "--oracle-step", "1e-300"]) == 2
         assert capsys.readouterr().err.startswith("hdrelay: error: budget exceeded")
 
-    def test_analytic_blank_off_half_listen(self, capsys):
+    def test_analytic_is_the_closed_form_off_half_listen(self, capsys):
         code = run(["exponent", "--t", "0.3", "--r-grid", "0.5", "--oracle-step", "0.05", "--format", "json"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["rows"][0]["d_analytic"] is None
-        assert doc["rows"][0]["d_oracle"] == pytest.approx((1 - 0.5) / (1 - 0.3), abs=0.15)
+        assert doc["rows"][0]["d_analytic"] == single_relay_dmt(0.5, 0.3) == (1 - 0.5) / (1 - 0.3)
+        assert 0 <= doc["rows"][0]["d_oracle"] - doc["rows"][0]["d_analytic"] <= 3 * 0.05
 
-    def test_analytic_cell_is_empty_in_csv_off_half_listen(self, capsys):
+    def test_analytic_cell_holds_the_closed_form_in_csv_off_half_listen(self, capsys):
         assert run(["exponent", "--relays", "1", "--t", "0.3", "--r-grid", "0.5", "--oracle-step", "0.05"]) == 0
         row = _read_csv(capsys.readouterr().out)[0]
-        assert row["d_analytic"] == "" and float(row["d_oracle"]) > 0
+        assert float(row["d_analytic"]) == single_relay_dmt(0.5, 0.3) and float(row["d_oracle"]) > 0
 
 
-# JSON rows (r, d_analytic, d_oracle) of `exponent` and (r, t_star, d_star) of
-# `schedule-opt` as the one-region-per-call oracle wrote them; the batched
-# search must give the same bytes
+# JSON rows (r, d_analytic, d_oracle) of `exponent` as the one-region-per-call
+# oracle wrote them, the batched search must give the same bytes, with
+# d_analytic the closed form at every t; and (r, t_star, d_star) of
+# `schedule-opt`, whose d_star is the closed form at t_star
 PINNED_ROWS = {
     "exponent --relays 1 --t 0.5": [
         (0.0, 2.0, 2.0), (0.1, 1.8, 1.7999999999999998), (0.2, 1.6, 1.5999999999999999),
@@ -224,10 +226,11 @@ PINNED_ROWS = {
         (0.9, 0.19999999999999996, 0.19999999999999973), (1.0, 0.0, 0.0),
     ],
     "exponent --relays 1 --t 0.3": [
-        (0.0, None, 2.0), (0.1, None, 1.67), (0.2, None, 1.335), (0.3, None, 1.0),
-        (0.4, None, 0.8599999999999999), (0.5, None, 0.7149999999999999), (0.6, None, 0.5750000000000002),
-        (0.7, None, 0.4299999999999997), (0.8, None, 0.29000000000000004), (0.9, None, 0.14500000000000002),
-        (1.0, None, 0.0),
+        (0.0, 2.0, 2.0), (0.1, 1.6666666666666665, 1.67), (0.2, 1.3333333333333333, 1.335), (0.3, 1.0, 1.0),
+        (0.4, 0.8571428571428572, 0.8599999999999999), (0.5, 0.7142857142857143, 0.7149999999999999),
+        (0.6, 0.5714285714285715, 0.5750000000000002), (0.7, 0.42857142857142866, 0.4299999999999997),
+        (0.8, 0.28571428571428564, 0.29000000000000004), (0.9, 0.14285714285714282, 0.14500000000000002),
+        (1.0, 0.0, 0.0),
     ],
     "exponent --relays 2": [
         (0.0, 3.0, 3.0), (0.1, 2.7, 2.7), (0.2, 2.4000000000000004, 2.4), (0.3, 2.0999999999999996, 2.1),
@@ -242,11 +245,11 @@ PINNED_ROWS = {
         (0.8, 0.7999999999999998, 0.7999999999999998), (0.9, 0.3999999999999999, 0.3999999999999999),
         (1.0, 0.0, 0.0),
     ],
-    "schedule-opt --r-grid 0.25,0.5 --t-step 0.25 --oracle-step 0.05": [(0.25, 0.5, 1.5), (0.5, 0.5, 1.0)],
+    "schedule-opt --r-grid 0.25,0.5 --t-step 0.25": [(0.25, 0.5, 1.5), (0.5, 0.5, 1.0)],
 }
 
 # exit code and stderr of each budget case, as the one-region-per-call oracle
-# gave them: the budget prices one r's search (exponent) or one r's t sweep
+# gave them: the budget prices one r's search; and the cap on schedule-opt's t grid
 BUDGET_OUTCOMES = [
     ("exponent --relays 12", 2, "budget exceeded: 13 * 21^12 * bit_length(21) evaluations > 1000000000"),
     ("exponent --relays 1 --budget -1", 2, "budget exceeded: 3 * 201^2 * bit_length(201) evaluations > -1"),
@@ -255,11 +258,7 @@ BUDGET_OUTCOMES = [
      "budget exceeded: 3 * 201^2 * bit_length(201) = 969624 evaluations > 969623"),
     ("exponent --relays 3 --r-grid 0.5 --oracle-step 0.1 --budget 1", 2,
      "budget exceeded: 4 * 11^3 * bit_length(11) evaluations > 1"),
-    ("schedule-opt --r-grid 0.5 --t-step 0.25 --oracle-step 0.05 --budget 33075", 0, ""),
-    ("schedule-opt --r-grid 0.5 --t-step 0.25 --oracle-step 0.05 --budget 33074", 2,
-     "budget exceeded: 5 * 3 * 21^2 * bit_length(21) = 33075 evaluations > 33074"),
-    ("schedule-opt --r-grid 0.5 --t-step 1e-6", 2,
-     "budget exceeded: 1000001 * 3 * 201^2 * bit_length(201) evaluations > 1000000000"),
+    ("schedule-opt --r-grid 0.5 --t-step 1e-6", 2, "t_step 1e-06 gives 1000001 listen fractions, more than 10001"),
 ]
 
 
@@ -439,20 +438,39 @@ class TestOutageAndSlopeCommands:
 
 class TestScheduleOptCommand:
     def test_returns_half(self, capsys):
-        assert run(["schedule-opt", "--r-grid", "0.75", "--t-step", "0.25",
-                    "--oracle-step", "0.05"]) == 0
+        assert run(["schedule-opt", "--r-grid", "0.75", "--t-step", "0.25"]) == 0
         row = _read_csv(capsys.readouterr().out)[0]
         assert float(row["t_star"]) == 0.5
-        assert float(row["d_star"]) == pytest.approx(0.5, abs=0.15)
+        assert float(row["d_star"]) == 0.5
 
-
-    def test_budget_bounds_the_t_sweep(self, capsys, monkeypatch):
+    def test_default_rows_are_the_miso_curve_without_the_oracle(self, capsys, monkeypatch):
         def no_oracle(*args, **kwargs):
             raise AssertionError("oracle called")
 
         monkeypatch.setattr("hdrelay.dmt.exponent_grid_oracle", no_oracle)
+        monkeypatch.setattr("hdrelay.cli.exponent_grid_oracle", no_oracle)
+        assert run(["schedule-opt", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert "oracle_step" not in doc["metadata"]
+        assert [(row["t_star"], row["d_star"]) for row in doc["rows"]] == [
+            (0.5, miso_dmt(2, k / 10)) for k in range(11)
+        ]
+
+    @pytest.mark.parametrize("flag", ["--oracle-step 0.05", "--budget 1000"])
+    def test_removed_flags_are_usage_errors(self, flag, capsys):
+        assert run(["schedule-opt", *flag.split()]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments" in captured.err
+
+    def test_grid_cap_bounds_the_t_sweep(self, capsys, monkeypatch):
+        def no_grid(step):
+            raise AssertionError(f"grid of step {step} built")
+
+        monkeypatch.setattr("hdrelay.dmt._unit_grid", no_grid)
         assert run(["schedule-opt", "--r-grid", "0.5", "--t-step", "1e-6"]) == 2
-        assert capsys.readouterr().err.startswith("hdrelay: error: budget exceeded: 1000001 * ")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "hdrelay: error: t_step 1e-06 gives 1000001 listen fractions, more than 10001\n"
 
 
 class TestVerifyCommand:
@@ -532,7 +550,7 @@ class TestExitCodesAndSafety:
             ("outage", ["--model", "--relays", "--t", "--weights", "--r", "--snr-db", "--trials",
                         "--seed", "--gap-bits", "--workers", "--format", "--output"]),
             ("slope", ["--input", "--min-count", "--format", "--output"]),
-            ("schedule-opt", ["--r-grid", "--t-step", "--oracle-step", "--budget", "--format", "--output"]),
+            ("schedule-opt", ["--r-grid", "--t-step", "--format", "--output"]),
             ("curves", ["--miso", "--r-grid", "--format", "--output"]),
             ("verify", ["--kind", "--instances", "--seed", "--max-len", "--max-relays", "--format", "--output"]),
         ]:
@@ -540,6 +558,8 @@ class TestExitCodesAndSafety:
             text = capsys.readouterr().out
             for flag in flags:
                 assert flag in text, (sub, flag)
+            if sub == "schedule-opt":
+                assert "--oracle-step" not in text and "--budget" not in text
 
     def test_readme_examples_parse(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -729,6 +749,21 @@ class TestExitCodesAndSafety:
         captured = capsys.readouterr()
         assert captured.out == "" and "is not an outage table" in captured.err
 
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_a_bare_json_array_of_rows_is_not_an_outage_table(self, indent, tmp_path, capsys):
+        # read as one-line CSV, a one-line array blamed the data ("insufficient data"),
+        # and an indented one read "is not an outage table: 'snr_db'"
+        path = tmp_path / "rows.json"
+        assert run(["outage", "--r", "0.5", "--snr-db", "0:20:10", "--trials", "20000", "--seed", "1",
+                    "--format", "json", "--output", str(path)]) == 0
+        rows = json.loads(path.read_text(encoding="utf-8"))["rows"]
+        path.write_text(json.dumps(rows, indent=indent), encoding="utf-8")
+        assert run(["slope", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"hdrelay: error: {str(path)!r} is not an outage table: "
+                                "expected an object with 'rows', got a JSON array\n")
+
     def test_malformed_inputs_are_usage_errors(self, tmp_path, capsys):
         bad_json = tmp_path / "bad.json"
         bad_json.write_text("{bad", encoding="utf-8")
@@ -837,7 +872,7 @@ class TestExitCodesAndSafety:
     @pytest.mark.parametrize(
         "argv",
         ["exponent --oracle-step 5e-324", "exponent --oracle-step 1e-310", "schedule-opt --t-step 5e-324",
-         "schedule-opt --r-grid 0.5 --oracle-step 1e-320"],
+         "schedule-opt --r-grid 0.5 --t-step 1e-320"],
     )
     def test_subnormal_grid_steps_are_usage_errors(self, argv, capsys):
         # 1 / step is inf, which math.floor turned into OverflowError (exit 1)
@@ -851,7 +886,7 @@ class TestExitCodesAndSafety:
         [
             "exponent --r-grid 0.5 --relays N",
             "exponent --r-grid 0.5 --budget N",
-            "schedule-opt --r-grid 0.5 --t-step 0.25 --oracle-step 0.05 --budget N",
+            "schedule-opt --r-grid 0.5 --t-step N",
             "outage --r 0.5 --snr-db 10 --trials 10 --seed 1 --relays N",
             "outage --model two-hop-zlb --r 0.5 --snr-db 10 --trials 10 --seed 1 --relays N",
             "outage --r 0.5 --snr-db 10 --trials 10 --seed N",
@@ -976,7 +1011,7 @@ class TestCommandTables:
         "exponent --relays 2 --r-grid 0.5 --oracle-step 0.1",
         "outage --r 0.5 --snr-db 10:20:10 --trials 1000 --seed 3",
         "slope --min-count 1",
-        "schedule-opt --r-grid 0.5 --t-step 0.25 --oracle-step 0.05",
+        "schedule-opt --r-grid 0.5 --t-step 0.25",
         "curves --miso 2 --r-grid 0:1:0.5",
         "verify --kind avg-lemma --instances 100 --seed 2",
     ]

@@ -1,8 +1,9 @@
 """Exponent curves, outage predicates, and the grid oracle.
 
 The closed forms are checked against the exhaustive grid minimizer, and the
-generalized listen-fraction exponent is checked against the piecewise
-closed form derived from the outage set's case analysis:
+generalized listen-fraction exponent, `single_relay_dmt` in src, is checked
+against this written-out copy of the piecewise closed form derived from the
+outage set's case analysis:
 
     d(r; t) = 2 - r/u          for r <= u,     u = min(t, 1-t) in (0, 0.5]
     d(r; t) = (1-r) / (1-u)    for r >= u
@@ -29,6 +30,7 @@ from hdrelay.dmt import (
     exponent_grid_oracle,
     miso_dmt,
     optimize_schedule_single,
+    single_relay_dmt,
     single_relay_outage_region,
 )
 
@@ -71,6 +73,23 @@ class TestAnalyticCurves:
             d = exponent_grid_oracle(single_relay_outage_region(r, 0.5), 3, 0.025).item()
             assert d == pytest.approx(miso_dmt(2, r), abs=3 * 0.025)
         assert miso_dmt(2, 0.3) == pytest.approx(1.4)
+
+    def test_single_relay_at_half_listen_is_the_miso_curve_bit_for_bit(self):
+        for k in range(1001):
+            r = k / 1000
+            assert single_relay_dmt(r, 0.5) == miso_dmt(2, r), r
+
+    def test_single_relay_matches_the_written_out_closed_form(self):
+        rng = np.random.default_rng(31)
+        grid = [k / 40 for k in range(41)]
+        pairs = [(r, t) for r in grid for t in grid] + list(zip(rng.random(2000), rng.random(2000)))
+        for r, t in pairs:
+            assert abs(single_relay_dmt(float(r), float(t)) - closed_form_single_relay(r, t)) <= 1e-15, (r, t)
+        assert single_relay_dmt(0.3, 0.0) == single_relay_dmt(0.3, 1.0) == 0.7
+        for r, t, message in [(1.5, 0.5, "multiplexing gain"), (0.5, -0.1, "listen fraction"),
+                              (0.5, math.nan, "listen fraction")]:
+            with pytest.raises(ValueError, match=message):
+                single_relay_dmt(r, t)
 
     def test_two_hop(self):
         # N relays under the uniform schedule: the (N+1) x 1 MISO curve
@@ -242,22 +261,15 @@ edge_unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_
 
 @st.composite
 def region_batches(draw):
-    """(batch region, dim, step, one-region predicates) of 1-12 regions, drawn
-    from a pool of up to four so that duplicate regions are common."""
+    """(batch region, dim, step, one-region predicates) of 1-12 regions, their
+    rates drawn from a pool of up to four so that duplicate regions are common."""
     size = draw(st.integers(min_value=1, max_value=12))
-    pool = draw(st.lists(st.tuples(edge_unit, edge_unit), min_size=1, max_size=4))
-    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=size, max_size=size))
-    r = [pool[k][0] for k in picks]
-    t = [pool[k][1] for k in picks]
+    pool = draw(st.lists(edge_unit, min_size=1, max_size=4))
+    r = [pool[k] for k in draw(st.lists(st.integers(0, len(pool) - 1), min_size=size, max_size=size))]
     n = draw(st.integers(min_value=0, max_value=3))  # 0: the single relay, else N crossing links
     if n == 0:
-        # a scalar t (or r) is shared by the whole batch
-        if draw(st.booleans()):
-            t = t[0]
-        elif draw(st.booleans()):
-            r = r[0]
-        rs, ts = np.broadcast_arrays(r, t)
-        alone = [single_relay_outage_region(a, b) for a, b in zip(rs.tolist(), ts.tolist())]
+        t = draw(edge_unit)  # one listen fraction for the whole batch
+        alone = [single_relay_outage_region(a, t) for a in r]
         step = draw(st.sampled_from([0.25, 0.1, 0.07, 0.05]))
         return single_relay_outage_region(r, t), 3, step, alone
     alone = [crossing_links_outage_region(n, a) for a in r]
@@ -298,17 +310,17 @@ class TestBatchedOracle:
         with pytest.raises(ValueError, match=rate):
             single_relay_outage_region(values, 0.5)
         with pytest.raises(ValueError, match=rate):
-            single_relay_outage_region(np.array(values), np.full(7, 0.5))
+            single_relay_outage_region(np.array(values), 0.5)
         with pytest.raises(ValueError, match=rate):
             crossing_links_outage_region(2, values)
         with pytest.raises(ValueError, match=re.escape(f"listen fraction t must lie in [0, 1], got {bad!r}")):
-            single_relay_outage_region(0.5, values)
+            single_relay_outage_region([0.2, 0.4, 0.6], bad)
 
     def test_batch_shapes_are_checked(self):
-        with pytest.raises(ValueError, match="give 2 and 3 regions"):
-            single_relay_outage_region([0.1, 0.2], [0.3, 0.4, 0.5])
-        with pytest.raises(ValueError, match="give 3 and 2 regions"):
-            single_relay_outage_region([0.3, 0.3, 0.3], [0.4, 0.5])  # a shared r still counts 3
+        # 0.7.0 took one t per region; the t of every region is now one float
+        for t in ([0.3, 0.4], np.array([0.3, 0.4, 0.5]), np.array([0.3])):
+            with pytest.raises(ValueError, match="expected one listen fraction t for every region, got shape"):
+                single_relay_outage_region([0.1, 0.2], t)
         with pytest.raises(ValueError, match="1-D"):
             crossing_links_outage_region(2, [[0.1, 0.2]])
         with pytest.raises(ValueError, match="at least one region"):
@@ -338,19 +350,13 @@ def test_row_sums_are_numpy_row_sums_in_any_layout(dim, k, column_major, seed):
 
 class TestScheduleOptimization:
     def test_high_rate(self):
-        t_star, d_star = optimize_schedule_single(0.75, 0.05, oracle_step=0.025)
-        assert t_star == 0.5
-        assert d_star == pytest.approx(0.5, abs=0.075)
+        assert optimize_schedule_single(0.75, 0.05) == (0.5, 0.5)
 
     def test_low_rate(self):
-        t_star, d_star = optimize_schedule_single(0.25, 0.05, oracle_step=0.025)
-        assert t_star == 0.5
-        assert d_star == pytest.approx(1.5, abs=0.075)
+        assert optimize_schedule_single(0.25, 0.05) == (0.5, 1.5)
 
     def test_zero_rate_plateau_breaks_tie_to_half(self):
-        t_star, d_star = optimize_schedule_single(0.0, 0.05, oracle_step=0.025)
-        assert t_star == 0.5
-        assert d_star == pytest.approx(2.0, abs=0.075)
+        assert optimize_schedule_single(0.0, 0.05) == (0.5, 2.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -358,30 +364,27 @@ class TestScheduleOptimization:
         with pytest.raises(ValueError):
             optimize_schedule_single(0.5, 0.0)
 
-    def test_budget_bounds_the_whole_t_sweep(self):
+    def test_the_closed_form_needs_no_oracle(self):
         def no_oracle(*args, **kwargs):
             raise AssertionError("oracle called")
 
+        with patch.object(dmt, "exponent_grid_oracle", no_oracle):
+            for step in (0.25, 0.07, 0.05, 0.03):
+                for r in (0.0, 0.3, 0.5, 0.9, 1.0):
+                    t_star, d_star = optimize_schedule_single(r, step)
+                    assert d_star == single_relay_dmt(r, t_star)
+
+    def test_t_grid_cap_is_checked_before_the_grid_exists(self):
         def no_grid(step):
             raise AssertionError(f"grid of step {step} built")
 
-        # 1,000,001 calls of 3 * 201^2 * bit_length(201) evaluations each
-        with patch.object(dmt, "exponent_grid_oracle", no_oracle), patch.object(dmt, "_unit_grid", no_grid):
-            with pytest.raises(ValueError, match=r"budget exceeded: 1000001 \* 3 \* 201\^2"):
+        with patch.object(dmt, "_unit_grid", no_grid):
+            with pytest.raises(ValueError, match=f"gives 1000001 listen fractions, more than {dmt.MAX_GRID_POINTS}"):
                 optimize_schedule_single(0.5, 1e-6)
-            with pytest.raises(ValueError, match="budget exceeded"):
-                optimize_schedule_single(0.5, 1e-9)
-
-    @pytest.mark.parametrize("t_step, cost", [(0.05, 21 * 969_624), (0.01, 101 * 969_624)])
-    def test_default_budget_fits_the_usual_t_steps(self, t_step, cost):
-        # 969,624 = 3 * 201^2 * bit_length(201), one region at the default oracle step
-        calls = []
-        with patch.object(dmt, "exponent_grid_oracle", lambda *args: calls.append(args) or np.ones(args[4])):
-            optimize_schedule_single(0.5, t_step)
-            with pytest.raises(ValueError, match=f"= {cost} evaluations > {cost - 1}"):
-                optimize_schedule_single(0.5, t_step, budget=cost - 1)
-        # one batched search of one region per t, each priced at the whole budget
-        assert [(args[3], args[4]) for args in calls] == [(dmt.DEFAULT_ORACLE_BUDGET, round(1 / t_step) + 1)]
+            with pytest.raises(ValueError, match="gives 10102 listen fractions"):
+                optimize_schedule_single(0.5, 9.9e-5)
+        # 1e-4 gives exactly the cap, 10,001 listen fractions
+        assert optimize_schedule_single(0.5, 1e-4) == (0.5, 1.0)
 
 
 class TestDmtCurve:
