@@ -261,10 +261,11 @@ def _read_table(path: str) -> tuple[tuple[OutageRow, ...], dict[str, Any]]:
             doc = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path!r} is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ValueError(f"{path!r} is not an outage table: expected an object with 'rows', got a JSON array")
+        if not isinstance(doc, dict) or "rows" not in doc:
+            got = "an object without it" if isinstance(doc, dict) else "a JSON array"
+            raise ValueError(f"{path!r} is not an outage table: expected an object with 'rows', got {got}")
         metadata = doc.get("metadata", {})
-        raw_rows = doc.get("rows", [])
+        raw_rows = doc["rows"]
         read = {int: _json_count, float: _json_float}
     else:
         lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -279,6 +280,8 @@ def _read_table(path: str) -> tuple[tuple[OutageRow, ...], dict[str, Any]]:
             else:
                 data_lines.append(ln)
         reader = csv.DictReader(data_lines)
+        if not set(OUTAGE_COLUMNS) <= set(reader.fieldnames or ()):
+            raise ValueError(f"{path!r} is not an outage table: the CSV header lacks one of {OUTAGE_COLUMNS}")
         raw_rows = list(reader)
         read = {int: int, float: float}  # each type parses its own text, a count exactly
     types = get_type_hints(OutageRow)
@@ -385,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("schedule-opt", help="optimize the single-relay listen fraction")
     p.add_argument("--r-grid", default="0:1:0.1", help="multiplexing gains, start:stop:step")
     p.add_argument("--t-step", type=float, default=0.05,
-                   help=f"listen-fraction grid step (at most {MAX_GRID_POINTS} fractions)")
+                   help=f"listen-fraction grid step in (0, 1] (at most {MAX_GRID_POINTS} fractions)")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_schedule_opt)
 

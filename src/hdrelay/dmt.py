@@ -48,9 +48,6 @@ MAX_GRID_POINTS = 10_001  # of one grid of rates, SNRs or listen fractions
 # handles together; a memory bound only
 _CHUNK = 1 << 14
 
-# exponents within this of each other are treated as exact ties
-_TIE_TOL = 1e-9
-
 # predicate(alpha, which): rows of order vectors and the region of each row
 RegionPredicate = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -139,10 +136,10 @@ def crossing_links_outage_region(n_relays: int, r) -> RegionPredicate:
     return predicate
 
 
-def _grid_levels(step: float, name: str = "step") -> int:
-    """Number of points of the grid {0, step, 2*step, ...} capped at 1."""
-    if not 0.0 < step <= 0.25:
-        raise ValueError(f"{name} must lie in (0, 0.25], got {step!r}")
+def _grid_levels(step: float, largest: float, name: str = "step") -> int:
+    """Number of points of the grid {0, step, 2*step, ...} capped at 1, step in (0, largest]."""
+    if not 0.0 < step <= largest:
+        raise ValueError(f"{name} must lie in (0, {largest:g}], got {step!r}")
     if math.isinf(1.0 / step):
         raise ValueError(f"{name} {step!r} has no finite level count: 1/{name} overflows")
     return int(math.floor(1.0 / step + 1e-9)) + 1
@@ -160,9 +157,8 @@ def _check_budget(dim: int, levels: int, budget: int) -> None:
         raise ValueError(f"budget exceeded: {terms} = {cost} evaluations > {budget}")
 
 
-def _unit_grid(step: float) -> np.ndarray:
-    """Grid {0, step, 2*step, ...} capped at 1, endpoint-exact when possible."""
-    levels = _grid_levels(step)
+def _unit_grid(step: float, levels: int) -> np.ndarray:
+    """The `_grid_levels(step, ...)` points {0, step, 2*step, ...}, endpoint-exact when possible."""
     if abs((levels - 1) * step - 1.0) < 1e-9:
         return np.linspace(0.0, 1.0, levels)
     return np.arange(levels) * step
@@ -349,9 +345,9 @@ def exponent_grid_oracle(
         raise ValueError(f"dim must be >= 1, got {dim}")
     if problems < 1:
         raise ValueError(f"problems must be >= 1, got {problems}")
-    levels = _grid_levels(step)
+    levels = _grid_levels(step, 0.25)
     _check_budget(dim, levels, budget)
-    coords = _unit_grid(step)
+    coords = _unit_grid(step, levels)
     coarse = np.unique(np.append(np.arange(0, levels, math.isqrt(levels - 1) + 1), levels - 1))
     best = np.full(problems, -math.inf)
     group = max(1, _CHUNK // len(coarse) ** (dim - 1))
@@ -363,16 +359,16 @@ def exponent_grid_oracle(
 def optimize_schedule_single(r: float, t_step: float) -> tuple[float, float]:
     """Best listen fraction on the grid {0, t_step, 2*t_step, ...} by `single_relay_dmt`.
 
-    The grid ends at 1 when t_step divides it, else at the last multiple below
-    1 (0.07 gives 0, 0.07, ..., 0.98), and may hold at most MAX_GRID_POINTS
-    levels, checked before it is built.  Returns (t_star, d_star), d_star the
-    exponent at t_star.  Exponent ties (within 1e-9) are broken toward the t
-    closest to 0.5, then toward the smaller t.
+    t_step lies in (0, 1].  The grid ends at 1 when t_step divides it, else at
+    the last multiple below 1 (0.07 gives 0, 0.07, ..., 0.98), and may hold at
+    most MAX_GRID_POINTS levels, checked before it is built.  The closed form
+    is nondecreasing in u = min(t, 1-t), so the grid point nearest 1/2, the
+    smaller one on a tie, maximizes it over the grid.  Returns that t_star and
+    d_star = `single_relay_dmt(r, t_star)`.
     """
-    levels = _grid_levels(t_step, "t_step")
+    levels = _grid_levels(t_step, 1.0, "t_step")
     if levels > MAX_GRID_POINTS:
         raise ValueError(f"t_step {t_step!r} gives {levels} listen fractions, more than {MAX_GRID_POINTS}")
-    exponents = {t: single_relay_dmt(r, t) for t in _unit_grid(t_step).tolist()}
-    best = max(exponents.values())
-    t_star = min((t for t, d in exponents.items() if d >= best - _TIE_TOL), key=lambda t: (abs(t - 0.5), t))
-    return t_star, exponents[t_star]
+    grid = _unit_grid(t_step, levels)
+    t_star = float(grid[np.abs(grid - 0.5).argmin()])
+    return t_star, single_relay_dmt(r, t_star)

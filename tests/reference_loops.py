@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from hdrelay.cutset import SingleRelaySchedule, link_capacity_bits, single_relay_bound_array, two_hop_bound_array
-from hdrelay.dmt import _unit_grid
+from hdrelay.dmt import _grid_levels, _unit_grid, single_relay_dmt
 from hdrelay.rng import uniforms_for_streams
 
 
@@ -176,7 +176,7 @@ def exhaustive_grid_oracle(predicate, dim: int, step: float, chunk_size: int = 1
     Evaluates the predicate on all L^dim grid points (no budget), so it needs
     no down-set assumption; the staircase oracle must return the same float.
     """
-    coords = _unit_grid(step)
+    coords = _unit_grid(step, _grid_levels(step, 0.25))
     levels = len(coords)
     total = levels**dim
     strides = [levels ** (dim - 1 - k) for k in range(dim)]
@@ -192,3 +192,16 @@ def exhaustive_grid_oracle(predicate, dim: int, step: float, chunk_size: int = 1
     if best_sum == -math.inf:
         return math.inf
     return dim - best_sum
+
+
+def enumerating_schedule_single(r: float, t_step: float) -> tuple[float, float]:
+    """Best listen fraction by evaluating `single_relay_dmt` at every grid t.
+
+    Exponents within 1e-9 of the best count as ties, broken toward the t
+    closest to 0.5, then toward the smaller t; `optimize_schedule_single`
+    must return the same (t_star, d_star) without the enumeration.
+    """
+    exponents = {t: single_relay_dmt(r, t) for t in _unit_grid(t_step, _grid_levels(t_step, 1.0)).tolist()}
+    best = max(exponents.values())
+    t_star = min((t for t, d in exponents.items() if d >= best - 1e-9), key=lambda t: (abs(t - 0.5), t))
+    return t_star, exponents[t_star]

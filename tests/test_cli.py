@@ -462,6 +462,29 @@ class TestScheduleOptCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and "unrecognized arguments" in captured.err
 
+    @pytest.mark.parametrize("t_step, t_star", [("0.3", 0.6), ("0.5", 0.5), ("1", 0.0)])
+    def test_steps_up_to_one_take_the_grid_point_nearest_half(self, t_step, t_star, capsys):
+        # the oracle's (0, 0.25] step range once bounded the t grid too
+        assert run(["schedule-opt", "--t-step", t_step, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [tuple(row.values()) for row in doc["rows"]] == [
+            (k / 10, t_star, single_relay_dmt(k / 10, t_star)) for k in range(11)
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("schedule-opt --t-step 1.5", "t_step must lie in (0, 1], got 1.5"),
+            ("schedule-opt --t-step 0", "t_step must lie in (0, 1], got 0.0"),
+            ("schedule-opt --t-step nan", "t_step must lie in (0, 1], got nan"),
+            ("exponent --oracle-step 0.3", "step must lie in (0, 0.25], got 0.3"),
+        ],
+    )
+    def test_steps_outside_their_range_are_usage_errors(self, argv, message, capsys):
+        assert run(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"hdrelay: error: {message}\n"
+
     def test_grid_cap_bounds_the_t_sweep(self, capsys, monkeypatch):
         def no_grid(step):
             raise AssertionError(f"grid of step {step} built")
@@ -763,6 +786,38 @@ class TestExitCodesAndSafety:
         assert captured.out == ""
         assert captured.err == (f"hdrelay: error: {str(path)!r} is not an outage table: "
                                 "expected an object with 'rows', got a JSON array\n")
+
+    @pytest.mark.parametrize(
+        "name, text, reason",
+        [
+            ("empty.csv", "", "the CSV header lacks one of"),
+            ("blank.csv", "\n  \n", "the CSV header lacks one of"),
+            ("partial.csv", "snr_db,trials\n10.0,1000\n", "the CSV header lacks one of"),
+            ("object.json", "{}", "expected an object with 'rows', got an object without it"),
+            ("metadata.json", '{"metadata": {"seed": 1}}', "expected an object with 'rows', got an object without it"),
+        ],
+    )
+    def test_a_file_that_holds_no_table_is_not_an_outage_table(self, name, text, reason, tmp_path, capsys):
+        # each of these read as an empty table, and the fit blamed the data ("insufficient data")
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert run(["slope", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"hdrelay: error: {str(path)!r} is not an outage table: {reason}")
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [("rows.json", '{"rows": []}'), ("header.csv", "# seed=1\n" + ",".join(OUTAGE_COLUMNS) + "\n")],
+    )
+    def test_a_table_without_rows_reads_as_empty(self, name, text, tmp_path, capsys):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert cli._read_table(str(path))[0] == ()
+        assert run(["slope", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "hdrelay: error: insufficient data: need >= 2 rows with outage_count >= 50, got 0\n"
 
     def test_malformed_inputs_are_usage_errors(self, tmp_path, capsys):
         bad_json = tmp_path / "bad.json"

@@ -221,12 +221,24 @@ class TestGridOracle:
         pred = lambda a, which: np.ones(len(a), dtype=bool)
         with pytest.raises(ValueError):
             exponent_grid_oracle(pred, 3, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^step must lie in \(0, 0.25\], got 0.3$"):
             exponent_grid_oracle(pred, 3, 0.3)
         # 1 / step overflows to inf below about 5.6e-309
         for step in (5e-324, 1e-310):
             with pytest.raises(ValueError, match="has no finite level count"):
                 exponent_grid_oracle(pred, 3, step)
+
+    def test_step_is_checked_once(self):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return grid_levels(*args)
+
+        grid_levels = dmt._grid_levels
+        with patch.object(dmt, "_grid_levels", counting):
+            exponent_grid_oracle(single_relay_outage_region([0.3, 0.6], 0.5), 3, 0.05, problems=2)
+        assert calls == [(0.05, 0.25)]
 
     def test_dim_validation(self):
         pred = lambda a, which: np.ones(len(a), dtype=bool)
@@ -363,6 +375,8 @@ class TestScheduleOptimization:
             optimize_schedule_single(1.5, 0.05)
         with pytest.raises(ValueError):
             optimize_schedule_single(0.5, 0.0)
+        with pytest.raises(ValueError, match=r"^t_step must lie in \(0, 1\], got 1.5$"):
+            optimize_schedule_single(0.5, 1.5)
 
     def test_the_closed_form_needs_no_oracle(self):
         def no_oracle(*args, **kwargs):
@@ -373,6 +387,25 @@ class TestScheduleOptimization:
                 for r in (0.0, 0.3, 0.5, 0.9, 1.0):
                     t_star, d_star = optimize_schedule_single(r, step)
                     assert d_star == single_relay_dmt(r, t_star)
+
+    def test_one_closed_form_evaluation_per_call(self):
+        calls = []
+
+        def counting(r, t):
+            calls.append((r, t))
+            return closed_form(r, t)
+
+        closed_form = dmt.single_relay_dmt
+        with patch.object(dmt, "single_relay_dmt", counting):
+            for step in (0.05, 0.03, 1e-4, 1.0):
+                calls.clear()
+                t_star, d_star = optimize_schedule_single(0.3, step)
+                assert calls == [(0.3, t_star)] and d_star == closed_form(0.3, t_star)
+
+    @pytest.mark.parametrize("t_step, t_star", [(0.3, 0.6), (0.5, 0.5), (1.0, 0.0), (0.26, 0.52), (0.999, 0.999)])
+    def test_steps_up_to_one_take_the_grid_point_nearest_half(self, t_step, t_star):
+        for r in (0.0, 0.3, 0.5, 1.0):
+            assert optimize_schedule_single(r, t_step) == (t_star, single_relay_dmt(r, t_star))
 
     def test_t_grid_cap_is_checked_before_the_grid_exists(self):
         def no_grid(step):

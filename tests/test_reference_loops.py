@@ -36,6 +36,7 @@ from hdrelay.cutset import (
 from hdrelay.dmt import (
     crossing_links_outage_region,
     exponent_grid_oracle,
+    optimize_schedule_single,
     single_relay_dmt,
     single_relay_outage_region,
 )
@@ -464,6 +465,23 @@ def test_staircase_oracle_equals_exhaustive_single_relay(r, t, step, chunk):
     assert d == ref.exhaustive_grid_oracle(region, 3, step)
     # a grid minimum cannot undercut the infimum, and rounding a point down costs at most 3 steps
     assert -1e-12 <= d - single_relay_dmt(r, t) <= 3 * step + 1e-12
+
+
+# 1/3 and 0.07 stop short of 1, 0.03 leaves 0.48 and 0.51 nearest 1/2, 1e-4
+# gives the 10,001-point cap, and 1.0 ties 0 and 1
+SCHEDULE_STEPS = [1 / 3, 0.07, 0.03, 1e-4, 0.5, 1.0]
+
+
+@given(unit, st.one_of(st.sampled_from(SCHEDULE_STEPS), st.floats(min_value=1e-4, max_value=1.0)))
+@settings(max_examples=300, deadline=None)
+@example(0.25, 1 / 3)
+@example(0.5, 0.07)
+@example(0.75, 0.03)
+@example(0.4, 1e-4)
+@example(0.0, 0.5)
+@example(1.0, 1.0)
+def test_nearest_half_schedule_equals_the_enumerating_argmax(r, t_step):
+    assert optimize_schedule_single(r, t_step) == ref.enumerating_schedule_single(r, t_step)
 
 
 @given(st.integers(min_value=1, max_value=3), unit, st.sampled_from(steps), chunks)
